@@ -659,8 +659,3 @@ class MultiPoly:
     def __repr__(self):
         return "MultiPoly(%s)" % self.canonical_str()
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

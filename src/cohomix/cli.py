@@ -31,10 +31,10 @@ from .gotzmann import (
 from .grassmann import (
     WeightSystem,
     equivariant_presentation,
+    generator_degrees,
     ordinary_presentation,
     poincare_from_cells,
     poincare_from_regular_sequence,
-    w_degree,
 )
 
 
@@ -71,14 +71,11 @@ def _cmd_grass_presentation(args):
 
 
 def _cmd_grass_poincare(args):
+    # generator_degrees rejects invalid sizes, for both methods alike
+    degrees = generator_degrees(args.n, args.k)
     if args.method == "cells":
         poly = poincare_from_cells(WeightSystem.principal(args.n), args.k)
     else:
-        degrees = [
-            w_degree(i, j, args.n, args.k)
-            for i in range(1, args.n - args.k + 1)
-            for j in range(1, args.k + 1)
-        ] if 0 < args.k < args.n else []
         poly = poincare_from_regular_sequence(degrees, 1)
     coeffs = poly.coefficient_list()
     doc = {"n": args.n, "k": args.k, "method": args.method, "coefficients": coeffs}
@@ -164,7 +161,7 @@ def _cmd_hilb_poincare(args):
 
 def _cmd_b2_check(args):
     try:
-        coeffs = [int(c.strip()) for c in args.poincare.split(",") if c.strip() != ""]
+        coeffs = [int(c) for c in args.poincare.split(",")]
     except ValueError:
         raise ValueError("--poincare expects comma-separated integers") from None
     poly = IntegerPolynomial(coeffs)

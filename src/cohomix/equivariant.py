@@ -14,9 +14,9 @@ surjectivity after localization.
 
 from fractions import Fraction
 
-from .algebra import Partition, RowSpace, partitions_in_box, schur_evaluate
-from .errors import BoxViolation, UnknownFixedPoint
-from .filtration import _box_of
+from .algebra import Partition, schur_evaluate
+from .errors import UnknownFixedPoint
+from .filtration import box_of, check_fits, schur_rank_steps
 from .grassmann import FixedSubspace, specialize_v
 
 __all__ = [
@@ -174,11 +174,7 @@ def eq_schur_class(mu, points, ws):
     is where the v-power comes from."""
     mu = mu if isinstance(mu, Partition) else Partition(mu)
     points = list(points)
-    box = _box_of(points, None)
-    if len(mu) > box[0] or (len(mu) > 0 and mu[0] > box[1]):
-        raise BoxViolation(
-            "partition %s does not fit in the %d x %d box" % (mu, box[0], box[1])
-        )
+    check_fits(mu, box_of(points))
     values = []
     for pt in points:
         s = schur_evaluate(mu, ws.at(pt.indices))
@@ -198,19 +194,12 @@ def localization_rank_check(points, ws, box=None):
     eq_schur_class values over all box partitions, and whether it is full.
 
     Each row is a numeric row scaled by a single power of v, so the rank
-    equals the numeric rank of the ordinary evaluation matrix.  Rows are
-    added by increasing partition size and the scan stops as soon as the
-    rank hits the number of points.
+    equals the numeric rank of the ordinary evaluation matrix, which is the
+    sum of the rank jumps of schur_rank_steps; that scan stops at the row
+    that fills the rank.  An empty point list gives (0, True).
     """
     points = list(points)
     if not points:
         return 0, True
-    box = _box_of(points, box)
-    weight_sets = [ws.at(pt.indices) for pt in points]
-    space = RowSpace(len(points))
-    for p in range(box[0] * box[1] + 1):
-        for mu in partitions_in_box(box[0], box[1], p):
-            space.add([schur_evaluate(mu, wset) for wset in weight_sets])
-        if space.rank == len(points):
-            break
-    return space.rank, space.rank == len(points)
+    rank = sum(len(grew) for grew in schur_rank_steps(points, ws, box))
+    return rank, rank == len(points)

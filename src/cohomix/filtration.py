@@ -13,6 +13,10 @@ point handed in:
   carries an attracting cell whose dimension is the number of negative
   tangent weights, and the cell dimensions count Betti numbers directly.
 
+Betti numbers, the greedy Schur basis and the localization rank all read
+the one Schur-rank loop, schur_rank_steps, which stops evaluating at the
+row that fills the rank.
+
 On the Hilbert scheme the pure Schur rows of size p need not span the
 degree-p graded piece (already for k = 2 there is a single partition of
 size 1 but b_1 = 2), so the evaluation route computes a genuinely
@@ -20,7 +24,14 @@ different, smaller filtration there; select_schur_basis reports exactly
 how far the pure rows get instead of silently substituting products.
 """
 
-from .algebra import IntegerPolynomial, Partition, RowSpace, partitions_in_box, schur_evaluate
+from .algebra import (
+    IntegerPolynomial,
+    Partition,
+    RowSpace,
+    partitions_in_box,
+    schur_evaluate,
+    strip_cyclotomic_factors,
+)
 from .errors import BoxViolation, InvalidDegree
 from .gotzmann import (
     PartitionTriple,
@@ -35,7 +46,8 @@ NOT_REGULAR = "NOT_REGULAR"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _box_of(points, box):
+def box_of(points, box=None):
+    """The points' common (parts, part size) box, or `box` if it fits in it."""
     dims = {pt.dim for pt in points}
     ns = {pt.n for pt in points}
     if len(dims) != 1 or len(ns) != 1:
@@ -51,7 +63,8 @@ def _box_of(points, box):
     return box
 
 
-def _check_fits(mu, box):
+def check_fits(mu, box):
+    """Raise BoxViolation unless the partition mu fits in the box."""
     max_parts, max_part = box
     if len(mu) > max_parts or (len(mu) > 0 and mu[0] > max_part):
         raise BoxViolation(
@@ -89,13 +102,13 @@ def evaluation_matrix(partitions, points, ws):
     points = list(points)
     if not points:
         raise BoxViolation("need at least one fixed point")
-    box = _box_of(points, None)
+    box = box_of(points)
     rows = []
     labels = []
     weight_sets = [ws.at(pt.indices) for pt in points]
     for mu in partitions:
         mu = mu if isinstance(mu, Partition) else Partition(mu)
-        _check_fits(mu, box)
+        check_fits(mu, box)
         labels.append(mu)
         rows.append(tuple(schur_evaluate(mu, wset) for wset in weight_sets))
     return EvaluationMatrix(labels, points, rows)
@@ -177,7 +190,8 @@ def filtration_betti(points, ws=None, box=None, p_max=None, action=None):
     if _is_subspace_list(points):
         if ws is None:
             raise ValueError("fixed subspaces need their ambient WeightSystem")
-        return _rank_betti(points, ws, box, p_max)
+        betti = [len(grew) for grew in schur_rank_steps(points, ws, box, p_max)]
+        return BettiTable(betti, len(points))
     raise TypeError("points must be all FixedSubspace or all PartitionTriple")
 
 
@@ -200,23 +214,36 @@ def _cell_betti(triples, p_max, action):
     return BettiTable(betti, len(triples))
 
 
-def _rank_betti(points, ws, box, p_max):
-    box = _box_of(points, box)
+def schur_rank_steps(points, ws, box=None, p_max=None):
+    """For p = 0..p_max (default: the box area), the box partitions of size
+    p, scanned in descending lexicographic order, whose evaluation rows grow
+    the rank of one row space.  Evaluation stops at the row that fills the
+    rank, as no later row can grow it; the remaining sizes yield [].
+
+    >>> from cohomix.grassmann import WeightSystem, enumerate_fixed_subspaces
+    >>> ws, points = WeightSystem.principal(4), enumerate_fixed_subspaces(4, 2)
+    >>> [[mu.parts for mu in grew] for grew in schur_rank_steps(points, ws)]
+    [[()], [(1,)], [(2,), (1, 1)], [(2, 1)], [(2, 2)]]
+    >>> [[mu.parts for mu in grew] for grew in schur_rank_steps(points[:2], ws)]
+    [[()], [(1,)], [], [], []]
+    """
+    points = list(points)
+    box = box_of(points, box)
     if p_max is None:
         p_max = box[0] * box[1]
     if p_max < 0:
         raise InvalidDegree("p_max must be nonnegative")
     weight_sets = [ws.at(pt.indices) for pt in points]
     space = RowSpace(len(points))
-    betti = []
-    previous = 0
     for p in range(p_max + 1):
+        grew = []
         if space.rank < len(points):
             for mu in partitions_in_box(box[0], box[1], p):
-                space.add([schur_evaluate(mu, wset) for wset in weight_sets])
-        betti.append(space.rank - previous)
-        previous = space.rank
-    return BettiTable(betti, len(points))
+                if space.add([schur_evaluate(mu, wset) for wset in weight_sets]):
+                    grew.append(mu)
+                    if space.rank == len(points):
+                        break
+        yield grew
 
 
 class SchurBasisSelection:
@@ -257,10 +284,10 @@ def select_schur_basis(points, ws, box=None, p_max=None, expected_betti=None):
     """Greedily pick, for each size p, the partitions whose evaluation rows
     grow the rank past the span of all smaller sizes.
 
-    The scan runs in descending lexicographic order within each size, so
-    the outcome is deterministic.  The chosen rows always realize the full
-    rank jump of the size-p block (greedy selection from a spanning family
-    cannot miss an achievable jump), which on the Grassmannian equals the
+    The scan is schur_rank_steps, so the outcome is deterministic and a
+    negative p_max raises InvalidDegree.  The chosen rows always realize the
+    full rank jump of the size-p block (greedy selection from a spanning
+    family cannot miss an achievable jump), which on the Grassmannian equals the
     Betti number b_p.  On a restricted fixed set the jump can be smaller
     than the true Betti number; pass expected_betti to have the shortfall
     reported in `deficiencies` as {p: (achieved, expected)} rather than
@@ -269,18 +296,9 @@ def select_schur_basis(points, ws, box=None, p_max=None, expected_betti=None):
     points = list(points)
     if not _is_subspace_list(points):
         raise TypeError("select_schur_basis needs FixedSubspace points")
-    box = _box_of(points, box)
-    if p_max is None:
-        p_max = box[0] * box[1]
-    weight_sets = [ws.at(pt.indices) for pt in points]
-    space = RowSpace(len(points))
     by_degree = {}
     deficiencies = {}
-    for p in range(p_max + 1):
-        chosen = []
-        for mu in partitions_in_box(box[0], box[1], p):
-            if space.add([schur_evaluate(mu, wset) for wset in weight_sets]):
-                chosen.append(mu)
+    for p, chosen in enumerate(schur_rank_steps(points, ws, box, p_max)):
         by_degree[p] = chosen
         if expected_betti is not None and p < len(expected_betti):
             expected = expected_betti[p]
@@ -315,7 +333,5 @@ def b2_regularity_verdict(poly):
     p = poly if isinstance(poly, IntegerPolynomial) else IntegerPolynomial(poly)
     if p.is_zero():
         raise ValueError("verdict undefined for the zero polynomial")
-    from .algebra import strip_cyclotomic_factors
-
     is_product, _residual = strip_cyclotomic_factors(p)
     return INCONCLUSIVE if is_product else NOT_REGULAR

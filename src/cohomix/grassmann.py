@@ -13,7 +13,7 @@ equivariant lift over a degree-one class v.
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import IntegerPolynomial, MultiPoly
+from .algebra import IntegerPolynomial, MultiPoly, RowSpace
 from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions, NotPolynomial
 
 
@@ -179,10 +179,15 @@ def generator_variables(n, k):
     )
 
 
-def _w_monomial(variables, i, j, k):
-    exps = [0] * len(variables)
-    exps[(i - 1) * k + (j - 1)] = 1
-    return tuple(exps)
+def generator_degrees(n, k):
+    """The w_degree of every generator w_{i,j}, in generator_variables
+    order.  Empty for the one-point Grassmannians k = 0 and k = n; any
+    n < 1 or k outside 0..n raises InvalidDimensions."""
+    if n < 1 or not 0 <= k <= n:
+        raise InvalidDimensions("need n >= 1 and 0 <= k <= n, got n=%d k=%d" % (n, k))
+    return tuple(
+        w_degree(i, j, n, k) for i in range(1, n - k + 1) for j in range(1, k + 1)
+    )
 
 
 def relation_generator(i, j, n, k, variables=None):
@@ -252,9 +257,7 @@ def ordinary_presentation(n, k):
     """Presentation of the cohomology of Gr(n-k, V): generators w_{i,j} of
     degree (n-k) + j - i, one relation per generator."""
     variables = generator_variables(n, k)
-    degrees = tuple(
-        w_degree(i, j, n, k) for i in range(1, n - k + 1) for j in range(1, k + 1)
-    )
+    degrees = generator_degrees(n, k)
     relations = tuple(
         relation_generator(i, j, n, k, variables)
         for i in range(1, n - k + 1)
@@ -274,9 +277,7 @@ def equivariant_presentation(n, k):
     """
     base_vars = generator_variables(n, k)
     variables = base_vars + ("v",)
-    degrees = tuple(
-        w_degree(i, j, n, k) for i in range(1, n - k + 1) for j in range(1, k + 1)
-    ) + (1,)
+    degrees = generator_degrees(n, k) + (1,)
 
     def lift(poly):
         return MultiPoly(variables, {e + (0,): c for e, c in poly.terms.items()})
@@ -335,8 +336,6 @@ def graded_dimension(presentation, d):
     """
     if d < 0:
         raise InvalidDegree("degree must be nonnegative, got %d" % d)
-    from .algebra import RowSpace
-
     degrees = presentation.degrees
     monomials = _weighted_monomials(degrees, d)
     if not monomials:

@@ -49,6 +49,12 @@ class TestGrass:
                     outs.append(buf.getvalue())
                 assert outs[0] == outs[1]
 
+    def test_poincare_invalid_sizes_exit_2(self):
+        for n, k in ((3, 5), (0, 0), (4, -1)):
+            for method in ("cells", "regular-sequence"):
+                assert main(["grass", "poincare", "--n", str(n), "--k", str(k),
+                             "--method", method]) == 2, (n, k, method)
+
     def test_presentation_text(self, capsys):
         assert main(["grass", "presentation", "--n", "4", "--k", "2"]) == 0
         out = capsys.readouterr().out
@@ -131,8 +137,9 @@ class TestB2:
         assert code == 2
 
     def test_check_garbage_exit_2(self):
-        code, _out, _err = run_cli(["b2", "check", "--poincare", "1,x,3"])
-        assert code == 2
+        for text in ("1,x,3", "1,,1", "1,1,"):
+            code, _out, _err = run_cli(["b2", "check", "--poincare", text])
+            assert code == 2, text
 
     def test_jordan(self, capsys):
         assert main(["b2", "jordan", "--k", "2"]) == 0

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomix.algebra import IntegerPolynomial, Partition, partitions_in_box
-from cohomix.errors import BoxViolation
+from cohomix.equivariant import localization_rank_check
+from cohomix.errors import BoxViolation, InvalidDegree
 from cohomix.filtration import (
     INCONCLUSIVE,
     NOT_REGULAR,
@@ -111,7 +112,7 @@ class TestHilbRoute:
         assert table.betti == (1, 2, 5, 6, 5, 2, 1)
 
     def test_against_goettsche_product(self):
-        for k in range(1, 5):
+        for k in range(1, 11):
             table = filtration_betti(enumerate_hilb_fixed_points(k))
             assert list(table.betti) == goettsche_betti(k, 2 * k)
 
@@ -192,6 +193,11 @@ class TestSelectSchurBasis:
         assert 3 not in sel.deficiencies
         assert sel.achieved(1) == 1
 
+    def test_negative_p_max_rejected(self):
+        points, ws = hilb_points(2)
+        with pytest.raises(InvalidDegree):
+            select_schur_basis(points, ws, p_max=-1)
+
     def test_no_silent_substitution(self):
         # every selected partition at level p really has size p
         points, ws = hilb_points(2)
@@ -241,3 +247,24 @@ class TestRegularityVerdict:
             enumerate_fixed_subspaces(4, 2), WeightSystem.principal(4)
         ).poincare_t()
         assert b2_regularity_verdict(poly) == INCONCLUSIVE
+
+
+class TestSharedSchurRankLoop:
+    # filtration_betti, select_schur_basis and localization_rank_check all
+    # read the same scan, so their answers must agree with each other
+    def cases(self):
+        yield enumerate_fixed_subspaces(6, 3), WeightSystem.principal(6), 9
+        for k in (2, 3):
+            points, ws = hilb_points(k)
+            yield points, ws, 2 * k
+
+    def test_betti_equals_selection_sizes(self):
+        for points, ws, p_max in self.cases():
+            table = filtration_betti(points, ws, p_max=p_max)
+            sel = select_schur_basis(points, ws, p_max=p_max)
+            assert list(table.betti) == [len(sel[p]) for p in range(p_max + 1)]
+
+    def test_full_scan_total_is_localization_rank(self):
+        for points, ws, _p_max in self.cases():
+            table = filtration_betti(points, ws)
+            assert table.total() == localization_rank_check(points, ws)[0]
