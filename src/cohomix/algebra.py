@@ -2,12 +2,15 @@
 
 Partitions, Schur polynomial evaluation, fraction-free rank computation,
 Jordan types of nilpotent matrices, cyclotomic factor stripping, and two
-small polynomial containers.  All arithmetic is over the rationals using
-fractions.Fraction; nothing in this package touches floating point.
+small polynomial containers.  The kernel is integer: Schur values come
+from fraction-free Bareiss elimination and RowSpace reduces integer rows.
+fractions.Fraction appears only at the API edge, for rational points and
+rows, which are scaled to integers once on the way in.  Nothing in this
+package touches floating point.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotNilpotent, NotPolynomial
 
@@ -103,76 +106,80 @@ def partitions_in_box(max_parts, max_part, size):
 
 
 def _complete_homogeneous(points, top):
-    # h_0..h_top at the points; one-variable-at-a-time recurrence keeps this
-    # O(len(points) * top) Fraction operations.
-    h = [Fraction(0)] * (top + 1)
-    h[0] = Fraction(1)
+    # h_0..h_top at integer points; one-variable-at-a-time recurrence keeps
+    # this O(len(points) * top) integer operations.
+    h = [1] + [0] * top
     for x in points:
-        x = Fraction(x)
         for m in range(1, top + 1):
             h[m] += x * h[m - 1]
     return h
 
 
 def _determinant(rows):
-    # Fraction Gaussian elimination; fine for the small Jacobi-Trudi blocks.
+    # Bareiss fraction-free elimination (Bareiss 1968): each step divides
+    # exactly by the previous pivot, so every entry stays an integer minor.
     n = len(rows)
     m = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            pivot = next((r for r in range(c + 1, n) if m[r][c] != 0), None)
+            if pivot is None:
+                return 0
             m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
+            sign = -sign
+        p = m[c][c]
         for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] / m[c][c]
-                for j in range(c, n):
-                    m[r][j] -= f * m[c][j]
-    return det
+            for j in range(c + 1, n):
+                m[r][j] = (p * m[r][j] - m[r][c] * m[c][j]) // prev
+        prev = p
+    return sign * m[-1][-1]
 
 
 def schur_evaluate(mu, points):
-    """Value of the Schur polynomial s_mu at the given points, as a Fraction.
+    """Value of the Schur polynomial s_mu at int or Fraction points.
 
     Jacobi-Trudi in the complete homogeneous sums, so repeated points are
     legal.  More parts than points gives zero; the empty partition gives one.
+    The value is an int when the points are integers.  Rational points are
+    scaled by the lcm D of their denominators, and homogeneity gives
+    s_mu(points) = s_mu(D * points) / D^|mu| as a Fraction.
 
     >>> schur_evaluate((1,), (6, 12, 18, 30))
-    Fraction(66, 1)
+    66
     >>> schur_evaluate((1, 1), (1, 2))
-    Fraction(2, 1)
+    2
     >>> schur_evaluate((2,), (1, 2))
-    Fraction(7, 1)
+    7
+    >>> from fractions import Fraction
+    >>> schur_evaluate((2,), (Fraction(1, 2), 1))
+    Fraction(7, 4)
     """
     parts = tuple(mu)
     if not parts:
-        return Fraction(1)
+        return 1
     if len(parts) > len(points):
-        return Fraction(0)
+        return 0
+    den = lcm(*[x.denominator for x in points])
+    ints = [x.numerator * (den // x.denominator) for x in points]
     ell = len(parts)
-    h = _complete_homogeneous(points, parts[0] + ell)
+    h = _complete_homogeneous(ints, parts[0] + ell)
 
     def entry(i, j):
         d = parts[i] - (i + 1) + (j + 1)
-        return h[d] if d >= 0 else Fraction(0)
+        return h[d] if d >= 0 else 0
 
-    return _determinant([[entry(i, j) for j in range(ell)] for i in range(ell)])
+    value = _determinant([[entry(i, j) for j in range(ell)] for i in range(ell)])
+    return value if den == 1 else Fraction(value, den ** sum(parts))
 
 
 class RowSpace:
-    """Incremental exact row space over the rationals.
+    """Incremental exact row space of int or Fraction rows.
 
-    Each added row is cleared to integers, reduced fraction-free against the
-    stored echelon rows, and stripped of its content, which keeps the
-    integers small even for hundreds of rows of Schur values.
+    Each added row is cleared to integers once, from the numerators and
+    denominators of its entries, then reduced fraction-free against the
+    stored integer echelon rows and stripped of its content, which keeps
+    the integers small even for hundreds of rows of Schur values.
     """
 
     __slots__ = ("width", "_rows")
@@ -192,20 +199,15 @@ class RowSpace:
         """
         if len(row) != self.width:
             raise ValueError("row width %d, expected %d" % (len(row), self.width))
-        den = 1
-        fracs = [Fraction(x) for x in row]
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        r = [int(f * den) for f in fracs]
+        den = lcm(*[x.denominator for x in row])
+        r = [x.numerator * (den // x.denominator) for x in row]
         for pc, prow in self._rows:
             if r[pc] != 0:
                 a, b = prow[pc], r[pc]
                 g = gcd(a, b)
                 ma, mb = a // g, b // g
                 r = [ma * x - mb * y for x, y in zip(r, prow)]
-        content = 0
-        for x in r:
-            content = gcd(content, x)
+        content = gcd(*r)
         if content == 0:
             return False
         r = [x // content for x in r]
@@ -264,7 +266,7 @@ class RationalMatrix:
 
 
 def matrix_rank(matrix):
-    """Exact rank of a RationalMatrix or an iterable of rows."""
+    """Exact rank of a RationalMatrix or an iterable of int or Fraction rows."""
     rows = matrix.entries if isinstance(matrix, RationalMatrix) else [list(r) for r in matrix]
     rows = list(rows)
     if not rows:
@@ -539,8 +541,8 @@ def strip_cyclotomic_factors(poly):
     return p.degree <= 0, p
 
 
-def _coefficient_str(c):
-    c = Fraction(c)
+def coefficient_str(c):
+    """An int or Fraction coefficient as 'n' or 'n/d'."""
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)
@@ -647,7 +649,7 @@ class MultiPoly:
         keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
         rendered = []
         for exps in keys:
-            factors = [_coefficient_str(self.terms[exps])]
+            factors = [coefficient_str(self.terms[exps])]
             for name, e in zip(self.variables, exps):
                 if e == 1:
                     factors.append(name)

@@ -14,7 +14,7 @@ surjectivity after localization.
 
 from fractions import Fraction
 
-from .algebra import Partition, schur_evaluate
+from .algebra import Partition, coefficient_str, schur_evaluate
 from .errors import UnknownFixedPoint
 from .filtration import box_of, check_fits, schur_rank_steps
 from .grassmann import FixedSubspace, specialize_v
@@ -102,7 +102,7 @@ class LaurentPolynomial:
         pieces = []
         for e in sorted(self.coeffs, reverse=True):
             c = self.coeffs[e]
-            cs = str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+            cs = coefficient_str(c)
             if e == 0:
                 pieces.append(cs)
             else:
@@ -114,14 +114,7 @@ class LaurentPolynomial:
         return "LaurentPolynomial(%r)" % (self.coeffs,)
 
     def to_json_dict(self):
-        out = {}
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            out[str(e)] = str(c.numerator) if c.denominator == 1 else "%d/%d" % (
-                c.numerator,
-                c.denominator,
-            )
-        return out
+        return {str(e): coefficient_str(self.coeffs[e]) for e in sorted(self.coeffs)}
 
 
 class EquivariantClass:

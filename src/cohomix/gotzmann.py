@@ -13,8 +13,6 @@ nilpotently on R_k; its Jordan type having a single block is what a
 regular group action would force.
 """
 
-from fractions import Fraction
-
 from .algebra import Partition, RationalMatrix, jordan_type, partitions_in_box
 from .errors import (
     ConditionViolated,
@@ -318,7 +316,7 @@ def nilpotent_matrix_on_Rk(k, basis_order=None):
         raise InvalidDegree("basis order is not a permutation of the degree-%d monomials" % k)
     position = {m: i for i, m in enumerate(order)}
     n = len(order)
-    entries = [[Fraction(0)] * n for _ in range(n)]
+    entries = [[0] * n for _ in range(n)]
     for j, (a, b, c) in enumerate(order):
         if b > 0:
             entries[position[(a, b - 1, c + 1)]][j] += b

@@ -10,7 +10,6 @@ The presentation side realizes the cohomology ring as generators w_{i,j},
 equivariant lift over a degree-one class v.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import IntegerPolynomial, MultiPoly, RowSpace
@@ -210,7 +209,7 @@ def relation_generator(i, j, n, k, variables=None):
         for gi, gj in gens:
             exps[(gi - 1) * k + (gj - 1)] += 1
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(coeff)
+        terms[key] = terms.get(key, 0) + coeff
 
     if i != 1:
         add(-1, (i - 1, j))
@@ -289,7 +288,7 @@ def equivariant_presentation(n, k):
             v_exps = [0] * len(variables)
             v_exps[(i - 1) * k + (j - 1)] = 1
             v_exps[-1] = 1
-            linear = MultiPoly(variables, {tuple(v_exps): Fraction(coeff)})
+            linear = MultiPoly(variables, {tuple(v_exps): coeff})
             ordinary = lift(relation_generator(i, j, n, k, base_vars))
             relations.append(linear - ordinary.scale(2))
     return GradedPresentation(variables, degrees, tuple(relations))
@@ -331,8 +330,8 @@ def graded_dimension(presentation, d):
     """Dimension of the degree-d piece of the presented graded ring.
 
     Counts monomials of weighted degree d, then subtracts the rank of the
-    span of (monomial x relation) products landing in degree d.  Exact over
-    the rationals throughout.
+    span of (monomial x relation) products landing in degree d.  Exact:
+    the RowSpace rank clears each row to integers once.
     """
     if d < 0:
         raise InvalidDegree("degree must be nonnegative, got %d" % d)
@@ -349,7 +348,7 @@ def graded_dimension(presentation, d):
         if rel.is_zero() or rd > d:
             continue
         for shift in _weighted_monomials(degrees, d - rd):
-            row = [Fraction(0)] * len(monomials)
+            row = [0] * len(monomials)
             for exps, c in rel.terms.items():
                 key = tuple(a + b for a, b in zip(exps, shift))
                 row[index[key]] = c

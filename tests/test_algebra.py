@@ -71,9 +71,16 @@ class TestPartitionsInBox:
 
 class TestSchurEvaluate:
     def test_against_bialternant_distinct_points(self):
-        points = (6, 12, 18, 30)
-        for mu in [(), (1,), (2,), (1, 1), (2, 1), (3, 2, 1), (4, 4, 4, 4)]:
-            assert schur_evaluate(mu, points) == schur_bialternant(mu, points)
+        point_sets = [
+            (6, 12, 18, 30),
+            # rational points with two or more parts: scaled by D**|mu|
+            (Fraction(1, 2), Fraction(-3, 4), 2, Fraction(5, 3)),
+            # h_1 = 0 makes the first pivot zero, so Bareiss swaps rows
+            (1, -1, 2, -2),
+        ]
+        for points in point_sets:
+            for mu in [(), (1,), (2,), (1, 1), (2, 1), (3, 2, 1), (4, 4, 4, 4)]:
+                assert schur_evaluate(mu, points) == schur_bialternant(mu, points)
 
     def test_worked_value(self):
         assert schur_evaluate((1,), (6, 12, 18, 30)) == 66

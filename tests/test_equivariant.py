@@ -122,7 +122,7 @@ class TestRestrictClass:
 
 class TestLocalizationRankCheck:
     def test_full_on_hilb_fixed_sets(self):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4, 5):
             points, ws = hilb_points(k)
             rank, full = localization_rank_check(points, ws)
             assert full

@@ -226,3 +226,7 @@ class TestGradedDimension:
         pres = ordinary_presentation(6, 2)
         expected = gaussian_binomial(6, 2)
         assert graded_dimensions(pres, 4) == expected[:5]
+
+    def test_gr73_full_profile(self):
+        pres = ordinary_presentation(7, 3)
+        assert graded_dimensions(pres, 12) == gaussian_binomial(7, 3)
