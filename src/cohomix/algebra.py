@@ -10,6 +10,7 @@ package touches floating point.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .errors import NotNilpotent, NotPolynomial
@@ -89,20 +90,29 @@ def partitions_in_box(max_parts, max_part, size):
     if max_parts < 0 or max_part < 0 or size < 0:
         raise ValueError("arguments must be nonnegative")
     out = []
-
-    def emit(remaining, cap, slots, prefix):
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        if slots == 0:
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            prefix.append(part)
-            emit(remaining - part, part, slots - 1, prefix)
-            prefix.pop()
-
-    emit(size, max_part, max_parts, [])
-    return out
+    if size > max_parts * max_part:
+        return out
+    parts, rest = [], size
+    while True:
+        # Complete greedily with the largest parts that fit: the next
+        # partition in descending order.
+        cap = parts[-1] if parts else max_part
+        while rest:
+            part = min(rest, cap)
+            parts.append(part)
+            rest -= part
+        out.append(Partition(tuple(parts)))
+        # Back up to the last part that can shrink by one and still leave
+        # room for the rest in the free slots.
+        while parts:
+            part = parts.pop()
+            rest += part
+            if rest - part + 1 <= (part - 1) * (max_parts - len(parts) - 1):
+                parts.append(part - 1)
+                rest -= part - 1
+                break
+        else:
+            return out
 
 
 def _complete_homogeneous(points, top):
@@ -477,9 +487,7 @@ def euler_phi(n):
     return result
 
 
-_CYCLOTOMIC_CACHE = {}
-
-
+@cache
 def cyclotomic_polynomial(d):
     """The d-th cyclotomic polynomial, by exact division of q^d - 1 by all
     lower cyclotomic factors.
@@ -491,25 +499,27 @@ def cyclotomic_polynomial(d):
     """
     if d < 1:
         raise ValueError("d must be positive")
-    cached = _CYCLOTOMIC_CACHE.get(d)
-    if cached is not None:
-        return cached
     p = IntegerPolynomial([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:
             p = p.exact_divide(cyclotomic_polynomial(e))
-    _CYCLOTOMIC_CACHE[d] = p
     return p
 
 
 def strip_cyclotomic_factors(poly):
-    """Divide out every power of q and every cyclotomic factor, repeatedly.
+    """Divide out the power of q and every cyclotomic factor, in one sweep.
 
     Returns (is_cyclotomic_product, residual).  The flag is True exactly when
     the residual is constant, i.e. the input was, up to a constant, a product
     of q-powers and cyclotomic polynomials, so all of its roots are zero or
-    roots of unity.  Only d with phi(d) <= deg can divide, and
-    phi(d) >= sqrt(d/2) bounds the candidates by d <= 2 deg^2.
+    roots of unity.
+
+    The power of q comes off once: every Phi_d has constant term +-1, so no
+    later division makes the constant term zero again.  Then d ascends, and
+    Phi_d is divided out as often as it divides; Phi_d is monic and
+    irreducible, so no later division brings it back.  A dividing Phi_d has
+    phi(d) <= deg, and phi(d) >= sqrt(d/2) gives d <= 2 deg^2, with deg
+    read afresh after each division so the bound shrinks as factors go.
 
     >>> ok, res = strip_cyclotomic_factors(IntegerPolynomial([1, 1, 2, 1, 1]))
     >>> ok, res.coeffs
@@ -518,26 +528,17 @@ def strip_cyclotomic_factors(poly):
     p = poly if isinstance(poly, IntegerPolynomial) else IntegerPolynomial(poly)
     if p.is_zero():
         raise ValueError("the zero polynomial has no factor decomposition")
-    changed = True
-    while changed and p.degree > 0:
-        changed = False
-        while p.degree > 0 and p.coefficient(0) == 0:
-            p = IntegerPolynomial(p.coeffs[1:])
-            changed = True
-        bound = 2 * p.degree * p.degree
-        for d in range(1, bound + 1):
-            if p.degree <= 0:
-                break
-            if euler_phi(d) > p.degree:
-                continue
-            while True:
-                try:
-                    p = p.exact_divide(cyclotomic_polynomial(d))
-                except NotPolynomial:
-                    break
-                changed = True
-                if p.degree <= 0:
-                    break
+    low = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    p = IntegerPolynomial(p.coeffs[low:])
+    d = 1
+    while d <= 2 * p.degree ** 2:
+        if euler_phi(d) > p.degree:
+            d += 1
+            continue
+        try:
+            p = p.exact_divide(cyclotomic_polynomial(d))
+        except NotPolynomial:
+            d += 1
     return p.degree <= 0, p
 
 

@@ -330,8 +330,5 @@ def b2_regularity_verdict(poly):
     stripping those proves the action cannot exist: NOT_REGULAR.  A clean
     factorization proves nothing: INCONCLUSIVE.
     """
-    p = poly if isinstance(poly, IntegerPolynomial) else IntegerPolynomial(poly)
-    if p.is_zero():
-        raise ValueError("verdict undefined for the zero polynomial")
-    is_product, _residual = strip_cyclotomic_factors(p)
+    is_product, _residual = strip_cyclotomic_factors(poly)
     return INCONCLUSIVE if is_product else NOT_REGULAR

@@ -99,11 +99,9 @@ class TorusAction:
         wa, wb, wc = self.coordinate_weights
         return a * wa + b * wb + c * wc
 
-    def weight_system(self, basis=None):
+    def weight_system(self):
         """Induced WeightSystem on the monomial basis of R_k."""
-        if basis is None:
-            basis = monomial_basis(self.k)
-        return WeightSystem(tuple(self.monomial_weight(m) for m in basis))
+        return WeightSystem(tuple(self.monomial_weight(m) for m in monomial_basis(self.k)))
 
     def __repr__(self):
         return "TorusAction(k=%d, g=%d, exponents=%r)" % (self.k, self.g, self.exponents)
@@ -217,10 +215,6 @@ def enumerate_hilb_fixed_points(k):
     return out
 
 
-def _in_diagram(mu, row, col):
-    return row < len(mu) and col < mu[row]
-
-
 def degree_k_part(triple, k):
     """The Gotzmann image of a fixed point: the coordinate subspace of R_k
     spanned by the degree-k monomials inside the monomial ideal.
@@ -235,14 +229,14 @@ def degree_k_part(triple, k):
             "triple has total size %d, expected k=%d" % (triple.size, k)
         )
     basis = monomial_basis(k)
-    indices = []
-    for pos, (a, b, c) in enumerate(basis):
-        if (
-            not _in_diagram(triple.mu0, b, c)
-            and not _in_diagram(triple.mu1, a, c)
-            and not _in_diagram(triple.mu2, a, b)
-        ):
-            indices.append(pos + 1)
+    d0, d1, d2 = (
+        {(r, c) for r, w in enumerate(mu) for c in range(w)} for mu in triple.parts
+    )
+    indices = [
+        pos + 1
+        for pos, (a, b, c) in enumerate(basis)
+        if (b, c) not in d0 and (a, c) not in d1 and (a, b) not in d2
+    ]
     expected = len(basis) - k
     if len(indices) != expected:
         raise InternalInvariantViolation(

@@ -107,12 +107,10 @@ def minus_cell_dimension(point, ws):
 
 
 def plus_cell_dimension(point, ws):
-    """Dimension of the cell flowing in under t -> infinity."""
-    inside = point.indices
-    outside = point.complement()
-    ai = ws.at(inside)
-    aj = ws.at(outside)
-    return sum(1 for x in ai for y in aj if y - x > 0)
+    """Dimension of the cell flowing in under t -> infinity: the pairs
+    (i in I, j not in I) with a_j > a_i.  The weights are distinct, so every
+    pair not counted by minus_cell_dimension is counted here."""
+    return point.dim * (point.n - point.dim) - minus_cell_dimension(point, ws)
 
 
 def poincare_from_cells(ws, k):

@@ -1,5 +1,6 @@
 """Exact-algebra kernel tests against independent oracles."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,9 @@ class TestPartitionsInBox:
 
     def test_size_zero(self):
         assert partitions_in_box(3, 3, 0) == [Partition(())]
+
+    def test_many_parts_without_recursion(self):
+        assert partitions_in_box(1500, 1, 1500) == [Partition((1,) * 1500)]
 
     def test_counts_give_gaussian_binomial(self):
         # sum over sizes of the box-partition counts is the Gaussian
@@ -245,6 +249,47 @@ class TestCyclotomic:
         ok, residual = strip_cyclotomic_factors(p)
         assert ok
         assert residual.is_constant()
+
+
+def _sympy_strip(coeffs):
+    # Oracle: factor over Z, drop q and every cyclotomic factor, multiply
+    # back the content and the rest.
+    q = sympy.symbols("q")
+    content, factors = sympy.factor_list(sympy.Poly(list(reversed(coeffs)), q))
+    residual = sympy.Poly(content, q)
+    for f, mult in factors:
+        if f.is_cyclotomic or f == sympy.Poly(q, q):
+            continue
+        residual *= f ** mult
+    return IntegerPolynomial(reversed(residual.all_coeffs()))
+
+
+class TestStripAgainstSympy:
+    def check(self, p):
+        ok, residual = strip_cyclotomic_factors(p)
+        expected = _sympy_strip(p.coeffs)
+        assert (ok, residual) == (expected.is_constant(), expected), p
+
+    def test_small_sweep(self):
+        # every nonzero polynomial of degree <= 4 with coefficients in {-1, 0, 1, 2}
+        for coeffs in itertools.product((-1, 0, 1, 2), repeat=5):
+            if any(coeffs):
+                self.check(IntegerPolynomial(coeffs))
+
+    def test_planted_products(self):
+        phi = cyclotomic_polynomial
+        quadratic = IntegerPolynomial([2, 1, 1])  # q^2 + q + 2, not cyclotomic
+        assert min(phi(105).coeffs) == -2
+        planted = [
+            phi(60),
+            phi(105),
+            phi(1) * phi(1) * phi(2) * phi(6) * phi(6) * phi(6),
+            IntegerPolynomial.monomial(3, 4) * phi(12) * phi(105),
+            quadratic * quadratic * phi(60) * phi(3) * phi(3),
+            IntegerPolynomial.monomial(-1, 2) * quadratic * phi(7) * phi(30) * phi(1),
+        ]
+        for p in planted:
+            self.check(p)
 
 
 class TestIntegerPolynomial:

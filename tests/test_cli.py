@@ -137,7 +137,7 @@ class TestB2:
         assert code == 2
 
     def test_check_garbage_exit_2(self):
-        for text in ("1,x,3", "1,,1", "1,1,"):
+        for text in ("1,x,3", "1,,1", "1,1,", "0", "0,0"):
             code, _out, _err = run_cli(["b2", "check", "--poincare", text])
             assert code == 2, text
 

@@ -1,0 +1,45 @@
+"""CLI exit-code fuzz: every bounded input ends in exit 0 or exit 2.
+
+Calls cli.main in process.  An argparse rejection raises SystemExit with
+its own code; anything else that escapes main fails the test.
+"""
+
+import contextlib
+import io
+
+from hypothesis import given, settings, strategies as st
+
+from cohomix.cli import main
+
+FIELDS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "0", "-0", "+1", "-1", "+", "-", " 2", "x"]),
+)
+
+
+def exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(FIELDS, min_size=1, max_size=7).map(",".join))
+def test_b2_check(text):
+    assert exit_code(["b2", "check", "--poincare=" + text]) in (0, 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(-2, 8), st.integers(-2, 10), st.sampled_from(["cells", "regular-sequence"]))
+def test_grass_poincare(n, k, method):
+    argv = ["grass", "poincare", "--n=%d" % n, "--k=%d" % k, "--method", method]
+    assert exit_code(argv) in (0, 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 4), st.text(alphabet="0123,;- x", max_size=10))
+def test_hilb_embed(k, triple):
+    assert exit_code(["hilb", "embed", "--k=%d" % k, "--triple=" + triple]) in (0, 2)

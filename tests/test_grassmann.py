@@ -88,6 +88,14 @@ class TestCellDimensions:
         for pt in enumerate_fixed_subspaces(6, 2):
             assert minus_cell_dimension(pt, ws) + plus_cell_dimension(pt, ws) == 8
 
+    def test_plus_is_minus_of_negated_weights(self):
+        # an independent route: the plus cell under ws is the minus cell
+        # under the negated weights
+        for ws in (WeightSystem.principal(6), WeightSystem((5, -2, 9, 0, 3, 11))):
+            flipped = WeightSystem([-a for a in ws.weights])
+            for pt in enumerate_fixed_subspaces(6, 3):
+                assert plus_cell_dimension(pt, ws) == minus_cell_dimension(pt, flipped)
+
 
 class TestPoincareFromCells:
     def test_matches_gaussian_binomial(self):
