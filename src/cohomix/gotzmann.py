@@ -13,6 +13,8 @@ nilpotently on R_k; its Jordan type having a single block is what a
 regular group action would force.
 """
 
+from functools import cache
+
 from .algebra import Partition, RationalMatrix, jordan_type, partitions_in_box
 from .errors import (
     ConditionViolated,
@@ -68,8 +70,10 @@ class MonomialBasis:
         return "MonomialBasis(k=%d, %d monomials)" % (self.k, len(self.monomials))
 
 
+@cache
 def monomial_basis(k):
-    """The basis of R_k in the standard order; length C(k+2, 2)."""
+    """The basis of R_k in the standard order; length C(k+2, 2).  One
+    shared instance per k."""
     return MonomialBasis(k)
 
 
@@ -204,15 +208,15 @@ def enumerate_hilb_fixed_points(k):
     order."""
     if k < 1:
         raise InvalidDegree("k must be at least 1, got %d" % k)
-    out = []
-    for s0 in range(k + 1):
-        for s1 in range(k - s0 + 1):
-            s2 = k - s0 - s1
-            for mu0 in partitions_in_box(s0, s0, s0):
-                for mu1 in partitions_in_box(s1, s1, s1):
-                    for mu2 in partitions_in_box(s2, s2, s2):
-                        out.append(PartitionTriple(mu0, mu1, mu2))
-    return out
+    of_size = [partitions_in_box(s, s, s) for s in range(k + 1)]
+    return [
+        PartitionTriple(mu0, mu1, mu2)
+        for s0 in range(k + 1)
+        for s1 in range(k - s0 + 1)
+        for mu0 in of_size[s0]
+        for mu1 in of_size[s1]
+        for mu2 in of_size[k - s0 - s1]
+    ]
 
 
 def degree_k_part(triple, k):
@@ -220,22 +224,23 @@ def degree_k_part(triple, k):
     spanned by the degree-k monomials inside the monomial ideal.
 
     X_0^a X_1^b X_2^c lies in the ideal exactly when (b, c) avoids the
-    diagram of mu0, (a, c) avoids mu1, and (a, b) avoids mu2.  Since k
-    bounds the regularity the image always has dimension C(k+2,2) - k;
-    anything else trips InternalInvariantViolation.
+    diagram of mu0, (a, c) avoids mu1, and (a, b) avoids mu2.  Box (r, c)
+    lies in the diagram of mu exactly when c < mu[r], so with every
+    partition padded by zero parts to length k + 1 the test reads
+    c >= mu0[b], c >= mu1[a] and b >= mu2[a].  Since k bounds the
+    regularity the image always has dimension C(k+2,2) - k; anything else
+    trips InternalInvariantViolation.
     """
     if triple.size != k:
         raise InvalidDegree(
             "triple has total size %d, expected k=%d" % (triple.size, k)
         )
     basis = monomial_basis(k)
-    d0, d1, d2 = (
-        {(r, c) for r, w in enumerate(mu) for c in range(w)} for mu in triple.parts
-    )
+    mu0, mu1, mu2 = (mu.parts + (0,) * (k + 1 - len(mu)) for mu in triple.parts)
     indices = [
-        pos + 1
-        for pos, (a, b, c) in enumerate(basis)
-        if (b, c) not in d0 and (a, c) not in d1 and (a, b) not in d2
+        pos
+        for pos, (a, b, c) in enumerate(basis, 1)
+        if c >= mu0[b] and c >= mu1[a] and b >= mu2[a]
     ]
     expected = len(basis) - k
     if len(indices) != expected:
@@ -247,13 +252,37 @@ def degree_k_part(triple, k):
 
 
 def _arm_leg(mu):
-    # (row, col, arm, leg) for every box of the diagram.
-    parts = tuple(mu)
+    # (arm, leg) for every box of the diagram, row by row.  The leg of box
+    # (r, c) is conj[c] - r - 1, where the conjugate partition's conj[c]
+    # counts the rows longer than c.
+    parts = mu.parts
+    conj = [0] * (parts[0] if parts else 0)
+    for width in parts:
+        for c in range(width):
+            conj[c] += 1
     for r, width in enumerate(parts):
         for c in range(width):
-            arm = width - c - 1
-            leg = sum(1 for r2 in range(r + 1, len(parts)) if parts[r2] > c)
-            yield r, c, arm, leg
+            yield width - c - 1, conj[c] - r - 1
+
+
+def _box_weights(triple, action):
+    # The two tangent weights of every box, chart by chart.
+    wa, wb, wc = action.coordinate_weights
+    charts = (
+        (triple.mu0, wb - wa, wc - wa),
+        (triple.mu1, wa - wb, wc - wb),
+        (triple.mu2, wa - wc, wb - wc),
+    )
+    for mu, phi_u, phi_w in charts:
+        for arm, leg in _arm_leg(mu):
+            yield -(leg + 1) * phi_u + arm * phi_w
+            yield leg * phi_u - (arm + 1) * phi_w
+
+
+def _not_generic(triple):
+    return InternalInvariantViolation(
+        "zero tangent weight at %s; torus action is not generic" % (triple,)
+    )
 
 
 def tangent_weights(triple, action):
@@ -266,31 +295,29 @@ def tangent_weights(triple, action):
 
         -(leg+1)*phi_u + arm*phi_w      and      leg*phi_u - (arm+1)*phi_w.
 
-    All weights are nonzero for a valid action, so fixed points are
-    isolated.
+    Boxes come row by row, mu0 then mu1 then mu2.  The leg of box (r, c),
+    the number of boxes below it, is conj[c] - r - 1, where conj is the
+    conjugate partition.  All weights are nonzero for a valid action, so
+    fixed points are isolated.
     """
-    wa, wb, wc = action.coordinate_weights
-    charts = (
-        (triple.mu0, wb - wa, wc - wa),
-        (triple.mu1, wa - wb, wc - wb),
-        (triple.mu2, wa - wc, wb - wc),
-    )
-    weights = []
-    for mu, phi_u, phi_w in charts:
-        for _r, _c, arm, leg in _arm_leg(mu):
-            weights.append(-(leg + 1) * phi_u + arm * phi_w)
-            weights.append(leg * phi_u - (arm + 1) * phi_w)
-    if any(w == 0 for w in weights):
-        raise InternalInvariantViolation(
-            "zero tangent weight at %s; torus action is not generic" % (triple,)
-        )
-    return tuple(weights)
+    weights = tuple(_box_weights(triple, action))
+    if 0 in weights:
+        raise _not_generic(triple)
+    return weights
 
 
 def hilb_minus_cell_dimension(triple, action):
     """Dimension of the cell flowing into the fixed point under t -> 0:
-    the number of negative tangent weights, between 0 and 2k."""
-    return sum(1 for w in tangent_weights(triple, action) if w < 0)
+    the number of negative tangent weights, between 0 and 2k.  Counted in
+    one pass over the weights, which raises on a zero weight as
+    tangent_weights does."""
+    negative = 0
+    for w in _box_weights(triple, action):
+        if w < 0:
+            negative += 1
+        elif not w:
+            raise _not_generic(triple)
+    return negative
 
 
 def nilpotent_matrix_on_Rk(k, basis_order=None):

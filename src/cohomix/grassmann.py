@@ -11,6 +11,7 @@ equivariant lift over a degree-one class v.
 """
 
 from itertools import combinations
+from math import comb
 
 from .algebra import IntegerPolynomial, MultiPoly, RowSpace
 from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions, NotPolynomial
@@ -56,8 +57,8 @@ class FixedSubspace:
     __slots__ = ("indices", "n")
 
     def __init__(self, indices, n):
-        idx = tuple(int(i) for i in indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        idx = tuple(map(int, indices))
+        if not all(map(int.__lt__, idx, idx[1:])):
             raise ValueError("indices must be strictly increasing: %r" % (idx,))
         if idx and not (1 <= idx[0] and idx[-1] <= n):
             raise IndexOutOfRange("indices %r outside 1..%d" % (idx, n))
@@ -96,14 +97,24 @@ def enumerate_fixed_subspaces(n, k):
     return [FixedSubspace(c, n) for c in combinations(range(1, n + 1), n - k)]
 
 
+def _ranks(weights):
+    # {i: number of weights smaller than the i-th}, 1-based like indices.
+    order = sorted(range(len(weights)), key=weights.__getitem__)
+    return {i + 1: r for r, i in enumerate(order)}
+
+
 def minus_cell_dimension(point, ws):
     """Dimension of the cell flowing into the fixed point under t -> 0:
-    the number of pairs (i in I, j not in I) with a_j < a_i."""
-    inside = point.indices
-    outside = point.complement()
-    ai = ws.at(inside)
-    aj = ws.at(outside)
-    return sum(1 for x in ai for y in aj if y - x < 0)
+    the number of pairs (i in I, j not in I) with a_j < a_i, over the
+    first point.n weights.
+
+    With rank(a_i) the number of those weights below a_i, this is
+    sum over i in I of rank(a_i) minus the pairs inside I that it also
+    counts.  The weights are distinct, so each of the C(|I|, 2) pairs
+    inside I is counted exactly once, from its larger end.
+    """
+    rank = _ranks(ws.at(range(1, point.n + 1)))
+    return sum(map(rank.__getitem__, point.indices)) - comb(point.dim, 2)
 
 
 def plus_cell_dimension(point, ws):
@@ -115,16 +126,19 @@ def plus_cell_dimension(point, ws):
 
 def poincare_from_cells(ws, k):
     """Poincare polynomial in q of Gr(n-k, V), n = ws.n, as the cell
-    generating function sum over fixed points of q^minus_cell_dimension.
+    generating function sum over fixed points of q^minus_cell_dimension,
+    each read off one table of weight ranks.
 
     Any distinct weights give the same answer, the Gaussian binomial
     coefficient [n, k]_q.
     """
     n = ws.n
     points = enumerate_fixed_subspaces(n, k)
+    rank = _ranks(ws.weights)
+    inside = comb(n - k, 2)
     coeffs = [0] * (k * (n - k) + 1)
     for pt in points:
-        coeffs[minus_cell_dimension(pt, ws)] += 1
+        coeffs[sum(map(rank.__getitem__, pt.indices)) - inside] += 1
     return IntegerPolynomial(coeffs)
 
 

@@ -217,6 +217,15 @@ class TestPoincareOfHilb:
         for k in (1, 2, 3):
             assert poincare_of_hilb(k)(1) == len(enumerate_hilb_fixed_points(k))
 
+    def test_against_goettsche_product(self):
+        # unlike the Hilbert route of filtration_betti, poincare_of_hilb
+        # also validates every Gotzmann image on the way
+        for k in range(1, 13):
+            expected = []
+            for b in goettsche_betti(k, 2 * k):
+                expected += [b, 0]
+            assert poincare_of_hilb(k).coefficient_list() == expected[:-1]
+
 
 class TestRegularityVerdict:
     def test_g3_not_regular(self):

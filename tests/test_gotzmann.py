@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from cohomix.algebra import jordan_type
 from cohomix.errors import (
     ConditionViolated,
+    InternalInvariantViolation,
     InvalidDegree,
 )
+from cohomix.filtration import poincare_of_hilb
 from cohomix.gotzmann import (
     PartitionTriple,
+    TorusAction,
     build_torus_action,
     degree_k_part,
     enumerate_hilb_fixed_points,
@@ -20,6 +23,40 @@ from cohomix.gotzmann import (
     nilpotent_matrix_on_Rk,
     tangent_weights,
 )
+
+
+def reference_tangent_weights(triple, action):
+    # the defining formula: each leg counted by scanning the rows below
+    # its box
+    wa, wb, wc = action.coordinate_weights
+    charts = (
+        (triple.mu0, wb - wa, wc - wa),
+        (triple.mu1, wa - wb, wc - wb),
+        (triple.mu2, wa - wc, wb - wc),
+    )
+    weights = []
+    for mu, phi_u, phi_w in charts:
+        parts = mu.parts
+        for r, width in enumerate(parts):
+            for c in range(width):
+                arm = width - c - 1
+                leg = sum(1 for r2 in range(r + 1, len(parts)) if parts[r2] > c)
+                weights.append(-(leg + 1) * phi_u + arm * phi_w)
+                weights.append(leg * phi_u - (arm + 1) * phi_w)
+    return tuple(weights)
+
+
+def reference_degree_k_indices(triple, k):
+    # the defining membership test: a monomial lies in the ideal when its
+    # exponent pairs avoid the three diagrams, taken as sets of boxes
+    d0, d1, d2 = (
+        {(r, c) for r, w in enumerate(mu) for c in range(w)} for mu in triple.parts
+    )
+    return tuple(
+        pos + 1
+        for pos, (a, b, c) in enumerate(monomial_basis(k))
+        if (b, c) not in d0 and (a, c) not in d1 and (a, b) not in d2
+    )
 
 
 def partitions_count(m):
@@ -155,6 +192,14 @@ class TestDegreeKPart:
         with pytest.raises(InvalidDegree):
             degree_k_part(PartitionTriple.parse("1;1;"), 3)
 
+    def test_matches_box_set_definition(self):
+        for k in range(1, 9):
+            n = len(monomial_basis(k))
+            for t in enumerate_hilb_fixed_points(k):
+                image = degree_k_part(t, k)
+                assert image.indices == reference_degree_k_indices(t, k)
+                assert image.n == n
+
     def test_weights_consistent_with_ambient(self):
         # the action's weights at the image indices are the monomial weights
         # of the monomials in the ideal
@@ -198,6 +243,39 @@ class TestTangentWeights:
             ]
             assert dims.count(0) == 1
             assert dims.count(2 * k) == 1
+
+    def test_matches_row_scan_formula(self):
+        for k in range(1, 8):
+            actions = (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1))
+            for action in actions:
+                for t in enumerate_hilb_fixed_points(k):
+                    expected = reference_tangent_weights(t, action)
+                    assert tangent_weights(t, action) == expected
+                    assert hilb_minus_cell_dimension(t, action) == sum(
+                        1 for w in expected if w < 0
+                    )
+
+    def test_zero_weight_raises(self):
+        # equal coordinate weights make every tangent weight zero
+        action = TorusAction(2, 2, (1, 1, 1))
+        triple = PartitionTriple.parse("1;1;")
+        with pytest.raises(InternalInvariantViolation):
+            tangent_weights(triple, action)
+        with pytest.raises(InternalInvariantViolation):
+            hilb_minus_cell_dimension(triple, action)
+        with pytest.raises(InternalInvariantViolation):
+            poincare_of_hilb(2, action)
+
+    def test_zero_weight_after_negative_raises(self):
+        # coordinate weights (4, 2, 2): the box at X_1 has weights (-2, 0),
+        # so a count of negatives alone would answer 1
+        action = TorusAction(1, 2, (2, 1, 1))
+        triple = PartitionTriple.parse(";1;")
+        assert reference_tangent_weights(triple, action) == (-2, 0)
+        with pytest.raises(InternalInvariantViolation):
+            hilb_minus_cell_dimension(triple, action)
+        with pytest.raises(InternalInvariantViolation):
+            tangent_weights(triple, action)
 
     @settings(deadline=None, max_examples=20)
     @given(st.sampled_from([(3, 2, 1), (4, 2, 1), (5, 3, 1), (4, 3, 2)]))

@@ -1,5 +1,7 @@
 """Grassmannian cells, Poincare polynomials, and ring presentations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,15 @@ from cohomix.grassmann import (
 )
 
 from oracles import gaussian_binomial, grassmannian_cells_brute
+
+
+def reference_minus_cells(point, weights):
+    # the defining pair count over (i in I, j not in I)
+    inside = set(point.indices)
+    outside = [j for j in range(1, point.n + 1) if j not in inside]
+    return sum(
+        1 for i in point.indices for j in outside if weights[j - 1] < weights[i - 1]
+    )
 
 
 class TestWeightSystem:
@@ -69,6 +80,16 @@ class TestFixedSubspaces:
     def test_complement(self):
         assert FixedSubspace((1, 3), 4).complement() == (2, 4)
 
+    def test_rejects_unordered_indices(self):
+        for indices in ((2, 2), (3, 1)):
+            with pytest.raises(ValueError):
+                FixedSubspace(indices, 4)
+
+    def test_rejects_indices_out_of_range(self):
+        for indices in ((0, 2), (1, 5)):
+            with pytest.raises(IndexOutOfRange):
+                FixedSubspace(indices, 4)
+
 
 class TestCellDimensions:
     def test_worked_example(self):
@@ -95,6 +116,31 @@ class TestCellDimensions:
             flipped = WeightSystem([-a for a in ws.weights])
             for pt in enumerate_fixed_subspaces(6, 3):
                 assert plus_cell_dimension(pt, ws) == minus_cell_dimension(pt, flipped)
+
+
+    def test_rank_sum_matches_pair_count(self):
+        weights = random.Random(7).sample(range(-40, 40), 9)
+        assert min(weights) < 0 < max(weights)
+        ws = WeightSystem(weights)
+        cells = [0] * 21
+        for pt in enumerate_fixed_subspaces(9, 4):
+            d = reference_minus_cells(pt, weights)
+            assert minus_cell_dimension(pt, ws) == d
+            assert plus_cell_dimension(pt, ws) == 20 - d
+            cells[d] += 1
+        assert poincare_from_cells(ws, 4).coefficient_list() == cells
+
+    def test_only_first_n_weights_count(self):
+        # weights past point.n are ignored, however they compare
+        weights = (4, -3, 8, 1, 0, 20)
+        for pt in enumerate_fixed_subspaces(4, 2):
+            assert minus_cell_dimension(pt, WeightSystem(weights)) == (
+                reference_minus_cells(pt, weights[:4])
+            )
+
+    def test_short_weight_system_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            minus_cell_dimension(FixedSubspace((1, 2), 4), WeightSystem((1, 2, 3)))
 
 
 class TestPoincareFromCells:
