@@ -10,6 +10,7 @@ The presentation side realizes the cohomology ring as generators w_{i,j},
 equivariant lift over a degree-one class v.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -233,7 +234,8 @@ def relation_generator(i, j, n, k, variables=None):
 
 class GradedPresentation:
     """A graded ring presentation: ordered variables, their degrees, and the
-    list of relations."""
+    list of relations.  Every degree is positive, so each graded piece is
+    finite-dimensional."""
 
     __slots__ = ("variables", "degrees", "relations")
 
@@ -242,6 +244,8 @@ class GradedPresentation:
         self.degrees = tuple(int(d) for d in degrees)
         if len(self.variables) != len(self.degrees):
             raise ValueError("one degree per variable")
+        if any(d <= 0 for d in self.degrees):
+            raise InvalidDegree("variable degrees must be positive: %r" % (self.degrees,))
         self.relations = tuple(relations)
         for rel in self.relations:
             if rel.variables != self.variables:
@@ -338,15 +342,76 @@ def _weighted_monomials(degrees, d):
     return out
 
 
-def graded_dimension(presentation, d):
-    """Dimension of the degree-d piece of the presented graded ring.
+def _substitute(rel, x, value):
+    # rel with the variable at position x replaced by the polynomial value.
+    by_power = {}
+    for exps, c in rel.terms.items():
+        by_power.setdefault(exps[x], {})[exps[:x] + (0,) + exps[x + 1 :]] = c
+    if set(by_power) == {0}:
+        return rel
+    out = MultiPoly.zero(rel.variables)
+    power = MultiPoly(rel.variables, {(0,) * len(rel.variables): 1})
+    for a in range(max(by_power) + 1):
+        if a in by_power:
+            out = out + MultiPoly(rel.variables, by_power[a]) * power
+        power = power * value
+    return out
 
-    Counts monomials of weighted degree d, then subtracts the rank of the
-    span of (monomial x relation) products landing in degree d.  Exact:
-    the RowSpace rank clears each row to integers once.
+
+@lru_cache(maxsize=128)
+def _eliminate_linear(variables, degrees, relations):
+    """An isomorphic presentation without the variables that a relation
+    defines linearly.
+
+    While some relation has a term c*x, x a single variable to the first
+    power, substitute x = -(rest)/c into the other relations and drop x
+    together with that relation; the first such relation, and in it the
+    first such variable, goes first.  Degrees are positive, so x appears
+    in no other term of its relation, and each step is a graded ring
+    isomorphism.  Raises InvalidDegree for a presentation that is not
+    homogeneous.  Cached by value, since the result does not depend on
+    the degree asked for.
+
+    >>> pres = ordinary_presentation(4, 2)
+    >>> reduced = _eliminate_linear(pres.variables, pres.degrees, pres.relations)
+    >>> len(pres.variables), len(reduced.variables)
+    (4, 2)
+    >>> [_macaulay_dimension(reduced, d) for d in range(5)]
+    [1, 1, 2, 1, 1]
     """
-    if d < 0:
-        raise InvalidDegree("degree must be nonnegative, got %d" % d)
+    if any(rel.homogeneous_degree(degrees) is None for rel in relations):
+        raise InvalidDegree("presentation is not homogeneous")
+    rels = [rel for rel in relations if not rel.is_zero()]
+    dropped = set()
+    while True:
+        for pos, rel in enumerate(rels):
+            linear = [e for e in rel.terms if sum(e) == 1]
+            if linear:
+                break
+        else:
+            break
+        unit = max(linear)  # the first variable's: (1, 0, ...) > (0, 1, ...)
+        x = unit.index(1)
+        rel = rels.pop(pos)
+        c = rel.terms[unit]
+        value = MultiPoly(variables, {e: -b / c for e, b in rel.terms.items() if e != unit})
+        rels = [r for r in (_substitute(r, x, value) for r in rels) if not r.is_zero()]
+        dropped.add(x)
+    kept = [i for i in range(len(variables)) if i not in dropped]
+    kept_vars = tuple(variables[i] for i in kept)
+    return GradedPresentation(
+        kept_vars,
+        (degrees[i] for i in kept),
+        [
+            MultiPoly(kept_vars, {tuple(e[i] for i in kept): c for e, c in rel.terms.items()})
+            for rel in rels
+        ],
+    )
+
+
+def _macaulay_dimension(presentation, d):
+    # Monomials of weighted degree d, minus the rank of the span of the
+    # (monomial x relation) products landing in degree d.
     degrees = presentation.degrees
     monomials = _weighted_monomials(degrees, d)
     if not monomials:
@@ -355,8 +420,6 @@ def graded_dimension(presentation, d):
     space = RowSpace(len(monomials))
     for rel in presentation.relations:
         rd = rel.homogeneous_degree(degrees)
-        if rd is None:
-            raise InvalidDegree("presentation is not homogeneous")
         if rel.is_zero() or rd > d:
             continue
         for shift in _weighted_monomials(degrees, d - rd):
@@ -366,6 +429,26 @@ def graded_dimension(presentation, d):
                 row[index[key]] = c
             space.add(row)
     return len(monomials) - space.rank
+
+
+def graded_dimension(presentation, d):
+    """Dimension of the degree-d piece of the presented graded ring.
+
+    First eliminates every variable that a relation defines linearly (a
+    graded ring isomorphism, computed once per presentation value; see
+    _eliminate_linear), which takes Gr's k(n-k) generators down to k.
+    Then counts monomials of weighted degree d on what is left and
+    subtracts the rank of the span of (monomial x relation) products
+    landing in degree d.  Exact: the RowSpace rank clears each row to
+    integers once.  Raises InvalidDegree for d < 0 and, at every d, for a
+    presentation that is not homogeneous.
+    """
+    if d < 0:
+        raise InvalidDegree("degree must be nonnegative, got %d" % d)
+    reduced = _eliminate_linear(
+        presentation.variables, presentation.degrees, presentation.relations
+    )
+    return _macaulay_dimension(reduced, d)
 
 
 def graded_dimensions(presentation, top):

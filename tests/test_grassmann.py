@@ -1,18 +1,24 @@
 """Grassmannian cells, Poincare polynomials, and ring presentations."""
 
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomix.algebra import IntegerPolynomial
+from cohomix.algebra import IntegerPolynomial, MultiPoly
 from cohomix.errors import (
     IndexOutOfRange,
+    InvalidDegree,
     InvalidDimensions,
     NotPolynomial,
 )
 from cohomix.grassmann import (
     FixedSubspace,
+    GradedPresentation,
+    _eliminate_linear,
+    _macaulay_dimension,
     WeightSystem,
     enumerate_fixed_subspaces,
     equivariant_presentation,
@@ -284,3 +290,135 @@ class TestGradedDimension:
     def test_gr73_full_profile(self):
         pres = ordinary_presentation(7, 3)
         assert graded_dimensions(pres, 12) == gaussian_binomial(7, 3)
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (9, 3), (10, 4)])
+    def test_full_profile_matches_gaussian(self, n, k):
+        pres = ordinary_presentation(n, k)
+        assert graded_dimensions(pres, k * (n - k)) == gaussian_binomial(n, k)
+
+    def test_equivariant_gr63_full_profile(self):
+        # H_T = H tensor Q[v], so degree d has dimension b_0 + ... + b_d
+        top = 3 * 3 + 1
+        sums = list(accumulate(gaussian_binomial(6, 3)))
+        expected = sums + [sums[-1]] * (top + 1 - len(sums))
+        assert graded_dimensions(equivariant_presentation(6, 3), top) == expected
+
+    def test_permuted_presentation_same_profile(self):
+        rng = random.Random(2024)
+        for pres, top in (
+            (ordinary_presentation(7, 3), 12),
+            (equivariant_presentation(5, 2), 7),
+        ):
+            perm = list(range(len(pres.variables)))
+            rng.shuffle(perm)
+            variables = tuple(pres.variables[i] for i in perm)
+            relations = [
+                MultiPoly(variables, {tuple(e[i] for i in perm): c for e, c in rel.terms.items()})
+                for rel in pres.relations
+            ]
+            rng.shuffle(relations)
+            permuted = GradedPresentation(
+                variables, (pres.degrees[i] for i in perm), relations
+            )
+            assert graded_dimensions(permuted, top) == graded_dimensions(pres, top)
+
+    def test_nonpositive_degrees_rejected(self):
+        with pytest.raises(InvalidDegree):
+            GradedPresentation(("x",), (0,), [])
+        with pytest.raises(InvalidDegree):
+            GradedPresentation(("x", "y"), (1, -1), [])
+
+    def test_not_homogeneous_raises_at_every_degree(self):
+        # x + x^2 with deg x = 2: degree 1 has no monomials, and still raises
+        rel = MultiPoly(("x",), {(1,): 1, (2,): 1})
+        pres = GradedPresentation(("x",), (2,), [rel])
+        for d in range(5):
+            with pytest.raises(InvalidDegree):
+                graded_dimension(pres, d)
+
+
+def _reduced(pres):
+    return _eliminate_linear(pres.variables, pres.degrees, pres.relations)
+
+
+def _profile_both_routes(pres, top):
+    # the eliminated route, then the Macaulay rank on the full presentation
+    return (
+        graded_dimensions(pres, top),
+        [_macaulay_dimension(pres, d) for d in range(top + 1)],
+    )
+
+
+class TestLinearElimination:
+    def test_gr_reduces_to_k_variables(self):
+        assert len(_reduced(ordinary_presentation(8, 3)).variables) == 3
+        reduced = _reduced(equivariant_presentation(6, 3))
+        assert len(reduced.variables) == 4
+        assert reduced.variables[-1] == "v"
+
+    def test_no_linear_term_left_alone(self):
+        pres = GradedPresentation(("x",), (1,), [MultiPoly(("x",), {(3,): 1})])
+        reduced = _reduced(pres)
+        assert reduced.variables == pres.variables
+        assert reduced.relations == pres.relations
+        assert graded_dimensions(pres, 3) == [1, 1, 1, 0]
+
+    def test_relation_with_two_linear_terms(self):
+        # x - 2y eliminates x, the first variable; Q[y]/(y^3) is left
+        variables = ("x", "y")
+        pres = GradedPresentation(
+            variables,
+            (1, 1),
+            [
+                MultiPoly(variables, {(1, 0): 1, (0, 1): -2}),
+                MultiPoly(variables, {(2, 1): 1, (0, 3): 1}),
+            ],
+        )
+        reduced = _reduced(pres)
+        assert reduced.variables == ("y",)
+        assert reduced.relations == (MultiPoly(("y",), {(3,): 5}),)
+        assert _profile_both_routes(pres, 4) == ([1, 1, 1, 0, 0],) * 2
+
+    def test_relation_that_vanishes_is_dropped(self):
+        variables = ("x", "y")
+        x_minus_y = MultiPoly(variables, {(1, 0): 1, (0, 1): -1})
+        pres = GradedPresentation(
+            variables,
+            (1, 1),
+            [x_minus_y, x_minus_y.scale(3), MultiPoly(variables, {(0, 2): 1})],
+        )
+        reduced = _reduced(pres)
+        assert reduced.relations == (MultiPoly(("y",), {(2,): 1}),)
+        assert _profile_both_routes(pres, 3) == ([1, 1, 0, 0],) * 2
+
+    @pytest.mark.parametrize("c", [2, -2])
+    def test_coefficient_two(self, c):
+        # c*x - y^2 with deg x = 2 gives x = y^2/c, so x*y becomes y^3/c
+        variables = ("x", "y")
+        pres = GradedPresentation(
+            variables,
+            (2, 1),
+            [
+                MultiPoly(variables, {(1, 0): c, (0, 2): -1}),
+                MultiPoly(variables, {(1, 1): 1}),
+            ],
+        )
+        reduced = _reduced(pres)
+        assert reduced.relations == (MultiPoly(("y",), {(3,): Fraction(1, c)}),)
+        assert _profile_both_routes(pres, 4) == ([1, 1, 1, 0, 0],) * 2
+
+    def test_equivariant_matches_full_macaulay(self):
+        pres = equivariant_presentation(4, 2)
+        got, reference = _profile_both_routes(pres, 6)
+        assert got == reference == [1, 2, 4, 5, 6, 6, 6]
+
+    def test_same_dimensions_cold_and_warm(self):
+        cold = []
+        for d in range(13):
+            _eliminate_linear.cache_clear()
+            cold.append(graded_dimension(ordinary_presentation(7, 3), d))
+        hits = _eliminate_linear.cache_info().hits
+        # a fresh but equal presentation finds the cached reduction
+        warm = graded_dimensions(ordinary_presentation(7, 3), 12)
+        assert _eliminate_linear.cache_info().hits == hits + 13
+        assert cold == warm == gaussian_binomial(7, 3)
