@@ -10,7 +10,7 @@ package touches floating point.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 
 from .errors import NotNilpotent, NotPolynomial
@@ -115,21 +115,41 @@ def partitions_in_box(max_parts, max_part, size):
             return out
 
 
-def _complete_homogeneous(points, top):
-    # h_0..h_top at integer points; one-variable-at-a-time recurrence keeps
-    # this O(len(points) * top) integer operations.
+@lru_cache(maxsize=4096)
+def _complete_homogeneous(ints, top):
+    # h_0..h_top at an integer point; the one-variable-at-a-time recurrence
+    # keeps this O(len(ints) * top) integer operations.  Cached results are
+    # shared between calls, hence the tuple.
     h = [1] + [0] * top
-    for x in points:
+    for x in ints:
         for m in range(1, top + 1):
             h[m] += x * h[m - 1]
-    return h
+    return tuple(h)
+
+
+@lru_cache(maxsize=4096)
+def _elementary(ints):
+    # e_0..e_len(ints) at an integer point: the same recurrence, run
+    # downwards so that each e_(m-1) is read before it takes in x.
+    e = [1] + [0] * len(ints)
+    for n, x in enumerate(ints, 1):
+        for m in range(n, 0, -1):
+            e[m] += x * e[m - 1]
+    return tuple(e)
+
+
+@lru_cache(maxsize=256)
+def _conjugate(parts):
+    # Column lengths of the diagram.  Callers evaluate one partition at
+    # many points in a row, so a small cache serves them.
+    return tuple(sum(1 for p in parts if p > c) for c in range(parts[0]))
 
 
 def _determinant(rows):
     # Bareiss fraction-free elimination (Bareiss 1968): each step divides
     # exactly by the previous pivot, so every entry stays an integer minor.
     n = len(rows)
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     sign, prev = 1, 1
     for c in range(n - 1):
         if m[c][c] == 0:
@@ -149,11 +169,22 @@ def _determinant(rows):
 def schur_evaluate(mu, points):
     """Value of the Schur polynomial s_mu at int or Fraction points.
 
-    Jacobi-Trudi in the complete homogeneous sums, so repeated points are
-    legal.  More parts than points gives zero; the empty partition gives one.
-    The value is an int when the points are integers.  Rational points are
-    scaled by the lcm D of their denominators, and homogeneity gives
-    s_mu(points) = s_mu(D * points) / D^|mu| as a Fraction.
+    mu is a Partition or a weakly decreasing sequence of nonnegative parts;
+    trailing zero parts are dropped, and any other sequence raises
+    ValueError.  More parts than points gives zero; the empty partition
+    gives one.  The value is an int when the points are integers.  Rational
+    points are scaled by the lcm D of their denominators, and homogeneity
+    gives s_mu(points) = s_mu(D * points) / D^|mu| as a Fraction.
+
+    The symmetric sums of a point are computed once and cached (bounded),
+    so evaluating every partition of a box at the same point builds its h
+    and e vectors once.  The determinant has size min(len(mu), mu_1): when
+    mu_1 >= len(mu) it is Jacobi-Trudi in the complete homogeneous sums,
+    det(h_(mu_i - i + j)); otherwise it is the dual Jacobi-Trudi
+    (Naegelsbach-Kostka) identity in the elementary sums on the conjugate
+    partition mu', det(e_(mu'_i - i + j)), with e_d = 0 past the number of
+    points.  Neither divides by differences of points, so repeated points
+    are legal.
 
     >>> schur_evaluate((1,), (6, 12, 18, 30))
     66
@@ -161,25 +192,45 @@ def schur_evaluate(mu, points):
     2
     >>> schur_evaluate((2,), (1, 2))
     7
+    >>> schur_evaluate((2, 0), (3,))
+    9
+    >>> schur_evaluate((1, 1, 1), (2, 3, 5))
+    30
     >>> from fractions import Fraction
     >>> schur_evaluate((2,), (Fraction(1, 2), 1))
     Fraction(7, 4)
     """
-    parts = tuple(mu)
+    if isinstance(mu, Partition):
+        parts = mu.parts
+    else:
+        parts = tuple(mu)
+        while parts and parts[-1] == 0:
+            parts = parts[:-1]
+        parts = Partition(parts).parts
     if not parts:
         return 1
     if len(parts) > len(points):
         return 0
     den = lcm(*[x.denominator for x in points])
-    ints = [x.numerator * (den // x.denominator) for x in points]
-    ell = len(parts)
-    h = _complete_homogeneous(ints, parts[0] + ell)
-
-    def entry(i, j):
-        d = parts[i] - (i + 1) + (j + 1)
-        return h[d] if d >= 0 else 0
-
-    value = _determinant([[entry(i, j) for j in range(ell)] for i in range(ell)])
+    ints = tuple([x.numerator * (den // x.denominator) for x in points])
+    if parts[0] >= len(parts):
+        rows = parts
+        seq = _complete_homogeneous(ints, parts[0] + len(parts) - 1)
+    else:
+        rows = _conjugate(parts)
+        seq = _elementary(ints)
+    size = len(rows)
+    if size == 1:
+        value = seq[rows[0]]
+    else:
+        # Entry (i, j) is seq[rows[i] - i + j].  Those indices stay within
+        # size of the ends of seq, so size zeros on either side stand in
+        # for h_d and e_d at d < 0 and for e_d past len(ints).
+        pad = (0,) * size
+        seq = pad + seq + pad
+        value = _determinant(
+            [seq[size + part - i : 2 * size + part - i] for i, part in enumerate(rows)]
+        )
     return value if den == 1 else Fraction(value, den ** sum(parts))
 
 
@@ -551,9 +602,14 @@ def coefficient_str(c):
 
 class MultiPoly:
     """Polynomial with Fraction coefficients over a fixed ordered tuple of
-    named variables.  Terms map exponent tuples to nonzero coefficients."""
+    named variables.  Terms map exponent tuples to nonzero coefficients.
 
-    __slots__ = ("variables", "terms")
+    `terms` is never mutated after construction: every operation builds a
+    new MultiPoly.  So the hash, which is by value, is computed once, on
+    first use, and kept.
+    """
+
+    __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
@@ -568,6 +624,7 @@ class MultiPoly:
                 raise ValueError("bad exponent vector %r" % (exps,))
             clean[exps] = c
         self.terms = clean
+        self._hash = None
 
     @classmethod
     def zero(cls, variables):
@@ -616,7 +673,9 @@ class MultiPoly:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.variables, frozenset(self.terms.items())))
+        return self._hash
 
     def substitute(self, name, value):
         """Evaluate one variable at a rational constant and drop it."""

@@ -2,11 +2,13 @@
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from cohomix import algebra
 from cohomix.algebra import (
     IntegerPolynomial,
     MultiPoly,
@@ -112,6 +114,101 @@ class TestSchurEvaluate:
     )
     def test_symmetry_under_point_permutation(self, pts, mu):
         assert schur_evaluate(mu, pts) == schur_evaluate(mu, sorted(pts))
+
+
+@cache
+def ssyt_sum(mu, points):
+    """s_mu(points) as the sum over semistandard tableaux with entries
+    1..len(points).  The cells holding the largest entry form a horizontal
+    strip mu/nu, so s_mu(x_1..x_n) = sum over nu interlacing mu of
+    x_n^|mu/nu| s_nu(x_1..x_(n-1)).  Valid at repeated points."""
+    if not points:
+        return 1 if not mu else 0
+    *rest, x = points
+    below = mu[1:] + (0,)
+    total = 0
+    for nu in itertools.product(*[range(b, a + 1) for a, b in zip(mu, below)]):
+        nu = tuple(p for p in nu if p)
+        total += x ** (sum(mu) - sum(nu)) * ssyt_sum(nu, tuple(rest))
+    return total
+
+
+# Every partition of a 4 x 5 box: both routes, 1 x 1 determinants included.
+BOX_4_5 = [mu.parts for p in range(21) for mu in partitions_in_box(4, 5, p)]
+
+
+class TestSchurRoutes:
+    # Jacobi-Trudi in h serves mu_1 >= len(mu), the dual identity in e on the
+    # conjugate serves the rest; both are checked on all of BOX_4_5.
+    DISTINCT = [
+        (0, -3, 2, 7),  # as many points as the box has parts, with a zero
+        (-2, 0, 1, 3, -5),  # more points than parts
+        (3, -2),  # fewer points than mu_1 and than len(mu)
+        (Fraction(1, 2), Fraction(-2, 3), 0, 3),
+        (Fraction(5, 4), -1, Fraction(1, 6)),
+    ]
+    REPEATED = [
+        (2, 2, -1),
+        (0, 0, 0, 0),
+        (3, -1, 3, -1, 3),
+        (1, 1, 1, 1, 1),  # s_mu(1^5) counts tableaux
+        (Fraction(1, 2), Fraction(1, 2), -2, Fraction(1, 2)),
+        (-4,),
+    ]
+
+    def test_distinct_points_against_bialternant(self):
+        for points in self.DISTINCT:
+            for mu in BOX_4_5:
+                expected = schur_bialternant(mu, points) if len(mu) <= len(points) else 0
+                assert schur_evaluate(mu, points) == expected, (mu, points)
+
+    def test_all_points_against_tableaux_sum(self):
+        for points in self.DISTINCT + self.REPEATED:
+            for mu in BOX_4_5:
+                assert schur_evaluate(mu, points) == ssyt_sum(mu, tuple(points)), (mu, points)
+
+    def test_determinant_size_is_min_of_length_and_first_part(self, monkeypatch):
+        sizes = []
+        determinant = algebra._determinant
+        monkeypatch.setattr(
+            algebra, "_determinant", lambda rows: sizes.append(len(rows)) or determinant(rows)
+        )
+        for mu in BOX_4_5[1:]:
+            sizes.clear()
+            schur_evaluate(mu, (2, 5, -1, 7, 3))
+            size = min(len(mu), mu[0])
+            assert sizes == ([size] if size > 1 else []), mu
+
+    def test_cold_and_warm_caches_agree(self):
+        for points in self.DISTINCT + self.REPEATED:
+            for cached in (algebra._complete_homogeneous, algebra._elementary, algebra._conjugate):
+                cached.cache_clear()
+            cold = [schur_evaluate(mu, points) for mu in BOX_4_5]
+            warm = [schur_evaluate(mu, points) for mu in BOX_4_5]
+            assert cold == warm
+
+    def test_list_tuple_and_whole_fraction_points_agree(self):
+        points = (4, 0, -3, 4)
+        for mu in BOX_4_5:
+            value = schur_evaluate(mu, points)
+            assert type(value) is int
+            for same in (list(points), [Fraction(x) for x in points]):
+                got = schur_evaluate(mu, same)
+                assert got == value and type(got) is int, (mu, same)
+
+
+class TestSchurPartitionInput:
+    def test_trailing_zeros_dropped(self):
+        assert schur_evaluate((2, 0), (3,)) == 9
+        assert schur_evaluate((1, 0, 0), (4, 5)) == 9
+        assert schur_evaluate((0, 0), (4, 5)) == 1
+        for mu in BOX_4_5:
+            assert schur_evaluate(mu + (0, 0), (2, -1, 5)) == schur_evaluate(Partition(mu), (2, -1, 5))
+
+    @pytest.mark.parametrize("mu", [(1, 3), (2, 0, 1), (2, -1), (-1,), (0, 1)])
+    def test_non_partitions_rejected(self, mu):
+        with pytest.raises(ValueError):
+            schur_evaluate(mu, (2, 3, 5))
 
 
 class TestRankAndRowSpace:
@@ -332,6 +429,14 @@ class TestMultiPoly:
         p = MultiPoly(("x", "y"), {(1, 1): 1, (0, 3): -1})
         assert p.homogeneous_degree((2, 1)) == 3
         assert p.homogeneous_degree((1, 1)) is None
+
+    def test_hash_by_value_and_stable(self):
+        terms = {(2, 0): 3, (1, 1): Fraction(-1, 2), (0, 3): 1}
+        p = MultiPoly(("x", "y"), terms)
+        q = MultiPoly(("x", "y"), dict(reversed(list(terms.items()))))
+        assert p == q and hash(p) == hash(q)
+        assert hash(p) == hash(p) == hash(MultiPoly(("x", "y"), terms))
+        assert hash(p + q) == hash(q.scale(2))
 
     def test_arithmetic(self):
         x = MultiPoly(("x",), {(1,): 1})

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohomix import filtration
 from cohomix.algebra import IntegerPolynomial, Partition, partitions_in_box
 from cohomix.equivariant import localization_rank_check
 from cohomix.errors import BoxViolation, InvalidDegree
@@ -88,6 +89,27 @@ class TestGrassmannianRoute:
         ws = WeightSystem.principal(10)
         table = filtration_betti(enumerate_fixed_subspaces(10, 3), ws)
         assert table.poincare_q().coefficient_list() == gaussian_binomial(10, 3)
+
+    def test_gr94_betti(self):
+        ws = WeightSystem.principal(9)
+        table = filtration_betti(enumerate_fixed_subspaces(9, 4), ws)
+        assert table.poincare_q().coefficient_list() == gaussian_binomial(9, 4)
+
+    def test_one_schur_evaluation_per_partition_and_point(self, monkeypatch):
+        # The rank loop evaluates each row through schur_evaluate itself,
+        # one call per (partition, point), with no batching around it.
+        calls = []
+        real = filtration.schur_evaluate
+
+        def counting(mu, points):
+            calls.append((mu, points))
+            return real(mu, points)
+
+        monkeypatch.setattr(filtration, "schur_evaluate", counting)
+        points = enumerate_fixed_subspaces(4, 2)
+        table = filtration_betti(points, WeightSystem.principal(4))
+        assert table.betti == (1, 1, 2, 1, 1)
+        assert len(calls) == 36 == len(set(calls))
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(1, 7), st.integers(-20, 20))
