@@ -9,6 +9,7 @@ rows, which are scaled to integers once on the way in.  Nothing in this
 package touches floating point.
 """
 
+from bisect import insort
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
@@ -275,8 +276,7 @@ class RowSpace:
         pc = next(i for i, x in enumerate(r) if x != 0)
         if r[pc] < 0:
             r = [-x for x in r]
-        self._rows.append((pc, r))
-        self._rows.sort(key=lambda t: t[0])
+        insort(self._rows, (pc, r), key=lambda t: t[0])
         return True
 
 
@@ -526,16 +526,24 @@ def euler_phi(n):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    result, m, f = n, n, 2
+    result = n
+    for p in _prime_divisors(n):
+        result -= result // p
+    return result
+
+
+def _prime_divisors(n):
+    # the distinct primes dividing n >= 1, ascending, by trial division
+    primes, m, f = [], n, 2
     while f * f <= m:
         if m % f == 0:
+            primes.append(f)
             while m % f == 0:
                 m //= f
-            result -= result // f
         f += 1
     if m > 1:
-        result -= result // m
-    return result
+        primes.append(m)
+    return primes
 
 
 @cache
@@ -557,6 +565,65 @@ def cyclotomic_polynomial(d):
     return p
 
 
+@lru_cache(maxsize=64)
+def _cyclotomic_candidates(bound):
+    """(d, phi(d)) for every d with phi(d) <= bound, d ascending: the
+    inverse totient, by depth-first search over prime powers.  A prime p
+    dividing d contributes the factor p - 1 to phi(d), so only the primes
+    p <= bound + 1 can occur.
+
+    >>> [d for d, _ in _cyclotomic_candidates(4)]
+    [1, 2, 3, 4, 5, 6, 8, 10, 12]
+    """
+    if bound < 1:
+        return ()
+    sieve = bytearray([1]) * (bound + 2)
+    primes = []
+    for p in range(2, bound + 2):
+        if sieve[p]:
+            primes.append(p)
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 2, p)))
+    found = []
+    stack = [(0, 1, 1)]  # (index of the least prime still allowed, d, phi(d))
+    while stack:
+        start, d, phi = stack.pop()
+        found.append((d, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            power, phi_power = p, phi * (p - 1)
+            if phi_power > bound:
+                break
+            while phi_power <= bound:
+                stack.append((i + 1, d * power, phi_power))
+                power, phi_power = power * p, phi_power * p
+    found.sort()
+    return tuple(found)
+
+
+@lru_cache(maxsize=4096)
+def _cyclotomic_at_two(d):
+    """Phi_d(2), by the Moebius product of (2^e - 1)^mu(d/e) over the
+    divisors e of d; only squarefree d/e count, one per set of distinct
+    prime factors of d.
+
+    >>> [_cyclotomic_at_two(d) for d in (1, 2, 3, 4, 6, 12)]
+    [1, 3, 7, 5, 3, 13]
+    """
+    primes = _prime_divisors(d)
+    num = den = 1
+    for mask in range(1 << len(primes)):
+        e, odd = d, False
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                e //= p
+                odd = not odd
+        if odd:
+            den *= (1 << e) - 1
+        else:
+            num *= (1 << e) - 1
+    return num // den
+
+
 def strip_cyclotomic_factors(poly):
     """Divide out the power of q and every cyclotomic factor, in one sweep.
 
@@ -566,11 +633,20 @@ def strip_cyclotomic_factors(poly):
     roots of unity.
 
     The power of q comes off once: every Phi_d has constant term +-1, so no
-    later division makes the constant term zero again.  Then d ascends, and
-    Phi_d is divided out as often as it divides; Phi_d is monic and
-    irreducible, so no later division brings it back.  A dividing Phi_d has
-    phi(d) <= deg, and phi(d) >= sqrt(d/2) gives d <= 2 deg^2, with deg
-    read afresh after each division so the bound shrinks as factors go.
+    later division makes the constant term zero again.  A dividing Phi_d
+    has phi(d) <= deg, so the only d tried are those of
+    _cyclotomic_candidates(deg), ascending; since phi(d) >= sqrt(d/2) they
+    all satisfy d <= 2 deg^2.  deg is read afresh after each division, so
+    candidates with phi(d) > deg are skipped and the sweep stops past
+    2 deg^2 as factors go.  Phi_d is monic and irreducible, so once it no
+    longer divides no later division brings it back.
+
+    Before any division, q = 2 filters: Phi_d | p in Z[q] forces
+    Phi_d(2) | p(2) in Z, and Phi_d(2) comes from the Moebius product
+    without building Phi_d.  Only a candidate that passes has
+    cyclotomic_polynomial(d) built and divided out, again and again while
+    the filter passes and the division is exact; a q = 2 false positive
+    just meets an inexact division.
 
     >>> ok, res = strip_cyclotomic_factors(IntegerPolynomial([1, 1, 2, 1, 1]))
     >>> ok, res.coeffs
@@ -581,15 +657,19 @@ def strip_cyclotomic_factors(poly):
         raise ValueError("the zero polynomial has no factor decomposition")
     low = next(i for i, c in enumerate(p.coeffs) if c != 0)
     p = IntegerPolynomial(p.coeffs[low:])
-    d = 1
-    while d <= 2 * p.degree ** 2:
-        if euler_phi(d) > p.degree:
-            d += 1
+    at_two = p(2)
+    for d, phi in _cyclotomic_candidates(p.degree):
+        if d > 2 * p.degree ** 2:
+            break
+        if phi > p.degree:
             continue
-        try:
-            p = p.exact_divide(cyclotomic_polynomial(d))
-        except NotPolynomial:
-            d += 1
+        factor_at_two = _cyclotomic_at_two(d)
+        while at_two % factor_at_two == 0:
+            try:
+                p = p.exact_divide(cyclotomic_polynomial(d))
+            except NotPolynomial:
+                break
+            at_two //= factor_at_two
     return p.degree <= 0, p
 
 

@@ -276,6 +276,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse turns an option value of "--" into [], past type= and
+    # choices=; every option here takes exactly one value
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error("argument --%s: expected one value" % name)
     try:
         return args.func(args)
     except InternalInvariantViolation as exc:

@@ -36,9 +36,9 @@ from .errors import BoxViolation, InvalidDegree
 from .gotzmann import (
     PartitionTriple,
     build_torus_action,
-    degree_k_part,
     enumerate_hilb_fixed_points,
     hilb_minus_cell_dimension,
+    outside_positions,
 )
 from .grassmann import FixedSubspace
 
@@ -207,8 +207,9 @@ def _cell_betti(triples, p_max, action):
     if p_max < 0:
         raise InvalidDegree("p_max must be nonnegative")
     betti = [0] * (p_max + 1)
+    memo = {}
     for t in triples:
-        d = hilb_minus_cell_dimension(t, action)
+        d = hilb_minus_cell_dimension(t, action, memo)
         if d <= p_max:
             betti[d] += 1
     return BettiTable(betti, len(triples))
@@ -310,13 +311,17 @@ def select_schur_basis(points, ws, box=None, p_max=None, expected_betti=None):
 def poincare_of_hilb(k, action=None):
     """Poincare polynomial of Hilb_k(P^2) in t (even exponents only).
 
-    Enumerates the fixed points, validates every Gotzmann image (each
-    embedding must land in Gr(n_k - k, R_k) with the right dimension), and
-    sums t^(2 * cell dimension).
+    Enumerates the fixed points, checks every Gotzmann image (each triple
+    must leave exactly k degree-k monomials outside its ideal, so that the
+    image lands in Gr(n_k - k, R_k)), and sums t^(2 * cell dimension).
+    Both the image check and the cell dimension are read chart by chart
+    from the three partitions, and each chart's data is computed once per
+    partition for the whole call.
     """
     triples = enumerate_hilb_fixed_points(k)
+    memo = {}
     for t in triples:
-        degree_k_part(t, k)
+        outside_positions(t, k, memo)
     table = filtration_betti(triples, action=action)
     return table.poincare_t()
 

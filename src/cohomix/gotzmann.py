@@ -219,36 +219,65 @@ def enumerate_hilb_fixed_points(k):
     ]
 
 
+def _chart_positions(chart, parts, k):
+    # 1-based basis positions of the monomials that the boxes of one
+    # chart's diagram put outside the ideal: box (r, c) is the exponent
+    # triple with (r, c) in the chart's two local slots and k - r - c in
+    # its own, and (a, b, .) sits at a(2k + 3 - a)/2 + b + 1.
+    positions = []
+    for r, width in enumerate(parts):
+        for c in range(width):
+            a, b = ((k - r - c, r), (r, k - r - c), (r, c))[chart]
+            positions.append(a * (2 * k + 3 - a) // 2 + b + 1)
+    return positions
+
+
+def outside_positions(triple, k, memo=None):
+    """The ascending 1-based positions in monomial_basis(k) of the degree-k
+    monomials outside the ideal of a fixed point of total size k.
+
+    X_0^a X_1^b X_2^c lies outside exactly when (b, c) is a box of mu0,
+    (a, c) a box of mu1 or (a, b) a box of mu2, so the positions are a
+    union over the three charts, read off the k boxes rather than a scan
+    of all C(k+2, 2) monomials.  Since k bounds the regularity there are
+    exactly k of them; any other count trips InternalInvariantViolation.
+    `memo`, a dict shared by calls with the same k, keeps each chart's
+    positions by (chart, parts).
+
+    >>> outside_positions(PartitionTriple.parse("1;1;"), 2)
+    (3, 6)
+    """
+    if memo is None:
+        memo = {}
+    found = set()
+    for chart, mu in enumerate(triple.parts):
+        key = (chart, mu.parts)
+        positions = memo.get(key)
+        if positions is None:
+            positions = memo[key] = _chart_positions(chart, mu.parts, k)
+        found.update(positions)
+    if len(found) != k:
+        raise InternalInvariantViolation(
+            "%s leaves %d degree-%d monomials outside its ideal, expected %d"
+            % (triple, len(found), k, k)
+        )
+    return tuple(sorted(found))
+
+
 def degree_k_part(triple, k):
     """The Gotzmann image of a fixed point: the coordinate subspace of R_k
-    spanned by the degree-k monomials inside the monomial ideal.
-
-    X_0^a X_1^b X_2^c lies in the ideal exactly when (b, c) avoids the
-    diagram of mu0, (a, c) avoids mu1, and (a, b) avoids mu2.  Box (r, c)
-    lies in the diagram of mu exactly when c < mu[r], so with every
-    partition padded by zero parts to length k + 1 the test reads
-    c >= mu0[b], c >= mu1[a] and b >= mu2[a].  Since k bounds the
-    regularity the image always has dimension C(k+2,2) - k; anything else
-    trips InternalInvariantViolation.
+    spanned by the degree-k monomials inside the monomial ideal, the
+    complement of outside_positions.  Since k bounds the regularity the
+    image always has dimension C(k+2,2) - k; anything else trips
+    InternalInvariantViolation.
     """
     if triple.size != k:
         raise InvalidDegree(
             "triple has total size %d, expected k=%d" % (triple.size, k)
         )
-    basis = monomial_basis(k)
-    mu0, mu1, mu2 = (mu.parts + (0,) * (k + 1 - len(mu)) for mu in triple.parts)
-    indices = [
-        pos
-        for pos, (a, b, c) in enumerate(basis, 1)
-        if c >= mu0[b] and c >= mu1[a] and b >= mu2[a]
-    ]
-    expected = len(basis) - k
-    if len(indices) != expected:
-        raise InternalInvariantViolation(
-            "Gotzmann image of %s has %d monomials, expected %d"
-            % (triple, len(indices), expected)
-        )
-    return FixedSubspace(tuple(indices), len(basis))
+    n = len(monomial_basis(k))
+    outside = set(outside_positions(triple, k))
+    return FixedSubspace(tuple(i for i in range(1, n + 1) if i not in outside), n)
 
 
 def _arm_leg(mu):
@@ -265,18 +294,39 @@ def _arm_leg(mu):
             yield width - c - 1, conj[c] - r - 1
 
 
+def _chart_weights(action):
+    # (phi_u, phi_w), the weights of the two local coordinates at each of
+    # the three coordinate points.
+    wa, wb, wc = action.coordinate_weights
+    return ((wb - wa, wc - wa), (wa - wb, wc - wb), (wa - wc, wb - wc))
+
+
 def _box_weights(triple, action):
     # The two tangent weights of every box, chart by chart.
-    wa, wb, wc = action.coordinate_weights
-    charts = (
-        (triple.mu0, wb - wa, wc - wa),
-        (triple.mu1, wa - wb, wc - wb),
-        (triple.mu2, wa - wc, wb - wc),
-    )
-    for mu, phi_u, phi_w in charts:
+    for mu, (phi_u, phi_w) in zip(triple.parts, _chart_weights(action)):
         for arm, leg in _arm_leg(mu):
             yield -(leg + 1) * phi_u + arm * phi_w
             yield leg * phi_u - (arm + 1) * phi_w
+
+
+def chart_negative_weights(mu, phi_u, phi_w):
+    """How many of the 2|mu| tangent weights that the boxes of mu carry at
+    a chart with local weights (phi_u, phi_w) are negative; None when one
+    of them is zero.
+
+    >>> chart_negative_weights(Partition((2, 1)), 6, 2)
+    5
+    >>> chart_negative_weights(Partition((2,)), 1, 1) is None
+    True
+    """
+    negative = 0
+    for arm, leg in _arm_leg(mu):
+        for w in (-(leg + 1) * phi_u + arm * phi_w, leg * phi_u - (arm + 1) * phi_w):
+            if w < 0:
+                negative += 1
+            elif not w:
+                return None
+    return negative
 
 
 def _not_generic(triple):
@@ -306,18 +356,25 @@ def tangent_weights(triple, action):
     return weights
 
 
-def hilb_minus_cell_dimension(triple, action):
+def hilb_minus_cell_dimension(triple, action, memo=None):
     """Dimension of the cell flowing into the fixed point under t -> 0:
-    the number of negative tangent weights, between 0 and 2k.  Counted in
-    one pass over the weights, which raises on a zero weight as
-    tangent_weights does."""
-    negative = 0
-    for w in _box_weights(triple, action):
-        if w < 0:
-            negative += 1
-        elif not w:
+    the number of negative tangent weights, between 0 and 2k.  Each box's
+    two weights depend only on its own chart, so this is the sum of
+    chart_negative_weights over the three charts, and a zero weight raises
+    as tangent_weights does.  `memo`, a dict shared by calls with the same
+    action, keeps each chart's count by (chart, parts)."""
+    if memo is None:
+        memo = {}
+    dimension = 0
+    for chart, (mu, phis) in enumerate(zip(triple.parts, _chart_weights(action))):
+        key = (chart, mu.parts)
+        if key not in memo:
+            memo[key] = chart_negative_weights(mu, *phis)
+        negative = memo[key]
+        if negative is None:
             raise _not_generic(triple)
-    return negative
+        dimension += negative
+    return dimension
 
 
 def nilpotent_matrix_on_Rk(k, basis_order=None):

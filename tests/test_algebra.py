@@ -25,7 +25,12 @@ from cohomix.algebra import (
 )
 from cohomix.errors import NotNilpotent, NotPolynomial
 
-from oracles import brute_force_partitions, gaussian_binomial, schur_bialternant
+from oracles import (
+    brute_force_partitions,
+    gaussian_binomial,
+    goettsche_betti,
+    schur_bialternant,
+)
 
 
 class TestPartition:
@@ -387,6 +392,57 @@ class TestStripAgainstSympy:
         ]
         for p in planted:
             self.check(p)
+
+
+def reference_d_scan_strip(p):
+    # every d up to 2 deg^2 with euler_phi(d) <= deg, each divided out as
+    # often as it divides, with deg read afresh after each division
+    low = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    p = IntegerPolynomial(p.coeffs[low:])
+    d = 1
+    while d <= 2 * p.degree ** 2:
+        if euler_phi(d) <= p.degree:
+            try:
+                p = p.exact_divide(cyclotomic_polynomial(d))
+                continue
+            except NotPolynomial:
+                pass
+        d += 1
+    return p.degree <= 0, p
+
+
+class TestStripCandidates:
+    def test_candidates_are_the_inverse_totient(self):
+        phis = [None] + [euler_phi(d) for d in range(1, 2 * 60 ** 2 + 1)]
+        for bound in range(61):
+            expected = [
+                (d, phis[d]) for d in range(1, 2 * bound ** 2 + 1) if phis[d] <= bound
+            ]
+            assert list(algebra._cyclotomic_candidates(bound)) == expected, bound
+
+    def test_moebius_value_at_two(self):
+        for d in range(1, 501):
+            assert algebra._cyclotomic_at_two(d) == cyclotomic_polynomial(d)(2), d
+
+    def test_hilbert_polynomials_as_before(self):
+        for k in range(1, 11):
+            betti = goettsche_betti(k, 2 * k)
+            p = IntegerPolynomial(betti).interleave_zero()
+            assert strip_cyclotomic_factors(p) == reference_d_scan_strip(p), k
+
+    def test_gaussian_binomials_as_before(self):
+        for n in range(1, 11):
+            for k in range(n + 1):
+                p = IntegerPolynomial(gaussian_binomial(n, k))
+                ok, residual = strip_cyclotomic_factors(p)
+                assert (ok, residual) == reference_d_scan_strip(p), (n, k)
+                assert ok
+
+    def test_root_at_two_passes_every_filter(self):
+        # p(2) = 0 lets every Phi_d through the q = 2 filter, so only the
+        # exact division decides
+        p = IntegerPolynomial([-2, 1]) * cyclotomic_polynomial(5) * cyclotomic_polynomial(1)
+        assert strip_cyclotomic_factors(p) == (False, IntegerPolynomial([-2, 1]))
 
 
 class TestIntegerPolynomial:

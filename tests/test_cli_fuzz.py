@@ -7,7 +7,8 @@ its own code; anything else that escapes main fails the test.
 import contextlib
 import io
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cohomix.cli import main
 
@@ -41,5 +42,19 @@ def test_grass_poincare(n, k, method):
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 4), st.text(alphabet="0123,;- x", max_size=10))
+@example(k=0, triple="--")
 def test_hilb_embed(k, triple):
     assert exit_code(["hilb", "embed", "--k=%d" % k, "--triple=" + triple]) in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilb", "embed", "--k=2", "--triple=--"],
+    ["b2", "check", "--poincare=--"],
+    ["hilb", "betti", "--k=--"],
+    ["b2", "jordan", "--k=--"],
+    ["grass", "presentation", "--n=--", "--k=2"],
+    ["grass", "poincare", "--n=4", "--k=2", "--method=--"],
+])
+def test_double_dash_value_exits_2(argv):
+    # argparse parses an option value of "--" as [], past type= and choices=
+    assert exit_code(argv) == 2

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomix import filtration
-from cohomix.algebra import IntegerPolynomial, Partition, partitions_in_box
+from cohomix.algebra import (
+    IntegerPolynomial,
+    Partition,
+    partitions_in_box,
+    strip_cyclotomic_factors,
+)
 from cohomix.equivariant import localization_rank_check
 from cohomix.errors import BoxViolation, InvalidDegree
 from cohomix.filtration import (
@@ -272,6 +277,16 @@ class TestRegularityVerdict:
         assert b2_regularity_verdict(poincare_of_hilb(3)) == NOT_REGULAR
         assert b2_regularity_verdict(poincare_of_hilb(1)) == INCONCLUSIVE
         assert b2_regularity_verdict(poincare_of_hilb(2)) == INCONCLUSIVE
+
+    def test_sparse_high_degree_not_regular(self):
+        # 1 + 2q + q^300 = (1 + q) * residual, the residual with a root off
+        # the unit circle; phi(d) <= 300 admits d far past 300, and only
+        # Phi_2 divides
+        p = IntegerPolynomial([1, 2] + [0] * 298 + [1])
+        assert b2_regularity_verdict(p) == NOT_REGULAR
+        ok, residual = strip_cyclotomic_factors(p)
+        assert not ok and residual.degree == 299
+        assert residual * IntegerPolynomial([1, 1]) == p
 
     def test_grassmannian_poincare_inconclusive(self):
         poly = filtration_betti(

@@ -15,12 +15,14 @@ from cohomix.gotzmann import (
     PartitionTriple,
     TorusAction,
     build_torus_action,
+    chart_negative_weights,
     degree_k_part,
     enumerate_hilb_fixed_points,
     hilb_minus_cell_dimension,
     jordan_regularity_check,
     monomial_basis,
     nilpotent_matrix_on_Rk,
+    outside_positions,
     tangent_weights,
 )
 
@@ -57,6 +59,41 @@ def reference_degree_k_indices(triple, k):
         for pos, (a, b, c) in enumerate(monomial_basis(k))
         if (b, c) not in d0 and (a, c) not in d1 and (a, b) not in d2
     )
+
+
+def reference_padded_scan(triple, k):
+    # the full scan of all C(k+2, 2) monomials against the diagrams padded
+    # with zero parts to length k + 1: box (r, c) lies in mu exactly when
+    # c < mu[r]
+    mu0, mu1, mu2 = (mu.parts + (0,) * (k + 1 - len(mu)) for mu in triple.parts)
+    return tuple(
+        pos
+        for pos, (a, b, c) in enumerate(monomial_basis(k), 1)
+        if c >= mu0[b] and c >= mu1[a] and b >= mu2[a]
+    )
+
+
+def reference_negative_count(triple, action):
+    # every box's two weights from its arm and its leg, the leg read off
+    # the conjugate partition; None on a zero weight
+    wa, wb, wc = action.coordinate_weights
+    charts = (
+        (triple.mu0, wb - wa, wc - wa),
+        (triple.mu1, wa - wb, wc - wb),
+        (triple.mu2, wa - wc, wb - wc),
+    )
+    negative = 0
+    for mu, phi_u, phi_w in charts:
+        parts = mu.parts
+        conj = [sum(1 for w in parts if w > c) for c in range(parts[0] if parts else 0)]
+        for r, width in enumerate(parts):
+            for c in range(width):
+                arm, leg = width - c - 1, conj[c] - r - 1
+                for w in (-(leg + 1) * phi_u + arm * phi_w, leg * phi_u - (arm + 1) * phi_w):
+                    if w == 0:
+                        return None
+                    negative += w < 0
+    return negative
 
 
 def partitions_count(m):
@@ -200,6 +237,24 @@ class TestDegreeKPart:
                 assert image.indices == reference_degree_k_indices(t, k)
                 assert image.n == n
 
+    def test_outside_positions_complement_the_full_scan(self):
+        for k in range(1, 9):
+            everything = set(range(1, len(monomial_basis(k)) + 1))
+            memo = {}
+            for t in enumerate_hilb_fixed_points(k):
+                expected = tuple(sorted(everything - set(reference_padded_scan(t, k))))
+                assert outside_positions(t, k) == expected
+                assert outside_positions(t, k, memo) == expected
+
+    def test_outside_positions_wrong_count_raises(self):
+        # a triple of size k - 1 leaves only k - 1 monomials outside
+        with pytest.raises(InternalInvariantViolation):
+            outside_positions(PartitionTriple.parse("1;;"), 2)
+        # a corrupted chart entry in the memo is caught the same way
+        memo = {(0, (1,)): [1, 2]}
+        with pytest.raises(InternalInvariantViolation):
+            outside_positions(PartitionTriple.parse("1;;"), 1, memo)
+
     def test_weights_consistent_with_ambient(self):
         # the action's weights at the image indices are the monomial weights
         # of the monomials in the ideal
@@ -254,6 +309,25 @@ class TestTangentWeights:
                     assert hilb_minus_cell_dimension(t, action) == sum(
                         1 for w in expected if w < 0
                     )
+
+    def test_chart_sum_matches_box_weight_count(self):
+        for k in range(1, 9):
+            actions = (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1))
+            for action in actions:
+                memo = {}
+                for t in enumerate_hilb_fixed_points(k):
+                    expected = reference_negative_count(t, action)
+                    assert hilb_minus_cell_dimension(t, action) == expected
+                    assert hilb_minus_cell_dimension(t, action, memo) == expected
+
+    def test_chart_zero_weight_signalled(self):
+        triple = PartitionTriple.parse("2;;1")
+        action = TorusAction(3, 2, (2, 1, 1))
+        assert reference_negative_count(triple, action) is None
+        phi_u, phi_w = 4 - 2, 2 - 2  # the chart of X_2
+        assert chart_negative_weights(triple.mu2, phi_u, phi_w) is None
+        with pytest.raises(InternalInvariantViolation):
+            hilb_minus_cell_dimension(triple, action, {})
 
     def test_zero_weight_raises(self):
         # equal coordinate weights make every tangent weight zero
