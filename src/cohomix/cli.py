@@ -104,21 +104,8 @@ def _cmd_hilb_embed(args):
     return 0
 
 
-def _hilb_table_with_basis(k):
-    triples = enumerate_hilb_fixed_points(k)
-    action = build_torus_action(k)
-    table = filtration_betti(triples, action=action)
-    ws = action.weight_system()
-    images = [degree_k_part(t, k) for t in triples]
-    selection = select_schur_basis(
-        images, ws, p_max=2 * k, expected_betti=table.betti
-    )
-    table.basis = {p: mus for p, mus in selection.items()}
-    return table, selection
-
-
 def _cmd_hilb_betti(args):
-    table, _selection = _hilb_table_with_basis(args.k)
+    table = filtration_betti(enumerate_hilb_fixed_points(args.k))
     doc = table.to_json_dict()
     lines = [
         "betti: %s" % (list(table.betti),),
@@ -129,10 +116,16 @@ def _cmd_hilb_betti(args):
 
 
 def _cmd_hilb_schur_basis(args):
-    table, selection = _hilb_table_with_basis(args.k)
+    triples = enumerate_hilb_fixed_points(args.k)
+    action = build_torus_action(args.k)
+    betti = filtration_betti(triples, action=action).betti
+    images = [degree_k_part(t, args.k) for t in triples]
+    selection = select_schur_basis(
+        images, action.weight_system(), p_max=2 * args.k, expected_betti=betti
+    )
     doc = {
         "k": args.k,
-        "betti": list(table.betti),
+        "betti": list(betti),
         "basis": {str(p): [str(mu) for mu in mus] for p, mus in selection.items()},
         "deficiencies": {
             str(p): {"achieved": a, "expected": e}

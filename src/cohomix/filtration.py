@@ -26,7 +26,6 @@ how far the pure rows get instead of silently substituting products.
 
 from .algebra import (
     IntegerPolynomial,
-    Partition,
     RowSpace,
     partitions_in_box,
     schur_evaluate,
@@ -48,6 +47,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 def box_of(points, box=None):
     """The points' common (parts, part size) box, or `box` if it fits in it."""
+    if not points:
+        raise BoxViolation("need at least one fixed point")
     dims = {pt.dim for pt in points}
     ns = {pt.n for pt in points}
     if len(dims) != 1 or len(ns) != 1:
@@ -72,58 +73,13 @@ def check_fits(mu, box):
         )
 
 
-class EvaluationMatrix:
-    """Schur values at fixed points: entry(mu, I) = s_mu(weights at I)."""
-
-    __slots__ = ("row_labels", "col_labels", "entries")
-
-    def __init__(self, row_labels, col_labels, entries):
-        self.row_labels = tuple(row_labels)
-        self.col_labels = tuple(col_labels)
-        self.entries = tuple(tuple(row) for row in entries)
-
-    def row(self, mu):
-        mu = mu if isinstance(mu, Partition) else Partition(mu)
-        return self.entries[self.row_labels.index(mu)]
-
-    def entry(self, mu, point):
-        return self.row(mu)[self.col_labels.index(point)]
-
-    def __repr__(self):
-        return "EvaluationMatrix(%d x %d)" % (len(self.row_labels), len(self.col_labels))
-
-
-def evaluation_matrix(partitions, points, ws):
-    """Evaluate each Schur polynomial at the weights of each fixed point.
-
-    Every partition must fit in the (n-k) x k box of the common ambient
-    Grassmannian; a partition outside it raises BoxViolation.
-    """
-    points = list(points)
-    if not points:
-        raise BoxViolation("need at least one fixed point")
-    box = box_of(points)
-    rows = []
-    labels = []
-    weight_sets = [ws.at(pt.indices) for pt in points]
-    for mu in partitions:
-        mu = mu if isinstance(mu, Partition) else Partition(mu)
-        check_fits(mu, box)
-        labels.append(mu)
-        rows.append(tuple(schur_evaluate(mu, wset) for wset in weight_sets))
-    return EvaluationMatrix(labels, points, rows)
-
-
 class BettiTable:
-    """Betti numbers b_0..b_P with their cumulative ranks.
+    """Betti numbers b_0..b_P with their cumulative ranks and the number
+    of fixed points they were read from."""
 
-    `basis` is an optional map p -> list of Partition attached by callers
-    that also ran select_schur_basis.
-    """
+    __slots__ = ("betti", "cumulative", "fixed_points")
 
-    __slots__ = ("betti", "cumulative", "fixed_points", "basis")
-
-    def __init__(self, betti, fixed_points, basis=None):
+    def __init__(self, betti, fixed_points):
         self.betti = tuple(int(b) for b in betti)
         acc, cum = 0, []
         for b in self.betti:
@@ -131,7 +87,6 @@ class BettiTable:
             cum.append(acc)
         self.cumulative = tuple(cum)
         self.fixed_points = int(fixed_points)
-        self.basis = basis
 
     def poincare_q(self):
         return IntegerPolynomial(self.betti)
@@ -147,16 +102,11 @@ class BettiTable:
         return sum(self.betti)
 
     def to_json_dict(self):
-        doc = {
+        return {
             "betti": list(self.betti),
             "poincare_t": self.poincare_t().coefficient_list(),
             "fixed_points": self.fixed_points,
         }
-        if self.basis is not None:
-            doc["basis"] = {
-                str(p): [str(mu) for mu in mus] for p, mus in sorted(self.basis.items())
-            }
-        return doc
 
     def __repr__(self):
         return "BettiTable(betti=%r, fixed_points=%d)" % (self.betti, self.fixed_points)
@@ -180,6 +130,9 @@ def filtration_betti(points, ws=None, box=None, p_max=None, action=None):
     Hilbert-scheme partition triples: b_p counts fixed points whose
     attracting cell has dimension p, computed from the tangent weights of
     the (default or supplied) torus action; ws and box are not consulted.
+    Every triple's Gotzmann image is checked on the way: a triple that
+    does not leave exactly k degree-k monomials outside its ideal raises
+    InternalInvariantViolation (see outside_positions).
 
     p_max defaults to the full range: k(n-k) on the Grassmannian side, 2k
     on the Hilbert-scheme side.
@@ -207,9 +160,10 @@ def _cell_betti(triples, p_max, action):
     if p_max < 0:
         raise InvalidDegree("p_max must be nonnegative")
     betti = [0] * (p_max + 1)
-    memo = {}
+    positions, cells = {}, {}
     for t in triples:
-        d = hilb_minus_cell_dimension(t, action, memo)
+        outside_positions(t, k, positions)
+        d = hilb_minus_cell_dimension(t, action, cells)
         if d <= p_max:
             betti[d] += 1
     return BettiTable(betti, len(triples))
@@ -309,21 +263,10 @@ def select_schur_basis(points, ws, box=None, p_max=None, expected_betti=None):
 
 
 def poincare_of_hilb(k, action=None):
-    """Poincare polynomial of Hilb_k(P^2) in t (even exponents only).
-
-    Enumerates the fixed points, checks every Gotzmann image (each triple
-    must leave exactly k degree-k monomials outside its ideal, so that the
-    image lands in Gr(n_k - k, R_k)), and sums t^(2 * cell dimension).
-    Both the image check and the cell dimension are read chart by chart
-    from the three partitions, and each chart's data is computed once per
-    partition for the whole call.
-    """
-    triples = enumerate_hilb_fixed_points(k)
-    memo = {}
-    for t in triples:
-        outside_positions(t, k, memo)
-    table = filtration_betti(triples, action=action)
-    return table.poincare_t()
+    """Poincare polynomial of Hilb_k(P^2) in t (even exponents only), the
+    sum of t^(2 * cell dimension) over the fixed points: the poincare_t of
+    their cell-route Betti table, which also checks every Gotzmann image."""
+    return filtration_betti(enumerate_hilb_fixed_points(k), action=action).poincare_t()
 
 
 def b2_regularity_verdict(poly):

@@ -51,10 +51,6 @@ class MonomialBasis:
     def __getitem__(self, i):
         return self.monomials[i]
 
-    def index(self, monomial):
-        """1-based position of an exponent triple."""
-        return self.monomials.index(tuple(monomial)) + 1
-
     def label(self, monomial):
         """Human-readable product form, e.g. 'X_1*X_0' for (1, 1, 0)."""
         a, b, c = monomial
@@ -280,20 +276,6 @@ def degree_k_part(triple, k):
     return FixedSubspace(tuple(i for i in range(1, n + 1) if i not in outside), n)
 
 
-def _arm_leg(mu):
-    # (arm, leg) for every box of the diagram, row by row.  The leg of box
-    # (r, c) is conj[c] - r - 1, where the conjugate partition's conj[c]
-    # counts the rows longer than c.
-    parts = mu.parts
-    conj = [0] * (parts[0] if parts else 0)
-    for width in parts:
-        for c in range(width):
-            conj[c] += 1
-    for r, width in enumerate(parts):
-        for c in range(width):
-            yield width - c - 1, conj[c] - r - 1
-
-
 def _chart_weights(action):
     # (phi_u, phi_w), the weights of the two local coordinates at each of
     # the three coordinate points.
@@ -301,10 +283,17 @@ def _chart_weights(action):
     return ((wb - wa, wc - wa), (wa - wb, wc - wb), (wa - wc, wb - wc))
 
 
-def _box_weights(triple, action):
-    # The two tangent weights of every box, chart by chart.
-    for mu, (phi_u, phi_w) in zip(triple.parts, _chart_weights(action)):
-        for arm, leg in _arm_leg(mu):
+def _chart_tangent_weights(mu, phi_u, phi_w):
+    # The two tangent weights of every box of mu at a chart with local
+    # weights (phi_u, phi_w), row by row, as tangent_weights spells out.
+    parts = mu.parts
+    conj = [0] * (parts[0] if parts else 0)
+    for width in parts:
+        for c in range(width):
+            conj[c] += 1
+    for r, width in enumerate(parts):
+        for c in range(width):
+            arm, leg = width - c - 1, conj[c] - r - 1
             yield -(leg + 1) * phi_u + arm * phi_w
             yield leg * phi_u - (arm + 1) * phi_w
 
@@ -320,12 +309,11 @@ def chart_negative_weights(mu, phi_u, phi_w):
     True
     """
     negative = 0
-    for arm, leg in _arm_leg(mu):
-        for w in (-(leg + 1) * phi_u + arm * phi_w, leg * phi_u - (arm + 1) * phi_w):
-            if w < 0:
-                negative += 1
-            elif not w:
-                return None
+    for w in _chart_tangent_weights(mu, phi_u, phi_w):
+        if w < 0:
+            negative += 1
+        elif not w:
+            return None
     return negative
 
 
@@ -350,7 +338,11 @@ def tangent_weights(triple, action):
     conjugate partition.  All weights are nonzero for a valid action, so
     fixed points are isolated.
     """
-    weights = tuple(_box_weights(triple, action))
+    weights = tuple(
+        w
+        for mu, phis in zip(triple.parts, _chart_weights(action))
+        for w in _chart_tangent_weights(mu, *phis)
+    )
     if 0 in weights:
         raise _not_generic(triple)
     return weights

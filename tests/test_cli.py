@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from cohomix import cli, gotzmann
 from cohomix.cli import main
+
+from oracles import goettsche_betti
 
 
 def run_cli(args):
@@ -105,16 +108,54 @@ class TestHilb:
     def test_betti_json_schema(self, capsys):
         assert main(["hilb", "betti", "--k", "2", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert list(doc.keys()) == ["betti", "poincare_t", "fixed_points", "basis"]
+        assert list(doc.keys()) == ["betti", "poincare_t", "fixed_points"]
         assert doc["betti"] == [1, 2, 3, 2, 1]
         assert doc["poincare_t"] == [1, 0, 2, 0, 3, 0, 2, 0, 1]
         assert doc["fixed_points"] == 9
-        assert doc["basis"]["1"] == ["1"]
+
+    def test_betti_k8_matches_goettsche(self, capsys):
+        expected = goettsche_betti(8, 16)
+        assert main(["hilb", "betti", "--k", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "betti: %s" % (expected,)
+        assert main(["hilb", "betti", "--k", "8", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["betti"] == expected
+
+    def test_betti_never_selects_a_schur_basis(self, monkeypatch):
+        calls = []
+        real = cli.select_schur_basis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "select_schur_basis", counting)
+        for fmt in ("text", "json"):
+            assert main(["hilb", "betti", "--k", "3", "--format", fmt]) == 0
+        assert len(calls) == 0
+        assert main(["hilb", "schur-basis", "--k", "3"]) == 0
+        assert len(calls) == 1
+
+    def test_unchecked_gotzmann_image_exit_3(self, capsys, monkeypatch):
+        real = gotzmann._chart_positions
+        monkeypatch.setattr(
+            gotzmann, "_chart_positions", lambda *args: real(*args)[:-1]
+        )
+        for command in ("betti", "poincare"):
+            assert main(["hilb", command, "--k", "3"]) == 3, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "internal invariant violation" in captured.err
 
     def test_schur_basis_reports_deficiency(self, capsys):
         assert main(["hilb", "schur-basis", "--k", "2"]) == 0
         out = capsys.readouterr().out
         assert "deficiency at p=1: pure Schur rows give 1 of 2" in out
+
+    def test_schur_basis_json(self, capsys):
+        assert main(["hilb", "schur-basis", "--k", "2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["betti"] == [1, 2, 3, 2, 1]
+        assert doc["basis"]["1"] == ["1"]
 
     def test_poincare(self, capsys):
         assert main(["hilb", "poincare", "--k", "3"]) == 0

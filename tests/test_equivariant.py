@@ -82,6 +82,21 @@ class TestEqSchurClass:
         with pytest.raises(BoxViolation):
             eq_schur_class(Partition((2,)), points, ws)
 
+    def test_box_violation_on_gr24(self):
+        # Gr(2,4) has a 2 x 2 box: too long a row, or too many rows
+        ws = WeightSystem.principal(4)
+        points = enumerate_fixed_subspaces(4, 2)
+        with pytest.raises(BoxViolation):
+            eq_schur_class(Partition((3,)), points, ws)
+        with pytest.raises(BoxViolation):
+            eq_schur_class(Partition((1, 1, 1)), points, ws)
+
+    def test_integer_values_for_integer_weights(self):
+        points, ws = hilb_points(2)
+        for mu in partitions_in_box(4, 2, 3):
+            for val in eq_schur_class(mu, points, ws).values:
+                assert val.coefficient(mu.size).denominator == 1
+
     def test_pointwise_square(self):
         points, ws = hilb_points(1)
         c = eq_schur_class(Partition((1,)), points, ws)

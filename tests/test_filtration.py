@@ -3,23 +3,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomix import filtration
+from cohomix import filtration, gotzmann
 from cohomix.algebra import (
     IntegerPolynomial,
     Partition,
     partitions_in_box,
     strip_cyclotomic_factors,
 )
-from cohomix.equivariant import localization_rank_check
-from cohomix.errors import BoxViolation, InvalidDegree
+from cohomix.equivariant import eq_schur_class, localization_rank_check
+from cohomix.errors import BoxViolation, InternalInvariantViolation, InvalidDegree
 from cohomix.filtration import (
     INCONCLUSIVE,
     NOT_REGULAR,
     BettiTable,
     b2_regularity_verdict,
-    evaluation_matrix,
     filtration_betti,
     poincare_of_hilb,
+    schur_rank_steps,
     select_schur_basis,
 )
 from cohomix.gotzmann import (
@@ -45,31 +45,19 @@ def hilb_points(k):
 
 
 class TestEvaluationMatrix:
+    # the Schur values at fixed points that the rank filtration ranks, read
+    # through eq_schur_class: the v^|mu| coefficient is the matrix entry
     def test_empty_partition_row_is_ones(self):
         ws = WeightSystem.principal(4)
         points = enumerate_fixed_subspaces(4, 2)
-        m = evaluation_matrix([Partition(())], points, ws)
-        assert m.row(()) == (1,) * 6
+        c = eq_schur_class(Partition(()), points, ws)
+        assert tuple(v.coefficient(0) for v in c.values) == (1,) * 6
 
     def test_worked_66(self):
-        points, ws = hilb_points(2)
-        m = evaluation_matrix([Partition((1,))], [FixedSubspace((1, 2, 3, 4), 6)], ws)
-        assert m.entry((1,), FixedSubspace((1, 2, 3, 4), 6)) == 66
-
-    def test_box_violation(self):
-        ws = WeightSystem.principal(4)
-        points = enumerate_fixed_subspaces(4, 2)
-        with pytest.raises(BoxViolation):
-            evaluation_matrix([Partition((3,))], points, ws)
-        with pytest.raises(BoxViolation):
-            evaluation_matrix([Partition((1, 1, 1))], points, ws)
-
-    def test_integer_entries_for_integer_weights(self):
-        points, ws = hilb_points(2)
-        m = evaluation_matrix(partitions_in_box(4, 2, 3), points, ws)
-        for row in m.entries:
-            for x in row:
-                assert x.denominator == 1
+        _points, ws = hilb_points(2)
+        point = FixedSubspace((1, 2, 3, 4), 6)
+        c = eq_schur_class(Partition((1,)), [point], ws)
+        assert c.value_at(point).coefficient(1) == 66
 
 
 class TestGrassmannianRoute:
@@ -183,6 +171,18 @@ class TestHilbRoute:
         with pytest.raises(TypeError):
             filtration_betti(points + enumerate_hilb_fixed_points(2))
 
+    def test_every_gotzmann_image_checked(self, monkeypatch):
+        # a chart that loses one outside monomial leaves k - 1 of them for
+        # some triple, which the cell route must catch
+        real = gotzmann._chart_positions
+        monkeypatch.setattr(
+            gotzmann, "_chart_positions", lambda *args: real(*args)[:-1]
+        )
+        with pytest.raises(InternalInvariantViolation):
+            filtration_betti(enumerate_hilb_fixed_points(3))
+        with pytest.raises(InternalInvariantViolation):
+            poincare_of_hilb(3)
+
 
 class TestBettiTable:
     def test_poincare_t_interleaves(self):
@@ -190,10 +190,9 @@ class TestBettiTable:
         assert table.poincare_t().coeffs == (1, 0, 2, 0, 1)
 
     def test_json_shape(self):
-        table = BettiTable((1, 1), 2, basis={0: (Partition(()),), 1: (Partition((1,)),)})
-        doc = table.to_json_dict()
-        assert list(doc.keys()) == ["betti", "poincare_t", "fixed_points", "basis"]
-        assert doc["basis"] == {"0": [""], "1": ["1"]}
+        doc = BettiTable((1, 1), 2).to_json_dict()
+        assert doc == {"betti": [1, 1], "poincare_t": [1, 0, 1], "fixed_points": 2}
+        assert list(doc.keys()) == ["betti", "poincare_t", "fixed_points"]
 
 
 class TestSelectSchurBasis:
@@ -245,8 +244,6 @@ class TestPoincareOfHilb:
             assert poincare_of_hilb(k)(1) == len(enumerate_hilb_fixed_points(k))
 
     def test_against_goettsche_product(self):
-        # unlike the Hilbert route of filtration_betti, poincare_of_hilb
-        # also validates every Gotzmann image on the way
         for k in range(1, 13):
             expected = []
             for b in goettsche_betti(k, 2 * k):
@@ -314,3 +311,11 @@ class TestSharedSchurRankLoop:
         for points, ws, _p_max in self.cases():
             table = filtration_betti(points, ws)
             assert table.total() == localization_rank_check(points, ws)[0]
+
+    def test_empty_point_list(self):
+        ws = WeightSystem.principal(4)
+        with pytest.raises(BoxViolation, match="need at least one fixed point"):
+            list(schur_rank_steps([], ws))
+        with pytest.raises(BoxViolation, match="need at least one fixed point"):
+            eq_schur_class(Partition(()), [], ws)
+        assert localization_rank_check([], ws) == (0, True)
