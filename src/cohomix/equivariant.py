@@ -17,16 +17,6 @@ from fractions import Fraction
 from .algebra import Partition, coefficient_str, schur_evaluate
 from .errors import UnknownFixedPoint
 from .filtration import box_of, check_fits, schur_rank_steps
-from .grassmann import FixedSubspace, specialize_v
-
-__all__ = [
-    "LaurentPolynomial",
-    "EquivariantClass",
-    "eq_schur_class",
-    "restrict_class",
-    "localization_rank_check",
-    "specialize_v",
-]
 
 
 class LaurentPolynomial:
@@ -182,9 +172,10 @@ def restrict_class(cls, sub):
     return EquivariantClass(sub, tuple(cls.value_at(pt) for pt in sub))
 
 
-def localization_rank_check(points, ws, box=None):
+def localization_rank_check(points, ws):
     """Rank over the rational-function field in v of the matrix of
-    eq_schur_class values over all box partitions, and whether it is full.
+    eq_schur_class values over all partitions in the points' box (box_of),
+    and whether it is full.
 
     Each row is a numeric row scaled by a single power of v, so the rank
     equals the numeric rank of the ordinary evaluation matrix, which is the
@@ -194,5 +185,5 @@ def localization_rank_check(points, ws, box=None):
     points = list(points)
     if not points:
         return 0, True
-    rank = sum(len(grew) for grew in schur_rank_steps(points, ws, box))
+    rank = sum(len(grew) for grew in schur_rank_steps(points, ws))
     return rank, rank == len(points)

@@ -45,8 +45,8 @@ NOT_REGULAR = "NOT_REGULAR"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def box_of(points, box=None):
-    """The points' common (parts, part size) box, or `box` if it fits in it."""
+def box_of(points):
+    """The points' common (parts, part size) box."""
     if not points:
         raise BoxViolation("need at least one fixed point")
     dims = {pt.dim for pt in points}
@@ -55,13 +55,7 @@ def box_of(points, box=None):
         raise BoxViolation("points live in different Grassmannians")
     n = ns.pop()
     d = dims.pop()
-    inferred = (d, n - d)
-    if box is None:
-        return inferred
-    box = (int(box[0]), int(box[1]))
-    if box[0] > inferred[0] or box[1] > inferred[1]:
-        raise BoxViolation("box %r exceeds the ambient box %r" % (box, inferred))
-    return box
+    return d, n - d
 
 
 def check_fits(mu, box):
@@ -120,60 +114,58 @@ def _is_subspace_list(points):
     return bool(points) and all(isinstance(pt, FixedSubspace) for pt in points)
 
 
-def filtration_betti(points, ws=None, box=None, p_max=None, action=None):
-    """Betti numbers of the variety carrying the given fixed points.
+def filtration_betti(points, ws=None, p_max=None, action=None):
+    """Betti numbers of the variety carrying the given fixed points.  Each
+    route reads only its own arguments and raises TypeError on the others.
 
-    Grassmannian fixed subspaces (with their ambient WeightSystem): r_p is
-    the rank of the evaluation matrix over the box partitions of size at
-    most p, and b_p = r_p - r_{p-1}.
+    Grassmannian fixed subspaces, with their ambient WeightSystem ws: r_p
+    is the rank of the evaluation matrix over the box partitions of size
+    at most p, and b_p = r_p - r_{p-1}, for p = 0..p_max (default: the box
+    area k(n-k)).
 
-    Hilbert-scheme partition triples: b_p counts fixed points whose
-    attracting cell has dimension p, computed from the tangent weights of
-    the (default or supplied) torus action; ws and box are not consulted.
-    Every triple's Gotzmann image is checked on the way: a triple that
-    does not leave exactly k degree-k monomials outside its ideal raises
-    InternalInvariantViolation (see outside_positions).
-
-    p_max defaults to the full range: k(n-k) on the Grassmannian side, 2k
-    on the Hilbert-scheme side.
+    Hilbert-scheme partition triples of total size k: b_p, for p = 0..2k,
+    counts fixed points whose attracting cell has dimension p, computed
+    from the tangent weights of the torus action (default:
+    build_torus_action(k)).  An action built for another degree raises
+    InvalidDegree.  Every triple's Gotzmann image is checked on the way: a
+    triple that does not leave exactly k degree-k monomials outside its
+    ideal raises InternalInvariantViolation (see outside_positions).
     """
     points = list(points)
     if _is_triple_list(points):
-        return _cell_betti(points, p_max, action)
+        if ws is not None or p_max is not None:
+            raise TypeError("partition triples take only an action, not ws or p_max")
+        return _cell_betti(points, action)
     if _is_subspace_list(points):
+        if action is not None:
+            raise TypeError("fixed subspaces take ws and p_max, not an action")
         if ws is None:
             raise ValueError("fixed subspaces need their ambient WeightSystem")
-        betti = [len(grew) for grew in schur_rank_steps(points, ws, box, p_max)]
+        betti = [len(grew) for grew in schur_rank_steps(points, ws, p_max)]
         return BettiTable(betti, len(points))
     raise TypeError("points must be all FixedSubspace or all PartitionTriple")
 
 
-def _cell_betti(triples, p_max, action):
+def _cell_betti(triples, action):
     sizes = {t.size for t in triples}
     if len(sizes) != 1:
         raise InvalidDegree("triples of mixed total size: %r" % (sorted(sizes),))
     k = sizes.pop()
     if action is None:
         action = build_torus_action(k)
-    if p_max is None:
-        p_max = 2 * k
-    if p_max < 0:
-        raise InvalidDegree("p_max must be nonnegative")
-    betti = [0] * (p_max + 1)
-    positions, cells = {}, {}
+    betti = [0] * (2 * k + 1)
     for t in triples:
-        outside_positions(t, k, positions)
-        d = hilb_minus_cell_dimension(t, action, cells)
-        if d <= p_max:
-            betti[d] += 1
+        outside_positions(t, k)
+        betti[hilb_minus_cell_dimension(t, action)] += 1
     return BettiTable(betti, len(triples))
 
 
-def schur_rank_steps(points, ws, box=None, p_max=None):
-    """For p = 0..p_max (default: the box area), the box partitions of size
-    p, scanned in descending lexicographic order, whose evaluation rows grow
-    the rank of one row space.  Evaluation stops at the row that fills the
-    rank, as no later row can grow it; the remaining sizes yield [].
+def schur_rank_steps(points, ws, p_max=None):
+    """For p = 0..p_max (default: the area of box_of(points)), the box
+    partitions of size p, scanned in descending lexicographic order, whose
+    evaluation rows grow the rank of one row space.  Evaluation stops at
+    the row that fills the rank, as no later row can grow it; the
+    remaining sizes yield [].
 
     >>> from cohomix.grassmann import WeightSystem, enumerate_fixed_subspaces
     >>> ws, points = WeightSystem.principal(4), enumerate_fixed_subspaces(4, 2)
@@ -183,7 +175,7 @@ def schur_rank_steps(points, ws, box=None, p_max=None):
     [[()], [(1,)], [], [], []]
     """
     points = list(points)
-    box = box_of(points, box)
+    box = box_of(points)
     if p_max is None:
         p_max = box[0] * box[1]
     if p_max < 0:
@@ -235,25 +227,25 @@ class SchurBasisSelection:
         return "SchurBasisSelection(%r)" % (self.by_degree,)
 
 
-def select_schur_basis(points, ws, box=None, p_max=None, expected_betti=None):
+def select_schur_basis(points, ws, p_max=None, expected_betti=None):
     """Greedily pick, for each size p, the partitions whose evaluation rows
     grow the rank past the span of all smaller sizes.
 
-    The scan is schur_rank_steps, so the outcome is deterministic and a
-    negative p_max raises InvalidDegree.  The chosen rows always realize the
-    full rank jump of the size-p block (greedy selection from a spanning
-    family cannot miss an achievable jump), which on the Grassmannian equals the
-    Betti number b_p.  On a restricted fixed set the jump can be smaller
-    than the true Betti number; pass expected_betti to have the shortfall
-    reported in `deficiencies` as {p: (achieved, expected)} rather than
-    papered over.
+    The scan is schur_rank_steps over the box of the points (box_of), so
+    the outcome is deterministic and a negative p_max raises InvalidDegree.
+    The chosen rows always realize the full rank jump of the size-p block
+    (greedy selection from a spanning family cannot miss an achievable
+    jump), which on the Grassmannian equals the Betti number b_p.  On a
+    restricted fixed set the jump can be smaller than the true Betti
+    number; pass expected_betti to have the shortfall reported in
+    `deficiencies` as {p: (achieved, expected)} rather than papered over.
     """
     points = list(points)
     if not _is_subspace_list(points):
         raise TypeError("select_schur_basis needs FixedSubspace points")
     by_degree = {}
     deficiencies = {}
-    for p, chosen in enumerate(schur_rank_steps(points, ws, box, p_max)):
+    for p, chosen in enumerate(schur_rank_steps(points, ws, p_max)):
         by_degree[p] = chosen
         if expected_betti is not None and p < len(expected_betti):
             expected = expected_betti[p]

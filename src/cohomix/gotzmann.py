@@ -228,7 +228,7 @@ def _chart_positions(chart, parts, k):
     return positions
 
 
-def outside_positions(triple, k, memo=None):
+def outside_positions(triple, k):
     """The ascending 1-based positions in monomial_basis(k) of the degree-k
     monomials outside the ideal of a fixed point of total size k.
 
@@ -237,21 +237,13 @@ def outside_positions(triple, k, memo=None):
     union over the three charts, read off the k boxes rather than a scan
     of all C(k+2, 2) monomials.  Since k bounds the regularity there are
     exactly k of them; any other count trips InternalInvariantViolation.
-    `memo`, a dict shared by calls with the same k, keeps each chart's
-    positions by (chart, parts).
 
     >>> outside_positions(PartitionTriple.parse("1;1;"), 2)
     (3, 6)
     """
-    if memo is None:
-        memo = {}
     found = set()
     for chart, mu in enumerate(triple.parts):
-        key = (chart, mu.parts)
-        positions = memo.get(key)
-        if positions is None:
-            positions = memo[key] = _chart_positions(chart, mu.parts, k)
-        found.update(positions)
+        found.update(_chart_positions(chart, mu.parts, k))
     if len(found) != k:
         raise InternalInvariantViolation(
             "%s leaves %d degree-%d monomials outside its ideal, expected %d"
@@ -276,9 +268,14 @@ def degree_k_part(triple, k):
     return FixedSubspace(tuple(i for i in range(1, n + 1) if i not in outside), n)
 
 
-def _chart_weights(action):
+def _chart_weights(triple, action):
     # (phi_u, phi_w), the weights of the two local coordinates at each of
-    # the three coordinate points.
+    # the three coordinate points, from an action built for the triple's k.
+    if triple.size != action.k:
+        raise InvalidDegree(
+            "torus action built for k=%d, %s has total size %d"
+            % (action.k, triple, triple.size)
+        )
     wa, wb, wc = action.coordinate_weights
     return ((wb - wa, wc - wa), (wa - wb, wc - wb), (wa - wc, wb - wc))
 
@@ -336,11 +333,12 @@ def tangent_weights(triple, action):
     Boxes come row by row, mu0 then mu1 then mu2.  The leg of box (r, c),
     the number of boxes below it, is conj[c] - r - 1, where conj is the
     conjugate partition.  All weights are nonzero for a valid action, so
-    fixed points are isolated.
+    fixed points are isolated.  An action built for another k than the
+    triple's total size raises InvalidDegree.
     """
     weights = tuple(
         w
-        for mu, phis in zip(triple.parts, _chart_weights(action))
+        for mu, phis in zip(triple.parts, _chart_weights(triple, action))
         for w in _chart_tangent_weights(mu, *phis)
     )
     if 0 in weights:
@@ -348,21 +346,15 @@ def tangent_weights(triple, action):
     return weights
 
 
-def hilb_minus_cell_dimension(triple, action, memo=None):
+def hilb_minus_cell_dimension(triple, action):
     """Dimension of the cell flowing into the fixed point under t -> 0:
     the number of negative tangent weights, between 0 and 2k.  Each box's
     two weights depend only on its own chart, so this is the sum of
-    chart_negative_weights over the three charts, and a zero weight raises
-    as tangent_weights does.  `memo`, a dict shared by calls with the same
-    action, keeps each chart's count by (chart, parts)."""
-    if memo is None:
-        memo = {}
+    chart_negative_weights over the three charts, and a zero weight or an
+    action for another k raises as tangent_weights does."""
     dimension = 0
-    for chart, (mu, phis) in enumerate(zip(triple.parts, _chart_weights(action))):
-        key = (chart, mu.parts)
-        if key not in memo:
-            memo[key] = chart_negative_weights(mu, *phis)
-        negative = memo[key]
+    for mu, phis in zip(triple.parts, _chart_weights(triple, action)):
+        negative = chart_negative_weights(mu, *phis)
         if negative is None:
             raise _not_generic(triple)
         dimension += negative

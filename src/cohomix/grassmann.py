@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .algebra import IntegerPolynomial, MultiPoly, RowSpace
-from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions, NotPolynomial
+from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions
 
 
 class WeightSystem:
@@ -202,7 +202,7 @@ def generator_degrees(n, k):
     )
 
 
-def relation_generator(i, j, n, k, variables=None):
+def relation_generator(i, j, n, k):
     """The relation attached to w_{i,j}:
 
         - c_{1,i} * w_{i-1,j} - w_{i,1} * w_{n-k,j} + c_{k+1,j+1} * w_{i,j+1}
@@ -210,11 +210,11 @@ def relation_generator(i, j, n, k, variables=None):
     where the structure constant c_{a,b} is 1 unless a = b, in which case
     it vanishes together with its term.  Concretely the first term drops
     exactly when i = 1 and the last exactly when j = k, so every surviving
-    factor is a genuine generator.  Homogeneous of degree w_degree(i,j) + 1.
+    factor is a genuine generator.  Homogeneous of degree w_degree(i,j) + 1,
+    over the variables generator_variables(n, k).
     """
     _check_generator_index(i, j, n, k)
-    if variables is None:
-        variables = generator_variables(n, k)
+    variables = generator_variables(n, k)
     terms = {}
 
     def add(coeff, *gens):
@@ -274,7 +274,7 @@ def ordinary_presentation(n, k):
     variables = generator_variables(n, k)
     degrees = generator_degrees(n, k)
     relations = tuple(
-        relation_generator(i, j, n, k, variables)
+        relation_generator(i, j, n, k)
         for i in range(1, n - k + 1)
         for j in range(1, k + 1)
     )
@@ -290,8 +290,7 @@ def equivariant_presentation(n, k):
     which is homogeneous of degree (n-k) + j - i + 1 and restricts to minus
     twice the ordinary relation at v = 0.
     """
-    base_vars = generator_variables(n, k)
-    variables = base_vars + ("v",)
+    variables = generator_variables(n, k) + ("v",)
     degrees = generator_degrees(n, k) + (1,)
 
     def lift(poly):
@@ -305,7 +304,7 @@ def equivariant_presentation(n, k):
             v_exps[(i - 1) * k + (j - 1)] = 1
             v_exps[-1] = 1
             linear = MultiPoly(variables, {tuple(v_exps): coeff})
-            ordinary = lift(relation_generator(i, j, n, k, base_vars))
+            ordinary = lift(relation_generator(i, j, n, k))
             relations.append(linear - ordinary.scale(2))
     return GradedPresentation(variables, degrees, tuple(relations))
 

@@ -171,6 +171,31 @@ class TestHilbRoute:
         with pytest.raises(TypeError):
             filtration_betti(points + enumerate_hilb_fixed_points(2))
 
+    def test_arguments_of_the_other_route_rejected(self):
+        triples = enumerate_hilb_fixed_points(2)
+        subspaces = enumerate_fixed_subspaces(4, 2)
+        ws = WeightSystem.principal(4)
+        with pytest.raises(TypeError):
+            filtration_betti(triples, ws)
+        with pytest.raises(TypeError):
+            filtration_betti(triples, p_max=2)
+        with pytest.raises(TypeError):
+            filtration_betti(subspaces, ws, action=build_torus_action(2))
+
+    def test_action_for_another_degree_rejected(self):
+        triples = enumerate_hilb_fixed_points(4)
+        for j in (1, 2, 3, 5):
+            action = build_torus_action(j)
+            with pytest.raises(InvalidDegree):
+                filtration_betti(triples, action=action)
+            with pytest.raises(InvalidDegree):
+                poincare_of_hilb(4, action)
+            for t in triples:
+                with pytest.raises(InvalidDegree):
+                    gotzmann.hilb_minus_cell_dimension(t, action)
+                with pytest.raises(InvalidDegree):
+                    gotzmann.tangent_weights(t, action)
+
     def test_every_gotzmann_image_checked(self, monkeypatch):
         # a chart that loses one outside monomial leaves k - 1 of them for
         # some triple, which the cell route must catch

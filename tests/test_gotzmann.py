@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from cohomix import gotzmann
 from cohomix.algebra import jordan_type
 from cohomix.errors import (
     ConditionViolated,
@@ -240,20 +241,20 @@ class TestDegreeKPart:
     def test_outside_positions_complement_the_full_scan(self):
         for k in range(1, 9):
             everything = set(range(1, len(monomial_basis(k)) + 1))
-            memo = {}
             for t in enumerate_hilb_fixed_points(k):
                 expected = tuple(sorted(everything - set(reference_padded_scan(t, k))))
                 assert outside_positions(t, k) == expected
-                assert outside_positions(t, k, memo) == expected
 
-    def test_outside_positions_wrong_count_raises(self):
+    def test_outside_positions_wrong_count_raises(self, monkeypatch):
         # a triple of size k - 1 leaves only k - 1 monomials outside
         with pytest.raises(InternalInvariantViolation):
             outside_positions(PartitionTriple.parse("1;;"), 2)
-        # a corrupted chart entry in the memo is caught the same way
-        memo = {(0, (1,)): [1, 2]}
+        # a corrupted chart entry is caught the same way
+        monkeypatch.setattr(
+            gotzmann, "_chart_positions", lambda chart, parts, k: (1, 2) if parts else ()
+        )
         with pytest.raises(InternalInvariantViolation):
-            outside_positions(PartitionTriple.parse("1;;"), 1, memo)
+            outside_positions(PartitionTriple.parse("1;;"), 1)
 
     def test_weights_consistent_with_ambient(self):
         # the action's weights at the image indices are the monomial weights
@@ -314,11 +315,24 @@ class TestTangentWeights:
         for k in range(1, 9):
             actions = (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1))
             for action in actions:
-                memo = {}
                 for t in enumerate_hilb_fixed_points(k):
                     expected = reference_negative_count(t, action)
                     assert hilb_minus_cell_dimension(t, action) == expected
-                    assert hilb_minus_cell_dimension(t, action, memo) == expected
+
+    def test_interleaved_actions_and_degrees_answer_independently(self):
+        # no call keeps chart data for the next one: alternating two actions
+        # of one k, or two values of k, gives each call its own answer
+        actions = (build_torus_action(3), TorusAction(3, 5, (1, 2, 3)))
+        for t in enumerate_hilb_fixed_points(3):
+            for action in actions:
+                expected = reference_negative_count(t, action)
+                assert hilb_minus_cell_dimension(t, action) == expected
+        pairs = zip(enumerate_hilb_fixed_points(3), enumerate_hilb_fixed_points(4))
+        for t3, t4 in pairs:
+            for t, k in ((t3, 3), (t4, 4)):
+                everything = set(range(1, len(monomial_basis(k)) + 1))
+                expected = tuple(sorted(everything - set(reference_padded_scan(t, k))))
+                assert outside_positions(t, k) == expected
 
     def test_chart_zero_weight_signalled(self):
         triple = PartitionTriple.parse("2;;1")
@@ -327,7 +341,7 @@ class TestTangentWeights:
         phi_u, phi_w = 4 - 2, 2 - 2  # the chart of X_2
         assert chart_negative_weights(triple.mu2, phi_u, phi_w) is None
         with pytest.raises(InternalInvariantViolation):
-            hilb_minus_cell_dimension(triple, action, {})
+            hilb_minus_cell_dimension(triple, action)
 
     def test_zero_weight_raises(self):
         # equal coordinate weights make every tangent weight zero
