@@ -13,6 +13,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
+from operator import index
 
 from .errors import NotNilpotent, NotPolynomial
 
@@ -31,7 +32,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         for a, b in zip(parts, parts[1:]):
             if b > a:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
@@ -385,7 +386,7 @@ class IntegerPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -699,7 +700,7 @@ class MultiPoly:
             c = Fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != nv or any(e < 0 for e in exps):
                 raise ValueError("bad exponent vector %r" % (exps,))
             clean[exps] = c

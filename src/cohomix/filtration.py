@@ -35,8 +35,8 @@ from .errors import BoxViolation, InvalidDegree
 from .gotzmann import (
     PartitionTriple,
     build_torus_action,
+    cell_dimensions,
     enumerate_hilb_fixed_points,
-    hilb_minus_cell_dimension,
     outside_positions,
 )
 from .grassmann import FixedSubspace
@@ -126,10 +126,10 @@ def filtration_betti(points, ws=None, p_max=None, action=None):
     Hilbert-scheme partition triples of total size k: b_p, for p = 0..2k,
     counts fixed points whose attracting cell has dimension p, computed
     from the tangent weights of the torus action (default:
-    build_torus_action(k)).  An action built for another degree raises
-    InvalidDegree.  Every triple's Gotzmann image is checked on the way: a
-    triple that does not leave exactly k degree-k monomials outside its
-    ideal raises InternalInvariantViolation (see outside_positions).
+    build_torus_action(k)), each (chart, diagram) counted once per call.
+    Another degree's action raises InvalidDegree.  Every Gotzmann image is
+    checked: a triple that leaves other than k degree-k monomials outside
+    its ideal raises InternalInvariantViolation (see outside_positions).
     """
     points = list(points)
     if _is_triple_list(points):
@@ -154,9 +154,9 @@ def _cell_betti(triples, action):
     if action is None:
         action = build_torus_action(k)
     betti = [0] * (2 * k + 1)
-    for t in triples:
+    for t, dimension in zip(triples, cell_dimensions(triples, action)):
         outside_positions(t, k)
-        betti[hilb_minus_cell_dimension(t, action)] += 1
+        betti[dimension] += 1
     return BettiTable(betti, len(triples))
 
 

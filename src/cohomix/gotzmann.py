@@ -14,6 +14,7 @@ regular group action would force.
 """
 
 from functools import cache
+from operator import index
 
 from .algebra import Partition, RationalMatrix, jordan_type, partitions_in_box
 from .errors import (
@@ -122,6 +123,7 @@ def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
         raise InvalidDegree("k must be at least 1, got %d" % k)
     if g is None:
         g = k + 1
+    g, lam0, lam1, lam2 = map(index, (g, lam0, lam1, lam2))
     if g < 2:
         raise ConditionViolated("need g > 1, got g=%d" % g)
     if min(lam0, lam1, lam2) < 1:
@@ -295,25 +297,6 @@ def _chart_tangent_weights(mu, phi_u, phi_w):
             yield leg * phi_u - (arm + 1) * phi_w
 
 
-def chart_negative_weights(mu, phi_u, phi_w):
-    """How many of the 2|mu| tangent weights that the boxes of mu carry at
-    a chart with local weights (phi_u, phi_w) are negative; None when one
-    of them is zero.
-
-    >>> chart_negative_weights(Partition((2, 1)), 6, 2)
-    5
-    >>> chart_negative_weights(Partition((2,)), 1, 1) is None
-    True
-    """
-    negative = 0
-    for w in _chart_tangent_weights(mu, phi_u, phi_w):
-        if w < 0:
-            negative += 1
-        elif not w:
-            return None
-    return negative
-
-
 def _not_generic(triple):
     return InternalInvariantViolation(
         "zero tangent weight at %s; torus action is not generic" % (triple,)
@@ -346,19 +329,32 @@ def tangent_weights(triple, action):
     return weights
 
 
+def cell_dimensions(triples, action):
+    """Yield hilb_minus_cell_dimension of each triple, under one action.
+    A chart's count of negative weights depends only on (chart, diagram),
+    so each is worked out once per call, in that chart's table keyed by
+    the diagram's parts, and read again by later triples.  A zero weight
+    or an action for another k raises as tangent_weights does."""
+    negative = ({}, {}, {})
+    for triple in triples:
+        dimension = 0
+        for seen, mu, phis in zip(negative, triple.parts, _chart_weights(triple, action)):
+            count = seen.get(mu.parts)
+            if count is None:
+                count = 0
+                for w in _chart_tangent_weights(mu, *phis):
+                    if not w:
+                        raise _not_generic(triple)
+                    count += w < 0
+                seen[mu.parts] = count
+            dimension += count
+        yield dimension
+
+
 def hilb_minus_cell_dimension(triple, action):
-    """Dimension of the cell flowing into the fixed point under t -> 0:
-    the number of negative tangent weights, between 0 and 2k.  Each box's
-    two weights depend only on its own chart, so this is the sum of
-    chart_negative_weights over the three charts, and a zero weight or an
-    action for another k raises as tangent_weights does."""
-    dimension = 0
-    for mu, phis in zip(triple.parts, _chart_weights(triple, action)):
-        negative = chart_negative_weights(mu, *phis)
-        if negative is None:
-            raise _not_generic(triple)
-        dimension += negative
-    return dimension
+    """Dimension of the cell flowing into the fixed point under t -> 0, its
+    number of negative tangent weights: cell_dimensions of this triple."""
+    return next(cell_dimensions([triple], action))
 
 
 def nilpotent_matrix_on_Rk(k, basis_order=None):

@@ -13,6 +13,7 @@ equivariant lift over a degree-one class v.
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import index
 
 from .algebra import IntegerPolynomial, MultiPoly, RowSpace
 from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions
@@ -24,7 +25,7 @@ class WeightSystem:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        ws = tuple(int(a) for a in weights)
+        ws = tuple(map(index, weights))
         if not ws:
             raise InvalidDimensions("need at least one weight")
         if len(set(ws)) != len(ws):
@@ -58,7 +59,7 @@ class FixedSubspace:
     __slots__ = ("indices", "n")
 
     def __init__(self, indices, n):
-        idx = tuple(map(int, indices))
+        idx = tuple(map(index, indices))
         if not all(map(int.__lt__, idx, idx[1:])):
             raise ValueError("indices must be strictly increasing: %r" % (idx,))
         if idx and not (1 <= idx[0] and idx[-1] <= n):
@@ -415,7 +416,7 @@ def _macaulay_dimension(presentation, d):
     monomials = _weighted_monomials(degrees, d)
     if not monomials:
         return 0
-    index = {m: pos for pos, m in enumerate(monomials)}
+    column = {m: pos for pos, m in enumerate(monomials)}
     space = RowSpace(len(monomials))
     for rel in presentation.relations:
         rd = rel.homogeneous_degree(degrees)
@@ -425,7 +426,7 @@ def _macaulay_dimension(presentation, d):
             row = [0] * len(monomials)
             for exps, c in rel.terms.items():
                 key = tuple(a + b for a, b in zip(exps, shift))
-                row[index[key]] = c
+                row[column[key]] = c
             space.add(row)
     return len(monomials) - space.rank
 

@@ -24,6 +24,8 @@ from cohomix.algebra import (
     strip_cyclotomic_factors,
 )
 from cohomix.errors import NotNilpotent, NotPolynomial
+from cohomix.gotzmann import build_torus_action
+from cohomix.grassmann import FixedSubspace, WeightSystem
 
 from oracles import (
     brute_force_partitions,
@@ -214,6 +216,36 @@ class TestSchurPartitionInput:
     def test_non_partitions_rejected(self, mu):
         with pytest.raises(ValueError):
             schur_evaluate(mu, (2, 3, 5))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightSystem([Fraction(1, 2), 1, 2]),
+        lambda: Partition((2.9, 1)),
+        lambda: FixedSubspace((1.5, 2.2), 4),
+        lambda: IntegerPolynomial([1.5, 1]),
+        lambda: strip_cyclotomic_factors([1, 1.9, 1]),
+        lambda: MultiPoly(("x",), {(1.7,): 1}),
+        lambda: build_torus_action(2, 3.5),
+        lambda: build_torus_action(2, 3, 3, 2.0, 1),
+    ],
+    ids=[
+        "WeightSystem",
+        "Partition",
+        "FixedSubspace",
+        "IntegerPolynomial",
+        "strip_cyclotomic_factors",
+        "MultiPoly",
+        "torus-g",
+        "torus-exponent",
+    ],
+)
+def test_non_integer_input_rejected_not_truncated(build):
+    # an integer slot given a fraction or a float raises instead of
+    # silently rounding toward zero
+    with pytest.raises(TypeError):
+        build()
 
 
 class TestRankAndRowSpace:

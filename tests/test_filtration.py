@@ -196,6 +196,28 @@ class TestHilbRoute:
                 with pytest.raises(InvalidDegree):
                     gotzmann.tangent_weights(t, action)
 
+    def test_each_chart_counted_once_per_call(self, monkeypatch):
+        # the 1479 triples of k = 9 share 291 (chart, diagram) pairs: one
+        # Betti table counts each pair's tangent weights once, and the next
+        # table counts them afresh, as no count outlives its call
+        real = gotzmann._chart_tangent_weights
+        walked = []
+
+        def counting(*args):
+            walked.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(gotzmann, "_chart_tangent_weights", counting)
+        triples = enumerate_hilb_fixed_points(9)
+        pairs = {(chart, mu) for t in triples for chart, mu in enumerate(t.parts)}
+        assert (len(triples), len(pairs)) == (1479, 291)
+        table = filtration_betti(triples)
+        assert list(table.betti) == goettsche_betti(9, 18)
+        assert len(walked) == 291
+        walked.clear()
+        filtration_betti(triples)
+        assert len(walked) == 291
+
     def test_every_gotzmann_image_checked(self, monkeypatch):
         # a chart that loses one outside monomial leaves k - 1 of them for
         # some triple, which the cell route must catch
@@ -269,7 +291,7 @@ class TestPoincareOfHilb:
             assert poincare_of_hilb(k)(1) == len(enumerate_hilb_fixed_points(k))
 
     def test_against_goettsche_product(self):
-        for k in range(1, 13):
+        for k in range(1, 15):
             expected = []
             for b in goettsche_betti(k, 2 * k):
                 expected += [b, 0]

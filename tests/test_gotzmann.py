@@ -16,7 +16,7 @@ from cohomix.gotzmann import (
     PartitionTriple,
     TorusAction,
     build_torus_action,
-    chart_negative_weights,
+    cell_dimensions,
     degree_k_part,
     enumerate_hilb_fixed_points,
     hilb_minus_cell_dimension,
@@ -319,6 +319,15 @@ class TestTangentWeights:
                     expected = reference_negative_count(t, action)
                     assert hilb_minus_cell_dimension(t, action) == expected
 
+    def test_one_pass_over_a_fixed_set_matches_every_triple(self):
+        # charts shared between triples are counted once per call, under
+        # the call's own action
+        for k in range(1, 7):
+            triples = enumerate_hilb_fixed_points(k)
+            for action in (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1)):
+                expected = [reference_negative_count(t, action) for t in triples]
+                assert list(cell_dimensions(triples, action)) == expected
+
     def test_interleaved_actions_and_degrees_answer_independently(self):
         # no call keeps chart data for the next one: alternating two actions
         # of one k, or two values of k, gives each call its own answer
@@ -338,8 +347,6 @@ class TestTangentWeights:
         triple = PartitionTriple.parse("2;;1")
         action = TorusAction(3, 2, (2, 1, 1))
         assert reference_negative_count(triple, action) is None
-        phi_u, phi_w = 4 - 2, 2 - 2  # the chart of X_2
-        assert chart_negative_weights(triple.mu2, phi_u, phi_w) is None
         with pytest.raises(InternalInvariantViolation):
             hilb_minus_cell_dimension(triple, action)
 

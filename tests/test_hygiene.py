@@ -1,6 +1,8 @@
-"""Source hygiene: every module uses every name it imports."""
+"""Source hygiene: every module uses every name it imports, and the
+runtime imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cohomix"
@@ -34,3 +36,32 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def absolute_imports(source):
+    """Top-level module names of the source's absolute imports, in order
+    of appearance; relative imports (within the package) are skipped."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_reader_sees_absolute_imports_only():
+    source = "import os.path, json\nfrom fractions import Fraction\nfrom .a import b\n"
+    assert absolute_imports(source) == ["os", "json", "fractions"]
+
+
+def test_runtime_imports_only_the_standard_library():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    foreign = [
+        (p.name, name)
+        for p in modules
+        for name in absolute_imports(p.read_text(encoding="utf-8"))
+        if name not in sys.stdlib_module_names
+    ]
+    assert foreign == []
