@@ -13,6 +13,7 @@ surjectivity after localization.
 """
 
 from fractions import Fraction
+from operator import index
 
 from .algebra import Partition, coefficient_str, schur_evaluate
 from .errors import UnknownFixedPoint
@@ -30,7 +31,7 @@ class LaurentPolynomial:
         for e, c in (coeffs or {}).items():
             c = Fraction(c)
             if c != 0:
-                clean[int(e)] = c
+                clean[index(e)] = c
         self.coeffs = clean
 
     @classmethod

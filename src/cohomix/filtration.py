@@ -24,6 +24,8 @@ different, smaller filtration there; select_schur_basis reports exactly
 how far the pure rows get instead of silently substituting products.
 """
 
+from operator import index
+
 from .algebra import (
     IntegerPolynomial,
     RowSpace,
@@ -37,7 +39,6 @@ from .gotzmann import (
     build_torus_action,
     cell_dimensions,
     enumerate_hilb_fixed_points,
-    outside_positions,
 )
 from .grassmann import FixedSubspace
 
@@ -74,13 +75,13 @@ class BettiTable:
     __slots__ = ("betti", "cumulative", "fixed_points")
 
     def __init__(self, betti, fixed_points):
-        self.betti = tuple(int(b) for b in betti)
+        self.betti = tuple(index(b) for b in betti)
         acc, cum = 0, []
         for b in self.betti:
             acc += b
             cum.append(acc)
         self.cumulative = tuple(cum)
-        self.fixed_points = int(fixed_points)
+        self.fixed_points = index(fixed_points)
 
     def poincare_q(self):
         return IntegerPolynomial(self.betti)
@@ -127,9 +128,9 @@ def filtration_betti(points, ws=None, p_max=None, action=None):
     counts fixed points whose attracting cell has dimension p, computed
     from the tangent weights of the torus action (default:
     build_torus_action(k)), each (chart, diagram) counted once per call.
-    Another degree's action raises InvalidDegree.  Every Gotzmann image is
-    checked: a triple that leaves other than k degree-k monomials outside
-    its ideal raises InternalInvariantViolation (see outside_positions).
+    An action for another degree, or triples of mixed total size, raise
+    InvalidDegree.  cell_dimensions checks every Gotzmann image as it counts:
+    other than k degree-k monomials outside raises InternalInvariantViolation.
     """
     points = list(points)
     if _is_triple_list(points):
@@ -147,15 +148,9 @@ def filtration_betti(points, ws=None, p_max=None, action=None):
 
 
 def _cell_betti(triples, action):
-    sizes = {t.size for t in triples}
-    if len(sizes) != 1:
-        raise InvalidDegree("triples of mixed total size: %r" % (sorted(sizes),))
-    k = sizes.pop()
-    if action is None:
-        action = build_torus_action(k)
+    k = triples[0].size
     betti = [0] * (2 * k + 1)
-    for t, dimension in zip(triples, cell_dimensions(triples, action)):
-        outside_positions(t, k)
+    for dimension in cell_dimensions(triples, action or build_torus_action(k)):
         betti[dimension] += 1
     return BettiTable(betti, len(triples))
 

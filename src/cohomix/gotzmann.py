@@ -246,12 +246,14 @@ def outside_positions(triple, k):
     found = set()
     for chart, mu in enumerate(triple.parts):
         found.update(_chart_positions(chart, mu.parts, k))
-    if len(found) != k:
-        raise InternalInvariantViolation(
-            "%s leaves %d degree-%d monomials outside its ideal, expected %d"
-            % (triple, len(found), k, k)
-        )
+    _check_outside(triple, found, k)
     return tuple(sorted(found))
+
+
+def _check_outside(triple, found, k):
+    if len(found) != k:
+        message = "%s leaves %d degree-%d monomials outside its ideal, expected %d"
+        raise InternalInvariantViolation(message % (triple, len(found), k, k))
 
 
 def degree_k_part(triple, k):
@@ -330,30 +332,34 @@ def tangent_weights(triple, action):
 
 
 def cell_dimensions(triples, action):
-    """Yield hilb_minus_cell_dimension of each triple, under one action.
-    A chart's count of negative weights depends only on (chart, diagram),
+    """Yield hilb_minus_cell_dimension of each triple, under one action,
+    and check its Gotzmann image as outside_positions does.  A chart's
+    negative count and outside positions depend only on (chart, diagram),
     so each is worked out once per call, in that chart's table keyed by
-    the diagram's parts, and read again by later triples.  A zero weight
-    or an action for another k raises as tangent_weights does."""
-    negative = ({}, {}, {})
+    the diagram's parts.  A zero weight or an action for another k raises
+    as tangent_weights does."""
+    tables = ({}, {}, {})
     for triple in triples:
-        dimension = 0
-        for seen, mu, phis in zip(negative, triple.parts, _chart_weights(triple, action)):
-            count = seen.get(mu.parts)
-            if count is None:
+        dimension, found = 0, set()
+        for chart, (mu, phis) in enumerate(zip(triple.parts, _chart_weights(triple, action))):
+            entry = tables[chart].get(mu.parts)
+            if entry is None:
                 count = 0
                 for w in _chart_tangent_weights(mu, *phis):
                     if not w:
                         raise _not_generic(triple)
                     count += w < 0
-                seen[mu.parts] = count
-            dimension += count
+                positions = _chart_positions(chart, mu.parts, action.k)
+                entry = tables[chart][mu.parts] = (count, positions)
+            dimension += entry[0]
+            found.update(entry[1])
+        _check_outside(triple, found, action.k)
         yield dimension
 
 
 def hilb_minus_cell_dimension(triple, action):
-    """Dimension of the cell flowing into the fixed point under t -> 0, its
-    number of negative tangent weights: cell_dimensions of this triple."""
+    """Number of negative tangent weights, the dimension of the cell flowing
+    in under t -> 0: one-triple cell_dimensions, Gotzmann image checked."""
     return next(cell_dimensions([triple], action))
 
 

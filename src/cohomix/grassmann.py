@@ -242,7 +242,7 @@ class GradedPresentation:
 
     def __init__(self, variables, degrees, relations):
         self.variables = tuple(variables)
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = tuple(index(d) for d in degrees)
         if len(self.variables) != len(self.degrees):
             raise ValueError("one degree per variable")
         if any(d <= 0 for d in self.degrees):

@@ -23,9 +23,11 @@ from cohomix.algebra import (
     schur_evaluate,
     strip_cyclotomic_factors,
 )
+from cohomix.equivariant import LaurentPolynomial
 from cohomix.errors import NotNilpotent, NotPolynomial
+from cohomix.filtration import BettiTable
 from cohomix.gotzmann import build_torus_action
-from cohomix.grassmann import FixedSubspace, WeightSystem
+from cohomix.grassmann import FixedSubspace, GradedPresentation, WeightSystem
 
 from oracles import (
     brute_force_partitions,
@@ -229,6 +231,10 @@ class TestSchurPartitionInput:
         lambda: MultiPoly(("x",), {(1.7,): 1}),
         lambda: build_torus_action(2, 3.5),
         lambda: build_torus_action(2, 3, 3, 2.0, 1),
+        lambda: GradedPresentation(("x",), [1.5], []),
+        lambda: LaurentPolynomial({1.5: 1}),
+        lambda: BettiTable([1, 2.7, 1], 4),
+        lambda: BettiTable([1, 2, 1], 4.9),
     ],
     ids=[
         "WeightSystem",
@@ -239,6 +245,10 @@ class TestSchurPartitionInput:
         "MultiPoly",
         "torus-g",
         "torus-exponent",
+        "GradedPresentation",
+        "LaurentPolynomial",
+        "BettiTable-betti",
+        "BettiTable-fixed-points",
     ],
 )
 def test_non_integer_input_rejected_not_truncated(build):

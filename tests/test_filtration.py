@@ -198,25 +198,41 @@ class TestHilbRoute:
 
     def test_each_chart_counted_once_per_call(self, monkeypatch):
         # the 1479 triples of k = 9 share 291 (chart, diagram) pairs: one
-        # Betti table counts each pair's tangent weights once, and the next
-        # table counts them afresh, as no count outlives its call
-        real = gotzmann._chart_tangent_weights
-        walked = []
+        # Betti table walks each pair's tangent weights and outside
+        # positions once, and the next table walks them afresh, as no
+        # chart data outlives its call
+        walked = {"_chart_tangent_weights": [], "_chart_positions": []}
+        for name, calls in walked.items():
+            real = getattr(gotzmann, name)
 
-        def counting(*args):
-            walked.append(args[0])
-            return real(*args)
+            def counting(*args, real=real, calls=calls):
+                calls.append(args[0])
+                return real(*args)
 
-        monkeypatch.setattr(gotzmann, "_chart_tangent_weights", counting)
+            monkeypatch.setattr(gotzmann, name, counting)
         triples = enumerate_hilb_fixed_points(9)
         pairs = {(chart, mu) for t in triples for chart, mu in enumerate(t.parts)}
         assert (len(triples), len(pairs)) == (1479, 291)
-        table = filtration_betti(triples)
-        assert list(table.betti) == goettsche_betti(9, 18)
-        assert len(walked) == 291
-        walked.clear()
-        filtration_betti(triples)
-        assert len(walked) == 291
+        for _ in range(2):
+            for calls in walked.values():
+                calls.clear()
+            table = filtration_betti(triples)
+            assert list(table.betti) == goettsche_betti(9, 18)
+            assert {name: len(calls) for name, calls in walked.items()} == {
+                "_chart_tangent_weights": 291,
+                "_chart_positions": 291,
+            }
+
+    def test_mixed_total_size_rejected(self):
+        # the first triple fixes k; a triple of another size meets an
+        # action built for that k, whether passed in or built by default
+        mixed = enumerate_hilb_fixed_points(2) + enumerate_hilb_fixed_points(3)
+        for triples in (mixed, mixed[::-1]):
+            k = triples[0].size
+            with pytest.raises(InvalidDegree):
+                filtration_betti(triples)
+            with pytest.raises(InvalidDegree):
+                filtration_betti(triples, action=build_torus_action(k))
 
     def test_every_gotzmann_image_checked(self, monkeypatch):
         # a chart that loses one outside monomial leaves k - 1 of them for
@@ -291,7 +307,7 @@ class TestPoincareOfHilb:
             assert poincare_of_hilb(k)(1) == len(enumerate_hilb_fixed_points(k))
 
     def test_against_goettsche_product(self):
-        for k in range(1, 15):
+        for k in range(1, 17):
             expected = []
             for b in goettsche_betti(k, 2 * k):
                 expected += [b, 0]
