@@ -2,16 +2,17 @@
 
 Partitions, Schur polynomial evaluation, fraction-free rank computation,
 Jordan types of nilpotent matrices, cyclotomic factor stripping, and two
-small polynomial containers.  The kernel is integer: Schur values come
-from fraction-free Bareiss elimination and RowSpace reduces integer rows.
+small polynomial containers.  The kernel is integer: Schur values are
+small integer determinants and RowSpace reduces integer rows.
 fractions.Fraction appears only at the API edge, for rational points and
 rows, which are scaled to integers once on the way in.  Nothing in this
-package touches floating point.
+package touches floating point: a float point, row or matrix entry
+raises TypeError.
 """
 
 from bisect import insort
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from operator import index
 
@@ -117,27 +118,44 @@ def partitions_in_box(max_parts, max_part, size):
             return out
 
 
+def _clear_denominators(values):
+    # (D, [D * x for x in values]) with D the lcm of the denominators: the
+    # integer form of a point or a row of ints and Fractions.
+    try:
+        den = lcm(*[x.denominator for x in values])
+    except AttributeError:
+        bad = next(x for x in values if not hasattr(x, "denominator"))
+        raise TypeError("expected int or Fraction entries, got %s" % type(bad).__name__) from None
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 @lru_cache(maxsize=4096)
-def _complete_homogeneous(ints, top):
-    # h_0..h_top at an integer point; the one-variable-at-a-time recurrence
-    # keeps this O(len(ints) * top) integer operations.  Cached results are
-    # shared between calls, hence the tuple.
+def _complete_homogeneous(points, top):
+    # (D, h_0..h_top at D * points), the sums padded with len(points) zeros
+    # on each side.  The one-variable-at-a-time recurrence keeps this
+    # O(len(points) * top) integer operations.  Cached results are shared
+    # between calls, hence the tuple.
+    den, ints = _clear_denominators(points)
     h = [1] + [0] * top
     for x in ints:
         for m in range(1, top + 1):
             h[m] += x * h[m - 1]
-    return tuple(h)
+    pad = [0] * len(points)
+    return den, tuple(pad + h + pad)
 
 
 @lru_cache(maxsize=4096)
-def _elementary(ints):
-    # e_0..e_len(ints) at an integer point: the same recurrence, run
-    # downwards so that each e_(m-1) is read before it takes in x.
+def _elementary(points):
+    # (D, e_0..e_len(points) at D * points), padded as above: the same
+    # recurrence, run downwards so that each e_(m-1) is read before it
+    # takes in x.
+    den, ints = _clear_denominators(points)
     e = [1] + [0] * len(ints)
     for n, x in enumerate(ints, 1):
         for m in range(n, 0, -1):
             e[m] += x * e[m - 1]
-    return tuple(e)
+    pad = [0] * len(points)
+    return den, tuple(pad + e + pad)
 
 
 @lru_cache(maxsize=256)
@@ -148,9 +166,16 @@ def _conjugate(parts):
 
 
 def _determinant(rows):
-    # Bareiss fraction-free elimination (Bareiss 1968): each step divides
-    # exactly by the previous pivot, so every entry stays an integer minor.
+    # Sizes 2 and 3 by cofactor expansion.  From size 4 on, Bareiss
+    # fraction-free elimination (Bareiss 1968): each step divides exactly
+    # by the previous pivot, so every entry stays an integer minor.
     n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(row) for row in rows]
     sign, prev = 1, 1
     for c in range(n - 1):
@@ -176,11 +201,16 @@ def schur_evaluate(mu, points):
     ValueError.  More parts than points gives zero; the empty partition
     gives one.  The value is an int when the points are integers.  Rational
     points are scaled by the lcm D of their denominators, and homogeneity
-    gives s_mu(points) = s_mu(D * points) / D^|mu| as a Fraction.
+    gives s_mu(points) = s_mu(D * points) / D^|mu| as a Fraction.  A point
+    that is neither raises TypeError when its sums are computed (a float
+    equal to points already cached reads their exact value).
 
-    The symmetric sums of a point are computed once and cached (bounded),
-    so evaluating every partition of a box at the same point builds its h
-    and e vectors once.  The determinant has size min(len(mu), mu_1): when
+    Each call is one lookup in a bounded cache, keyed by the points as
+    given, plus one small determinant.  A miss scales the points to
+    integers, computes their complete homogeneous or elementary sums and
+    pads them with zeros, so evaluating every partition of a box at the
+    same point does that work once.  The determinant has size
+    min(len(mu), mu_1), in closed form up to size 3: when
     mu_1 >= len(mu) it is Jacobi-Trudi in the complete homogeneous sums,
     det(h_(mu_i - i + j)); otherwise it is the dual Jacobi-Trudi
     (Naegelsbach-Kostka) identity in the elementary sums on the conjugate
@@ -211,28 +241,23 @@ def schur_evaluate(mu, points):
         parts = Partition(parts).parts
     if not parts:
         return 1
-    if len(parts) > len(points):
+    n = len(points)
+    if len(parts) > n:
         return 0
-    den = lcm(*[x.denominator for x in points])
-    ints = tuple([x.numerator * (den // x.denominator) for x in points])
     if parts[0] >= len(parts):
         rows = parts
-        seq = _complete_homogeneous(ints, parts[0] + len(parts) - 1)
+        den, seq = _complete_homogeneous(tuple(points), parts[0] + len(parts) - 1)
     else:
         rows = _conjugate(parts)
-        seq = _elementary(ints)
+        den, seq = _elementary(tuple(points))
+    # Entry (i, j) is seq[n + rows[i] - i + j]: the n zeros on either side
+    # of the cached sums stand in for h_d and e_d at d < 0 and for e_d
+    # past n, as the size is at most len(parts) <= n.
     size = len(rows)
     if size == 1:
-        value = seq[rows[0]]
+        value = seq[n + rows[0]]
     else:
-        # Entry (i, j) is seq[rows[i] - i + j].  Those indices stay within
-        # size of the ends of seq, so size zeros on either side stand in
-        # for h_d and e_d at d < 0 and for e_d past len(ints).
-        pad = (0,) * size
-        seq = pad + seq + pad
-        value = _determinant(
-            [seq[size + part - i : 2 * size + part - i] for i, part in enumerate(rows)]
-        )
+        value = _determinant([seq[n + part - i : n + part - i + size] for i, part in enumerate(rows)])
     return value if den == 1 else Fraction(value, den ** sum(parts))
 
 
@@ -262,8 +287,7 @@ class RowSpace:
         """
         if len(row) != self.width:
             raise ValueError("row width %d, expected %d" % (len(row), self.width))
-        den = lcm(*[x.denominator for x in row])
-        r = [x.numerator * (den // x.denominator) for x in row]
+        _, r = _clear_denominators(row)
         for pc, prow in self._rows:
             if r[pc] != 0:
                 a, b = prow[pc], r[pc]
@@ -287,7 +311,10 @@ class RationalMatrix:
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, rows):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = [list(row) for row in rows]
+        if any(isinstance(x, float) for row in rows for x in row):
+            raise TypeError("matrix entries must be int or Fraction, not float")
+        entries = tuple(tuple(map(Fraction, row)) for row in rows)
         if not entries:
             raise ValueError("matrix needs at least one row")
         ncols = len(entries[0])
@@ -308,9 +335,13 @@ class RationalMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         bt = list(zip(*other.entries))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
+        # The sums are Fractions already, so the product skips __init__.
+        product = object.__new__(RationalMatrix)
+        product.nrows, product.ncols = self.nrows, other.ncols
+        product.entries = tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries
         )
+        return product
 
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
@@ -547,7 +578,7 @@ def _prime_divisors(n):
     return primes
 
 
-@cache
+@lru_cache(maxsize=4096)
 def cyclotomic_polynomial(d):
     """The d-th cyclotomic polynomial, by exact division of q^d - 1 by all
     lower cyclotomic factors.

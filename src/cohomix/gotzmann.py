@@ -13,7 +13,7 @@ nilpotently on R_k; its Jordan type having a single block is what a
 regular group action would force.
 """
 
-from functools import cache
+from functools import lru_cache
 from operator import index
 
 from .algebra import Partition, RationalMatrix, jordan_type, partitions_in_box
@@ -67,10 +67,10 @@ class MonomialBasis:
         return "MonomialBasis(k=%d, %d monomials)" % (self.k, len(self.monomials))
 
 
-@cache
+@lru_cache(maxsize=64)
 def monomial_basis(k):
     """The basis of R_k in the standard order; length C(k+2, 2).  One
-    shared instance per k."""
+    shared instance per k, for the 64 most recent k."""
     return MonomialBasis(k)
 
 

@@ -1,6 +1,7 @@
 """Exact-algebra kernel tests against independent oracles."""
 
 import itertools
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -196,6 +197,18 @@ class TestSchurRoutes:
             warm = [schur_evaluate(mu, points) for mu in BOX_4_5]
             assert cold == warm
 
+    def test_whole_fraction_points_cached_first_still_give_ints(self):
+        # Whole Fractions equal the ints and hash alike, so they share cache
+        # entries: the entry they fill must still read as ints.
+        ints = (4, 0, -3, 4)
+        fractions = tuple(Fraction(x) for x in ints)
+        for cached in (algebra._complete_homogeneous, algebra._elementary):
+            cached.cache_clear()
+        first = [schur_evaluate(mu, fractions) for mu in BOX_4_5]
+        second = [schur_evaluate(mu, ints) for mu in BOX_4_5]
+        assert first == second
+        assert {type(v) for v in first + second} == {int}
+
     def test_list_tuple_and_whole_fraction_points_agree(self):
         points = (4, 0, -3, 4)
         for mu in BOX_4_5:
@@ -204,6 +217,33 @@ class TestSchurRoutes:
             for same in (list(points), [Fraction(x) for x in points]):
                 got = schur_evaluate(mu, same)
                 assert got == value and type(got) is int, (mu, same)
+
+
+class TestDeterminant:
+    @staticmethod
+    def random_rows(rng, size):
+        return [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_against_sympy(self, size):
+        rng = random.Random(65537 + size)
+        for _ in range(40):
+            rows = self.random_rows(rng, size)
+            assert algebra._determinant(rows) == sympy.Matrix(rows).det(), rows
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_zero_leading_pivot(self, size):
+        # A zero in the top-left corner makes Bareiss swap rows first.
+        rng = random.Random(size)
+        for _ in range(40):
+            rows = self.random_rows(rng, size)
+            rows[0][0] = 0
+            assert algebra._determinant(rows) == sympy.Matrix(rows).det(), rows
+
+    def test_singular(self):
+        for size in (2, 3, 4, 5):
+            rows = [[i * j for j in range(size)] for i in range(size)]
+            assert algebra._determinant(rows) == 0
 
 
 class TestSchurPartitionInput:
@@ -235,6 +275,10 @@ class TestSchurPartitionInput:
         lambda: LaurentPolynomial({1.5: 1}),
         lambda: BettiTable([1, 2.7, 1], 4),
         lambda: BettiTable([1, 2, 1], 4.9),
+        lambda: RationalMatrix([[0.1, 1]]),
+        lambda: schur_evaluate((1,), (1.5, 2)),
+        lambda: RowSpace(2).add([1.5, 2]),
+        lambda: matrix_rank([[0.1, 1]]),
     ],
     ids=[
         "WeightSystem",
@@ -249,11 +293,16 @@ class TestSchurPartitionInput:
         "LaurentPolynomial",
         "BettiTable-betti",
         "BettiTable-fixed-points",
+        "RationalMatrix",
+        "schur_evaluate",
+        "RowSpace.add",
+        "matrix_rank",
     ],
 )
 def test_non_integer_input_rejected_not_truncated(build):
     # an integer slot given a fraction or a float raises instead of
-    # silently rounding toward zero
+    # silently rounding toward zero; a rational slot given a float raises
+    # instead of reading its binary expansion
     with pytest.raises(TypeError):
         build()
 

@@ -104,6 +104,19 @@ class TestGrassmannianRoute:
         assert table.betti == (1, 1, 2, 1, 1)
         assert len(calls) == 36 == len(set(calls))
 
+    def test_early_exit_stops_schur_evaluation(self, monkeypatch):
+        # Two points reach full rank at size 1, after () and (1,): four
+        # calls, and none for the sizes after.
+        calls = []
+        real = filtration.schur_evaluate
+        monkeypatch.setattr(
+            filtration, "schur_evaluate", lambda mu, points: calls.append(mu) or real(mu, points)
+        )
+        points = enumerate_fixed_subspaces(4, 2)[:2]
+        table = filtration_betti(points, WeightSystem.principal(4))
+        assert table.betti == (1, 1, 0, 0, 0)
+        assert [mu.parts for mu in calls] == [(), (), (1,), (1,)]
+
     @settings(deadline=None, max_examples=10)
     @given(st.integers(1, 7), st.integers(-20, 20))
     def test_affine_weight_invariance(self, alpha, beta):

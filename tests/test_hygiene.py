@@ -65,3 +65,49 @@ def test_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def unbounded_caches(source):
+    """Line numbers of the source's process-wide caches with no bound:
+    `functools.cache`, by either spelling, and `lru_cache(maxsize=None)`
+    or `lru_cache(None)`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for a in node.names if a.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name != "lru_cache":
+                continue
+            bounds = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(b, ast.Constant) and b.value is None for b in bounds):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_reader_sees_every_unbounded_cache():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(): pass\n"
+        "@functools.lru_cache(None)\ndef c(): pass\n"
+        "@lru_cache(maxsize=64)\ndef d(): pass\n"
+        "@lru_cache\ndef e(): pass\n"
+    )
+    assert unbounded_caches(source) == [2, 3, 5, 7]
+
+
+def test_every_cache_is_bounded():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    unbounded = {
+        p.name: lines
+        for p in modules
+        if (lines := unbounded_caches(p.read_text(encoding="utf-8")))
+    }
+    assert unbounded == {}
