@@ -18,6 +18,7 @@ from .errors import InternalInvariantViolation
 from .filtration import (
     b2_regularity_verdict,
     filtration_betti,
+    hilb_betti,
     poincare_of_hilb,
     select_schur_basis,
 )
@@ -105,7 +106,7 @@ def _cmd_hilb_embed(args):
 
 
 def _cmd_hilb_betti(args):
-    table = filtration_betti(enumerate_hilb_fixed_points(args.k))
+    table = hilb_betti(args.k)
     doc = table.to_json_dict()
     lines = [
         "betti: %s" % (list(table.betti),),

@@ -12,6 +12,8 @@ point handed in:
 * Hilbert-scheme partition triples: the cell route.  Each fixed point
   carries an attracting cell whose dimension is the number of negative
   tangent weights, and the cell dimensions count Betti numbers directly.
+  For the whole fixed set of degree k, hilb_betti convolves per-chart
+  counts instead and never builds a triple.
 
 Betti numbers, the greedy Schur basis and the localization rank all read
 the one Schur-rank loop, schur_rank_steps, which stops evaluating at the
@@ -36,9 +38,9 @@ from .algebra import (
 from .errors import BoxViolation, InvalidDegree
 from .gotzmann import (
     PartitionTriple,
+    _full_set_betti,
     build_torus_action,
     cell_dimensions,
-    enumerate_hilb_fixed_points,
 )
 from .grassmann import FixedSubspace
 
@@ -249,11 +251,25 @@ def select_schur_basis(points, ws, p_max=None, expected_betti=None):
     return SchurBasisSelection(by_degree, deficiencies)
 
 
+def hilb_betti(k, action=None):
+    """Cell-route Betti table of Hilb_k(P^2), the same as filtration_betti
+    of all its fixed points, under the torus action (default:
+    build_torus_action(k)), but read off per-chart tables by convolution,
+    with every Gotzmann image checked and no triple built.  k < 1, or an
+    action for another degree, raises InvalidDegree.
+
+    >>> hilb_betti(2)
+    BettiTable(betti=(1, 2, 3, 2, 1), fixed_points=9)
+    """
+    betti = _full_set_betti(k, action or build_torus_action(k))
+    return BettiTable(betti, sum(betti))
+
+
 def poincare_of_hilb(k, action=None):
     """Poincare polynomial of Hilb_k(P^2) in t (even exponents only), the
     sum of t^(2 * cell dimension) over the fixed points: the poincare_t of
-    their cell-route Betti table, which also checks every Gotzmann image."""
-    return filtration_betti(enumerate_hilb_fixed_points(k), action=action).poincare_t()
+    hilb_betti, which also checks every Gotzmann image."""
+    return hilb_betti(k, action).poincare_t()
 
 
 def b2_regularity_verdict(poly):

@@ -272,16 +272,19 @@ def degree_k_part(triple, k):
     return FixedSubspace(tuple(i for i in range(1, n + 1) if i not in outside), n)
 
 
-def _chart_weights(triple, action):
+def _chart_weights(action):
     # (phi_u, phi_w), the weights of the two local coordinates at each of
-    # the three coordinate points, from an action built for the triple's k.
+    # the three coordinate points.
+    wa, wb, wc = action.coordinate_weights
+    return ((wb - wa, wc - wa), (wa - wb, wc - wb), (wa - wc, wb - wc))
+
+
+def _check_degree(triple, action):
     if triple.size != action.k:
         raise InvalidDegree(
             "torus action built for k=%d, %s has total size %d"
             % (action.k, triple, triple.size)
         )
-    wa, wb, wc = action.coordinate_weights
-    return ((wb - wa, wc - wa), (wa - wb, wc - wb), (wa - wc, wb - wc))
 
 
 def _chart_tangent_weights(mu, phi_u, phi_w):
@@ -297,6 +300,17 @@ def _chart_tangent_weights(mu, phi_u, phi_w):
             arm, leg = width - c - 1, conj[c] - r - 1
             yield -(leg + 1) * phi_u + arm * phi_w
             yield leg * phi_u - (arm + 1) * phi_w
+
+
+def _chart_entry(chart, mu, phis, k):
+    # (negative tangent-weight count, outside positions) of one chart's
+    # diagram, or None when one of its tangent weights is zero.
+    count = 0
+    for w in _chart_tangent_weights(mu, *phis):
+        if not w:
+            return None
+        count += w < 0
+    return count, _chart_positions(chart, mu.parts, k)
 
 
 def _not_generic(triple):
@@ -321,9 +335,10 @@ def tangent_weights(triple, action):
     fixed points are isolated.  An action built for another k than the
     triple's total size raises InvalidDegree.
     """
+    _check_degree(triple, action)
     weights = tuple(
         w
-        for mu, phis in zip(triple.parts, _chart_weights(triple, action))
+        for mu, phis in zip(triple.parts, _chart_weights(action))
         for w in _chart_tangent_weights(mu, *phis)
     )
     if 0 in weights:
@@ -338,23 +353,122 @@ def cell_dimensions(triples, action):
     so each is worked out once per call, in that chart's table keyed by
     the diagram's parts.  A zero weight or an action for another k raises
     as tangent_weights does."""
+    k, phis = action.k, _chart_weights(action)
     tables = ({}, {}, {})
     for triple in triples:
+        _check_degree(triple, action)
         dimension, found = 0, set()
-        for chart, (mu, phis) in enumerate(zip(triple.parts, _chart_weights(triple, action))):
+        for chart, mu in enumerate(triple.parts):
             entry = tables[chart].get(mu.parts)
             if entry is None:
-                count = 0
-                for w in _chart_tangent_weights(mu, *phis):
-                    if not w:
-                        raise _not_generic(triple)
-                    count += w < 0
-                positions = _chart_positions(chart, mu.parts, action.k)
-                entry = tables[chart][mu.parts] = (count, positions)
+                entry = _chart_entry(chart, mu, phis[chart], k)
+                if entry is None:
+                    raise _not_generic(triple)
+                tables[chart][mu.parts] = entry
             dimension += entry[0]
             found.update(entry[1])
-        _check_outside(triple, found, action.k)
+        _check_outside(triple, found, k)
         yield dimension
+
+
+def _witness(k, placed):
+    # A fixed point of total size k with the given {chart: diagram}, its
+    # other boxes in one row at the first chart left free.
+    parts = [placed.get(chart, ()) for chart in range(3)]
+    rest = k - sum(mu.size for mu in placed.values())
+    parts[min({0, 1, 2} - placed.keys())] = (rest,) if rest else ()
+    return PartitionTriple(*parts)
+
+
+def _add_product(acc, f, g):
+    # acc += f * g, on coefficient lists in q
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                acc[i + j] += a * b
+
+
+def _check_charts_disjoint(k, masks):
+    # masks[c][s] pairs each chart-c diagram of size s with its outside
+    # positions; chart b's union over sizes up to t grows with t, and
+    # meets each chart-a diagram (a < b) of size k - t.
+    for b in (1, 2):
+        union = 0
+        for t in range(k + 1):
+            for _, mask in masks[b][t]:
+                union |= mask
+            for a in range(b):
+                for mu, mask in masks[a][k - t]:
+                    if mask & union:
+                        nu = next(
+                            nu for row in masks[b][: t + 1] for nu, other in row if mask & other
+                        )
+                        raise InternalInvariantViolation(
+                            "%s: charts %s and %s put the same degree-%d monomial outside"
+                            % (_witness(k, {a: mu, b: nu}), _CHART_NAMES[a], _CHART_NAMES[b], k)
+                        )
+
+
+def _full_set_betti(k, action):
+    """[b_0, ..., b_2k]: the number of fixed points of Hilb_k(P^2) whose
+    cell has dimension p, each Gotzmann image checked, from per-chart
+    tables alone, with no triple built.
+
+    A triple's cell dimension is a sum of chart terms, so with
+    H_c,s(q) = sum over diagrams mu of size s of q^(chart c's negative
+    count), the cell polynomial is the sum over s0 + s1 + s2 = k of
+    H_0,s0 * H_1,s1 * H_2,s2: first G_s = sum H_0,s0 * H_1,s-s0, then
+    sum G_s * H_2,k-s.  Each (chart, diagram) of size at most k is walked
+    once.
+
+    A triple's image has exactly k monomials outside when each chart's
+    diagram puts |mu| distinct ones outside and no two charts share one.
+    Diagrams (chart a, mu) and (chart b, nu) share a triple exactly when
+    |mu| + |nu| <= k, so each (chart a, mu) is checked against the union
+    of chart b's positions over diagrams of size at most k - |mu|.  A
+    failed check or a zero weight raises InternalInvariantViolation
+    naming a triple that meets it; an action for another k raises
+    InvalidDegree.
+
+    >>> _full_set_betti(2, build_torus_action(2))
+    [1, 2, 3, 2, 1]
+    """
+    if k < 1:
+        raise InvalidDegree("k must be at least 1, got %d" % k)
+    if action.k != k:
+        raise InvalidDegree("torus action built for k=%d, expected k=%d" % (action.k, k))
+    of_size = [partitions_in_box(s, s, s) for s in range(k + 1)]
+    # polys[c][s] is H_c,s; masks[c][s] pairs each diagram of size s with
+    # its chart-c outside positions as a bit mask
+    polys, masks = [], []
+    for chart, phis in enumerate(_chart_weights(action)):
+        polys.append([[0] * (2 * s + 1) for s in range(k + 1)])
+        masks.append([[] for _ in range(k + 1)])
+        for s, diagrams in enumerate(of_size):
+            for mu in diagrams:
+                entry = _chart_entry(chart, mu, phis, k)
+                if entry is None:
+                    raise _not_generic(_witness(k, {chart: mu}))
+                mask = 0
+                for position in entry[1]:
+                    mask |= 1 << position
+                distinct = mask.bit_count()
+                if distinct != s:
+                    raise InternalInvariantViolation(
+                        "%s: chart %s puts %d distinct degree-%d monomials outside, expected %d"
+                        % (_witness(k, {chart: mu}), _CHART_NAMES[chart], distinct, k, s)
+                    )
+                polys[chart][s][entry[0]] += 1
+                masks[chart][s].append((mu, mask))
+    _check_charts_disjoint(k, masks)
+    h0, h1, h2 = polys
+    betti = [0] * (2 * k + 1)
+    for s in range(k + 1):
+        g = [0] * (2 * s + 1)
+        for s0 in range(s + 1):
+            _add_product(g, h0[s0], h1[s - s0])
+        _add_product(betti, g, h2[k - s])
+    return betti
 
 
 def hilb_minus_cell_dimension(triple, action):

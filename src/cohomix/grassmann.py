@@ -94,9 +94,14 @@ def enumerate_fixed_subspaces(n, k):
     """All fixed points of Gr(n-k, V), dim V = n, in lexicographic order of
     index sets.  k = 0 and k = n are legal degenerate cases with a single
     fixed point (the whole space resp. the origin)."""
+    return [FixedSubspace(c, n) for c in _index_sets(n, k)]
+
+
+def _index_sets(n, k):
+    # The (n-k)-subsets of 1..n, lexicographic, as tuples.
     if not 0 <= k <= n:
         raise InvalidDimensions("need 0 <= k <= n, got n=%d k=%d" % (n, k))
-    return [FixedSubspace(c, n) for c in combinations(range(1, n + 1), n - k)]
+    return combinations(range(1, n + 1), n - k)
 
 
 def _ranks(weights):
@@ -135,12 +140,12 @@ def poincare_from_cells(ws, k):
     coefficient [n, k]_q.
     """
     n = ws.n
-    points = enumerate_fixed_subspaces(n, k)
+    indices = _index_sets(n, k)
     rank = _ranks(ws.weights)
     inside = comb(n - k, 2)
     coeffs = [0] * (k * (n - k) + 1)
-    for pt in points:
-        coeffs[sum(map(rank.__getitem__, pt.indices)) - inside] += 1
+    for idx in indices:
+        coeffs[sum(map(rank.__getitem__, idx)) - inside] += 1
     return IntegerPolynomial(coeffs)
 
 

@@ -146,6 +146,28 @@ class TestHilb:
             assert captured.out == ""
             assert "internal invariant violation" in captured.err
 
+    def test_overlapping_gotzmann_charts_exit_3(self, capsys, monkeypatch):
+        # every chart keeps |mu| distinct outside positions, but X_1 reuses
+        # X_0's, so a triple with boxes at both points has too few outside
+        real = gotzmann._chart_positions
+        monkeypatch.setattr(
+            gotzmann,
+            "_chart_positions",
+            lambda chart, parts, k: real(0 if chart == 1 else chart, parts, k),
+        )
+        for command in ("betti", "poincare"):
+            assert main(["hilb", command, "--k", "3"]) == 3, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "internal invariant violation" in captured.err
+
+    def test_betti_matches_goettsche_through_k20(self, capsys):
+        for k in range(1, 21):
+            assert main(["hilb", "betti", "--k", str(k)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            expected = goettsche_betti(k, 2 * k)
+            assert lines == ["betti: %s" % (expected,), "fixed_points: %d" % sum(expected)]
+
     def test_schur_basis_reports_deficiency(self, capsys):
         assert main(["hilb", "schur-basis", "--k", "2"]) == 0
         out = capsys.readouterr().out

@@ -18,14 +18,18 @@ from cohomix.filtration import (
     BettiTable,
     b2_regularity_verdict,
     filtration_betti,
+    hilb_betti,
     poincare_of_hilb,
     schur_rank_steps,
     select_schur_basis,
 )
 from cohomix.gotzmann import (
+    PartitionTriple,
     build_torus_action,
     degree_k_part,
     enumerate_hilb_fixed_points,
+    monomial_basis,
+    outside_positions,
 )
 from cohomix.grassmann import (
     FixedSubspace,
@@ -36,6 +40,18 @@ from cohomix.grassmann import (
 from oracles import gaussian_binomial, goettsche_betti
 
 G3_T_COEFFS = [1, 0, 2, 0, 5, 0, 6, 0, 5, 0, 2, 0, 1]
+
+
+def overlap_charts(monkeypatch, a, b):
+    # chart b reports chart a's outside positions for the same diagram:
+    # every chart's set keeps its |mu| distinct positions, but a triple
+    # with boxes at both points has fewer than k monomials outside
+    real = gotzmann._chart_positions
+    monkeypatch.setattr(
+        gotzmann,
+        "_chart_positions",
+        lambda chart, parts, k: real(a if chart == b else chart, parts, k),
+    )
 
 
 def hilb_points(k):
@@ -260,6 +276,142 @@ class TestHilbRoute:
             poincare_of_hilb(3)
 
 
+class TestFullSetRoute:
+    def test_routes_agree(self):
+        for k in range(1, 11):
+            triples = enumerate_hilb_fixed_points(k)
+            for g in (k + 1, k + 2, k + 3):
+                action = build_torus_action(k, g)
+                table = hilb_betti(k, action)
+                expected = filtration_betti(triples, action=action)
+                assert table.betti == expected.betti, (k, g)
+                assert table.fixed_points == expected.fixed_points == len(triples)
+
+    def test_against_goettsche_product(self):
+        for k in range(1, 21):
+            table = hilb_betti(k)
+            assert list(table.betti) == goettsche_betti(k, 2 * k)
+            assert table.fixed_points == sum(table.betti)
+
+    @pytest.mark.slow
+    def test_against_goettsche_product_k25(self):
+        assert list(hilb_betti(25).betti) == goettsche_betti(25, 50)
+
+    def test_walks_each_chart_once_and_builds_no_triple(self, monkeypatch):
+        # every (chart, diagram) pair with at most 9 boxes, 3 * 97 = 291 of
+        # them, is walked once, and no triple is listed or built
+        walked = {"_chart_tangent_weights": [], "_chart_positions": []}
+        for name, calls in walked.items():
+            real = getattr(gotzmann, name)
+
+            def counting(*args, real=real, calls=calls):
+                calls.append(args[:2])
+                return real(*args)
+
+            monkeypatch.setattr(gotzmann, name, counting)
+        built = []
+        real_init = PartitionTriple.__init__
+
+        def building(self, *parts):
+            built.append(parts)
+            real_init(self, *parts)
+
+        monkeypatch.setattr(PartitionTriple, "__init__", building)
+
+        def listing(k):
+            raise AssertionError("the full-set route listed the fixed points")
+
+        monkeypatch.setattr(gotzmann, "enumerate_hilb_fixed_points", listing)
+        diagrams = sum(len(partitions_in_box(s, s, s)) for s in range(10))
+        assert 3 * diagrams == 291
+        for _ in range(2):
+            for calls in walked.values():
+                calls.clear()
+            expected = []
+            for b in goettsche_betti(9, 18):
+                expected += [b, 0]
+            assert poincare_of_hilb(9).coefficient_list() == expected[:-1]
+            assert {name: len(calls) for name, calls in walked.items()} == {
+                "_chart_tangent_weights": 291,
+                "_chart_positions": 291,
+            }
+            assert len(set(walked["_chart_positions"])) == 291
+        assert built == []
+
+    def test_invalid_degree(self):
+        for k in (0, -1):
+            with pytest.raises(InvalidDegree):
+                hilb_betti(k)
+            with pytest.raises(InvalidDegree):
+                hilb_betti(k, build_torus_action(2))
+        for j in (1, 2, 3, 5):
+            with pytest.raises(InvalidDegree):
+                hilb_betti(4, build_torus_action(j))
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (1, 2)])
+    def test_overlapping_charts_caught(self, monkeypatch, a, b):
+        overlap_charts(monkeypatch, a, b)
+        for k in range(1, 6):
+            for chart in range(3):
+                for s in range(k + 1):
+                    for mu in partitions_in_box(s, s, s):
+                        positions = gotzmann._chart_positions(chart, mu.parts, k)
+                        assert len(set(positions)) == s
+        for k in (2, 3, 5):
+            with pytest.raises(InternalInvariantViolation):
+                filtration_betti(enumerate_hilb_fixed_points(k))
+            with pytest.raises(InternalInvariantViolation) as caught:
+                poincare_of_hilb(k)
+            # the message names a triple with boxes at both charts, whose
+            # image really has too few monomials outside
+            triple = PartitionTriple.parse(str(caught.value).split(":")[0])
+            assert triple.size == k
+            assert triple.parts[a].size and triple.parts[b].size
+            with pytest.raises(InternalInvariantViolation):
+                outside_positions(triple, k)
+        # k = 1 has no triple with boxes at two points
+        assert hilb_betti(1).betti == (1, 1, 1)
+
+    def test_overlap_of_small_diagrams_caught(self, monkeypatch):
+        # at k = 5 no diagram of at most 5 boxes, in any chart, reaches
+        # X_0 X_1^2 X_2^2; putting it outside for (1,) at both X_0 and X_1
+        # makes only that pair overlap, and its sizes add up to 2 < k, so
+        # the check must compare unions over all smaller sizes
+        k, basis = 5, monomial_basis(5)
+        stray = basis.monomials.index((1, 2, 2)) + 1
+        real = gotzmann._chart_positions
+        for chart in range(3):
+            for s in range(k + 1):
+                for mu in partitions_in_box(s, s, s):
+                    assert stray not in real(chart, mu.parts, k)
+
+        def stray_positions(chart, parts, k):
+            if chart < 2 and parts == (1,):
+                return [stray]
+            return real(chart, parts, k)
+
+        monkeypatch.setattr(gotzmann, "_chart_positions", stray_positions)
+        with pytest.raises(InternalInvariantViolation):
+            filtration_betti(enumerate_hilb_fixed_points(k))
+        with pytest.raises(InternalInvariantViolation) as caught:
+            poincare_of_hilb(k)
+        triple = PartitionTriple.parse(str(caught.value).split(":")[0])
+        assert triple.parts[:2] == (Partition((1,)), Partition((1,)))
+
+    def test_dropped_position_names_a_failing_triple(self, monkeypatch):
+        real = gotzmann._chart_positions
+        monkeypatch.setattr(
+            gotzmann, "_chart_positions", lambda *args: real(*args)[:-1]
+        )
+        for k in (2, 4):
+            with pytest.raises(InternalInvariantViolation) as caught:
+                hilb_betti(k)
+            triple = PartitionTriple.parse(str(caught.value).split(":")[0])
+            assert triple.size == k
+            with pytest.raises(InternalInvariantViolation):
+                outside_positions(triple, k)
+
+
 class TestBettiTable:
     def test_poincare_t_interleaves(self):
         table = BettiTable((1, 2, 1), 4)
@@ -320,7 +472,7 @@ class TestPoincareOfHilb:
             assert poincare_of_hilb(k)(1) == len(enumerate_hilb_fixed_points(k))
 
     def test_against_goettsche_product(self):
-        for k in range(1, 17):
+        for k in range(1, 21):
             expected = []
             for b in goettsche_betti(k, 2 * k):
                 expected += [b, 0]

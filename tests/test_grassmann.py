@@ -163,6 +163,12 @@ class TestPoincareFromCells:
     def test_k_zero(self):
         assert poincare_from_cells(WeightSystem.principal(3), 0).coeffs == (1,)
 
+    def test_rejects_bad_dims(self):
+        # the same check as enumerate_fixed_subspaces, which it no longer calls
+        for k in (-1, 4):
+            with pytest.raises(InvalidDimensions):
+                poincare_from_cells(WeightSystem.principal(3), k)
+
     @settings(deadline=None, max_examples=25)
     @given(st.permutations([3, -1, 4, 1, -5, 9]))
     def test_weight_choice_irrelevant(self, weights):
