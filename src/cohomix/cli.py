@@ -17,7 +17,6 @@ from .equivariant import localization_rank_check
 from .errors import InternalInvariantViolation
 from .filtration import (
     b2_regularity_verdict,
-    filtration_betti,
     hilb_betti,
     poincare_of_hilb,
     select_schur_basis,
@@ -119,7 +118,7 @@ def _cmd_hilb_betti(args):
 def _cmd_hilb_schur_basis(args):
     triples = enumerate_hilb_fixed_points(args.k)
     action = build_torus_action(args.k)
-    betti = filtration_betti(triples, action=action).betti
+    betti = hilb_betti(args.k, action).betti
     images = [degree_k_part(t, args.k) for t in triples]
     selection = select_schur_basis(
         images, action.weight_system(), p_max=2 * args.k, expected_betti=betti

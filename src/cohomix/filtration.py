@@ -12,8 +12,11 @@ point handed in:
 * Hilbert-scheme partition triples: the cell route.  Each fixed point
   carries an attracting cell whose dimension is the number of negative
   tangent weights, and the cell dimensions count Betti numbers directly.
-  For the whole fixed set of degree k, hilb_betti convolves per-chart
-  counts instead and never builds a triple.
+  A cell dimension is a sum of three chart counts, read from one table,
+  gotzmann.chart_tables, that checks every Gotzmann image of degree k:
+  hilb_betti convolves its counts and never builds a triple, and
+  filtration_betti of any list of triples, however short, pays for the
+  whole table.
 
 Betti numbers, the greedy Schur basis and the localization rank all read
 the one Schur-rank loop, schur_rank_steps, which stops evaluating at the
@@ -38,9 +41,9 @@ from .algebra import (
 from .errors import BoxViolation, InvalidDegree
 from .gotzmann import (
     PartitionTriple,
-    _full_set_betti,
+    _check_degree,
     build_torus_action,
-    cell_dimensions,
+    chart_tables,
 )
 from .grassmann import FixedSubspace
 
@@ -127,12 +130,15 @@ def filtration_betti(points, ws=None, p_max=None, action=None):
     area k(n-k)).
 
     Hilbert-scheme partition triples of total size k: b_p, for p = 0..2k,
-    counts fixed points whose attracting cell has dimension p, computed
-    from the tangent weights of the torus action (default:
-    build_torus_action(k)), each (chart, diagram) counted once per call.
-    An action for another degree, or triples of mixed total size, raise
-    InvalidDegree.  cell_dimensions checks every Gotzmann image as it counts:
-    other than k degree-k monomials outside raises InternalInvariantViolation.
+    counts the given fixed points whose attracting cell has dimension p,
+    computed from the tangent weights of the torus action (default:
+    build_torus_action(k)).  An action for another degree, or triples of
+    mixed total size, raise InvalidDegree.  The counts are read from
+    gotzmann.chart_tables, which walks every (chart, diagram) with at most
+    k boxes once per call, whatever the number of triples, and checks the
+    Gotzmann image of every fixed point of degree k, not only the given
+    ones: other than k degree-k monomials outside, for any of them, raises
+    InternalInvariantViolation.
     """
     points = list(points)
     if _is_triple_list(points):
@@ -150,10 +156,13 @@ def filtration_betti(points, ws=None, p_max=None, action=None):
 
 
 def _cell_betti(triples, action):
-    k = triples[0].size
-    betti = [0] * (2 * k + 1)
-    for dimension in cell_dimensions(triples, action or build_torus_action(k)):
-        betti[dimension] += 1
+    action = action or build_torus_action(triples[0].size)
+    for triple in triples:
+        _check_degree(triple, action)
+    tables = chart_tables(action)
+    betti = [0] * (2 * action.k + 1)
+    for triple in triples:
+        betti[sum(table[mu.parts] for table, mu in zip(tables, triple.parts))] += 1
     return BettiTable(betti, len(triples))
 
 
@@ -254,14 +263,35 @@ def select_schur_basis(points, ws, p_max=None, expected_betti=None):
 def hilb_betti(k, action=None):
     """Cell-route Betti table of Hilb_k(P^2), the same as filtration_betti
     of all its fixed points, under the torus action (default:
-    build_torus_action(k)), but read off per-chart tables by convolution,
-    with every Gotzmann image checked and no triple built.  k < 1, or an
-    action for another degree, raises InvalidDegree.
+    build_torus_action(k)), but with no triple built.  k < 1, or an action
+    for another degree, raises InvalidDegree.
+
+    With H_c,s(q) the sum of q^count over chart c's diagrams of size s in
+    gotzmann.chart_tables, which checks every Gotzmann image, the cell
+    polynomial is the sum over s0 + s1 + s2 = k of H_0,s0 * H_1,s1 *
+    H_2,s2: first G_s = sum H_0,s0 * H_1,s-s0, then sum G_s * H_2,k-s.
 
     >>> hilb_betti(2)
     BettiTable(betti=(1, 2, 3, 2, 1), fixed_points=9)
     """
-    betti = _full_set_betti(k, action or build_torus_action(k))
+    if k < 1:
+        raise InvalidDegree("k must be at least 1, got %d" % k)
+    action = action or build_torus_action(k)
+    if action.k != k:
+        raise InvalidDegree("torus action built for k=%d, expected k=%d" % (action.k, k))
+    charts = []
+    for table in chart_tables(action):
+        # counts[s][c]: the chart's diagrams of size s with count c
+        counts = [[0] * (2 * s + 1) for s in range(k + 1)]
+        for parts, count in table.items():
+            counts[sum(parts)][count] += 1
+        charts.append([IntegerPolynomial(c) for c in counts])
+    h0, h1, h2 = charts
+    poly = IntegerPolynomial()
+    for s in range(k + 1):
+        g = sum((h0[s0] * h1[s - s0] for s0 in range(s + 1)), IntegerPolynomial())
+        poly += g * h2[k - s]
+    betti = [poly.coefficient(p) for p in range(2 * k + 1)]
     return BettiTable(betti, sum(betti))
 
 

@@ -246,14 +246,10 @@ def outside_positions(triple, k):
     found = set()
     for chart, mu in enumerate(triple.parts):
         found.update(_chart_positions(chart, mu.parts, k))
-    _check_outside(triple, found, k)
-    return tuple(sorted(found))
-
-
-def _check_outside(triple, found, k):
     if len(found) != k:
         message = "%s leaves %d degree-%d monomials outside its ideal, expected %d"
         raise InternalInvariantViolation(message % (triple, len(found), k, k))
+    return tuple(sorted(found))
 
 
 def degree_k_part(triple, k):
@@ -302,17 +298,6 @@ def _chart_tangent_weights(mu, phi_u, phi_w):
             yield leg * phi_u - (arm + 1) * phi_w
 
 
-def _chart_entry(chart, mu, phis, k):
-    # (negative tangent-weight count, outside positions) of one chart's
-    # diagram, or None when one of its tangent weights is zero.
-    count = 0
-    for w in _chart_tangent_weights(mu, *phis):
-        if not w:
-            return None
-        count += w < 0
-    return count, _chart_positions(chart, mu.parts, k)
-
-
 def _not_generic(triple):
     return InternalInvariantViolation(
         "zero tangent weight at %s; torus action is not generic" % (triple,)
@@ -346,31 +331,6 @@ def tangent_weights(triple, action):
     return weights
 
 
-def cell_dimensions(triples, action):
-    """Yield hilb_minus_cell_dimension of each triple, under one action,
-    and check its Gotzmann image as outside_positions does.  A chart's
-    negative count and outside positions depend only on (chart, diagram),
-    so each is worked out once per call, in that chart's table keyed by
-    the diagram's parts.  A zero weight or an action for another k raises
-    as tangent_weights does."""
-    k, phis = action.k, _chart_weights(action)
-    tables = ({}, {}, {})
-    for triple in triples:
-        _check_degree(triple, action)
-        dimension, found = 0, set()
-        for chart, mu in enumerate(triple.parts):
-            entry = tables[chart].get(mu.parts)
-            if entry is None:
-                entry = _chart_entry(chart, mu, phis[chart], k)
-                if entry is None:
-                    raise _not_generic(triple)
-                tables[chart][mu.parts] = entry
-            dimension += entry[0]
-            found.update(entry[1])
-        _check_outside(triple, found, k)
-        yield dimension
-
-
 def _witness(k, placed):
     # A fixed point of total size k with the given {chart: diagram}, its
     # other boxes in one row at the first chart left free.
@@ -378,14 +338,6 @@ def _witness(k, placed):
     rest = k - sum(mu.size for mu in placed.values())
     parts[min({0, 1, 2} - placed.keys())] = (rest,) if rest else ()
     return PartitionTriple(*parts)
-
-
-def _add_product(acc, f, g):
-    # acc += f * g, on coefficient lists in q
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                acc[i + j] += a * b
 
 
 def _check_charts_disjoint(k, masks):
@@ -409,48 +361,41 @@ def _check_charts_disjoint(k, masks):
                         )
 
 
-def _full_set_betti(k, action):
-    """[b_0, ..., b_2k]: the number of fixed points of Hilb_k(P^2) whose
-    cell has dimension p, each Gotzmann image checked, from per-chart
-    tables alone, with no triple built.
+def chart_tables(action):
+    """The negative tangent-weight count of every diagram with at most
+    k = action.k boxes at each coordinate point: one dict per chart, keyed
+    by the diagram's parts.  A fixed point's cell dimension is the sum of
+    its three charts' counts.  Each (chart, diagram) is walked once per
+    call, and nothing is kept between calls.
 
-    A triple's cell dimension is a sum of chart terms, so with
-    H_c,s(q) = sum over diagrams mu of size s of q^(chart c's negative
-    count), the cell polynomial is the sum over s0 + s1 + s2 = k of
-    H_0,s0 * H_1,s1 * H_2,s2: first G_s = sum H_0,s0 * H_1,s-s0, then
-    sum G_s * H_2,k-s.  Each (chart, diagram) of size at most k is walked
-    once.
-
-    A triple's image has exactly k monomials outside when each chart's
-    diagram puts |mu| distinct ones outside and no two charts share one.
-    Diagrams (chart a, mu) and (chart b, nu) share a triple exactly when
+    Every Gotzmann image of degree k is checked on the way.  A triple's
+    image has exactly k monomials outside when each chart's diagram puts
+    |mu| distinct ones outside and no two charts share one.  Diagrams
+    (chart a, mu) and (chart b, nu) share a triple exactly when
     |mu| + |nu| <= k, so each (chart a, mu) is checked against the union
     of chart b's positions over diagrams of size at most k - |mu|.  A
     failed check or a zero weight raises InternalInvariantViolation
-    naming a triple that meets it; an action for another k raises
-    InvalidDegree.
+    naming a triple that meets it.
 
-    >>> _full_set_betti(2, build_torus_action(2))
-    [1, 2, 3, 2, 1]
+    >>> chart_tables(build_torus_action(1))
+    ({(): 0, (1,): 0}, {(): 0, (1,): 1}, {(): 0, (1,): 2})
     """
-    if k < 1:
-        raise InvalidDegree("k must be at least 1, got %d" % k)
-    if action.k != k:
-        raise InvalidDegree("torus action built for k=%d, expected k=%d" % (action.k, k))
+    k = action.k
     of_size = [partitions_in_box(s, s, s) for s in range(k + 1)]
-    # polys[c][s] is H_c,s; masks[c][s] pairs each diagram of size s with
-    # its chart-c outside positions as a bit mask
-    polys, masks = [], []
+    tables, masks = [], []
     for chart, phis in enumerate(_chart_weights(action)):
-        polys.append([[0] * (2 * s + 1) for s in range(k + 1)])
-        masks.append([[] for _ in range(k + 1)])
+        # masks[chart][s] pairs each diagram of size s with its outside
+        # positions as a bit mask
+        table, by_size = {}, [[] for _ in of_size]
         for s, diagrams in enumerate(of_size):
             for mu in diagrams:
-                entry = _chart_entry(chart, mu, phis, k)
-                if entry is None:
-                    raise _not_generic(_witness(k, {chart: mu}))
+                count = 0
+                for w in _chart_tangent_weights(mu, *phis):
+                    if not w:
+                        raise _not_generic(_witness(k, {chart: mu}))
+                    count += w < 0
                 mask = 0
-                for position in entry[1]:
+                for position in _chart_positions(chart, mu.parts, k):
                     mask |= 1 << position
                 distinct = mask.bit_count()
                 if distinct != s:
@@ -458,23 +403,21 @@ def _full_set_betti(k, action):
                         "%s: chart %s puts %d distinct degree-%d monomials outside, expected %d"
                         % (_witness(k, {chart: mu}), _CHART_NAMES[chart], distinct, k, s)
                     )
-                polys[chart][s][entry[0]] += 1
-                masks[chart][s].append((mu, mask))
+                table[mu.parts] = count
+                by_size[s].append((mu, mask))
+        tables.append(table)
+        masks.append(by_size)
     _check_charts_disjoint(k, masks)
-    h0, h1, h2 = polys
-    betti = [0] * (2 * k + 1)
-    for s in range(k + 1):
-        g = [0] * (2 * s + 1)
-        for s0 in range(s + 1):
-            _add_product(g, h0[s0], h1[s - s0])
-        _add_product(betti, g, h2[k - s])
-    return betti
+    return tuple(tables)
 
 
 def hilb_minus_cell_dimension(triple, action):
     """Number of negative tangent weights, the dimension of the cell flowing
-    in under t -> 0: one-triple cell_dimensions, Gotzmann image checked."""
-    return next(cell_dimensions([triple], action))
+    in under t -> 0, after the Gotzmann image is checked as
+    outside_positions does."""
+    negative = sum(w < 0 for w in tangent_weights(triple, action))
+    outside_positions(triple, action.k)
+    return negative
 
 
 def nilpotent_matrix_on_Rk(k, basis_order=None):

@@ -11,12 +11,11 @@ from cohomix.errors import (
     InternalInvariantViolation,
     InvalidDegree,
 )
-from cohomix.filtration import poincare_of_hilb
+from cohomix.filtration import filtration_betti, poincare_of_hilb
 from cohomix.gotzmann import (
     PartitionTriple,
     TorusAction,
     build_torus_action,
-    cell_dimensions,
     degree_k_part,
     enumerate_hilb_fixed_points,
     hilb_minus_cell_dimension,
@@ -95,6 +94,14 @@ def reference_negative_count(triple, action):
                         return None
                     negative += w < 0
     return negative
+
+
+def count_histogram(triples, action, k):
+    # b_p: how many of the triples have reference_negative_count p
+    betti = [0] * (2 * k + 1)
+    for t in triples:
+        betti[reference_negative_count(t, action)] += 1
+    return tuple(betti)
 
 
 def partitions_count(m):
@@ -325,8 +332,20 @@ class TestTangentWeights:
         for k in range(1, 7):
             triples = enumerate_hilb_fixed_points(k)
             for action in (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1)):
-                expected = [reference_negative_count(t, action) for t in triples]
-                assert list(cell_dimensions(triples, action)) == expected
+                expected = count_histogram(triples, action, k)
+                table = filtration_betti(triples, action=action)
+                assert table.betti == expected
+                assert table.fixed_points == len(triples)
+
+    def test_a_subset_counts_only_its_own_triples(self):
+        # every other fixed point of k = 6: the table covers every chart,
+        # but only the given triples are counted
+        k = 6
+        triples = enumerate_hilb_fixed_points(k)[::2]
+        for action in (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1)):
+            table = filtration_betti(triples, action=action)
+            assert table.betti == count_histogram(triples, action, k)
+            assert table.fixed_points == len(triples) == 111
 
     def test_interleaved_actions_and_degrees_answer_independently(self):
         # no call keeps chart data for the next one: alternating two actions
@@ -342,6 +361,15 @@ class TestTangentWeights:
                 everything = set(range(1, len(monomial_basis(k)) + 1))
                 expected = tuple(sorted(everything - set(reference_padded_scan(t, k))))
                 assert outside_positions(t, k) == expected
+
+    def test_gotzmann_image_checked_per_triple(self, monkeypatch):
+        # a chart that loses an outside monomial leaves k - 1 of them
+        real = gotzmann._chart_positions
+        monkeypatch.setattr(gotzmann, "_chart_positions", lambda *args: real(*args)[:-1])
+        action = build_torus_action(3)
+        for t in enumerate_hilb_fixed_points(3):
+            with pytest.raises(InternalInvariantViolation):
+                hilb_minus_cell_dimension(t, action)
 
     def test_chart_zero_weight_signalled(self):
         triple = PartitionTriple.parse("2;;1")

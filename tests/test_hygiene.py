@@ -111,3 +111,52 @@ def test_every_cache_is_bounded():
         if (lines := unbounded_caches(p.read_text(encoding="utf-8")))
     }
     assert unbounded == {}
+
+
+def module_definitions(source):
+    """Names of the source's module-level functions and classes, in
+    order of appearance."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in ast.parse(source).body if isinstance(node, kinds)]
+
+
+def names_read(source):
+    """Every name the source reads, as an `ast.Name` or as the attribute
+    of an `ast.Attribute`."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_reader_sees_definitions_and_reads():
+    source = (
+        "import m\n"
+        "def a(): return b()\n"
+        "def b(): pass\n"
+        "class C:\n    def d(self): pass\n"
+        "async def e(): pass\n"
+        "f = 1\n"
+        "m.g()\n"
+        "h = m.i\n"
+    )
+    assert module_definitions(source) == ["a", "b", "C", "e"]
+    assert names_read(source) == {"b", "m", "g", "i"}
+
+
+def test_every_function_and_class_has_a_reader():
+    import cohomix
+
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    sources = {p.name: p.read_text(encoding="utf-8") for p in modules}
+    read = set().union(*map(names_read, sources.values())) | set(cohomix.__all__)
+    orphans = {
+        name: unread
+        for name, source in sources.items()
+        if (unread := [d for d in module_definitions(source) if d not in read])
+    }
+    assert orphans == {}
