@@ -3,16 +3,17 @@
 Partitions, Schur polynomial evaluation, fraction-free rank computation,
 Jordan types of nilpotent matrices, cyclotomic factor stripping, and two
 small polynomial containers.  The kernel is integer: Schur values are
-small integer determinants and RowSpace reduces integer rows.
-fractions.Fraction appears only at the API edge, for rational points and
-rows, which are scaled to integers once on the way in.  Nothing in this
-package touches floating point: a float point, row or matrix entry
-raises TypeError.
+small integer determinants and RowSpace reduces sparse integer rows,
+each a dict of its nonzero entries.  fractions.Fraction appears only at
+the API edge, for rational points and rows, which are scaled to integers
+once on the way in.  Nothing in this package touches floating point: a
+float point, row or matrix entry raises TypeError.
 """
 
-from bisect import insort
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import index
 
@@ -118,14 +119,20 @@ def partitions_in_box(max_parts, max_part, size):
             return out
 
 
-def _clear_denominators(values):
-    # (D, [D * x for x in values]) with D the lcm of the denominators: the
-    # integer form of a point or a row of ints and Fractions.
+def _common_denominator(values):
+    # The lcm of the denominators of ints and Fractions; TypeError for
+    # anything else, floats included.
     try:
-        den = lcm(*[x.denominator for x in values])
+        return lcm(*[x.denominator for x in values])
     except AttributeError:
         bad = next(x for x in values if not hasattr(x, "denominator"))
         raise TypeError("expected int or Fraction entries, got %s" % type(bad).__name__) from None
+
+
+def _clear_denominators(values):
+    # (D, [D * x for x in values]) with D the common denominator: the
+    # integer form of a point or a relation's coefficients.
+    den = _common_denominator(values)
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
@@ -262,19 +269,26 @@ def schur_evaluate(mu, points):
 
 
 class RowSpace:
-    """Incremental exact row space of int or Fraction rows.
+    """Incremental exact row space of int or Fraction rows, kept sparse.
 
+    A row is a sequence of `width` entries or a mapping {column: entry}.
     Each added row is cleared to integers once, from the numerators and
-    denominators of its entries, then reduced fraction-free against the
-    stored integer echelon rows and stripped of its content, which keeps
-    the integers small even for hundreds of rows of Schur values.
+    denominators of its entries, and held as a dict {column: int} of its
+    nonzero entries.  While its leading column is the pivot of a stored
+    row, it is reduced fraction-free by that row, each step touching
+    only the stored row's entries and scaling the incoming row only when
+    the stored pivot does not divide the entry it clears.  A row that
+    comes out nonzero is stripped of its content, which keeps the
+    integers small even for hundreds of rows of Schur values, and kept
+    with its leading column as pivot: it holds only entries at or after
+    the pivot.
     """
 
     __slots__ = ("width", "_rows")
 
     def __init__(self, width):
         self.width = width
-        self._rows = []  # (pivot column, integer row), sorted by pivot
+        self._rows = {}  # pivot column: {column: int}
 
     @property
     def rank(self):
@@ -285,23 +299,50 @@ class RowSpace:
 
         Returns True when the rank grew.
         """
-        if len(row) != self.width:
+        if isinstance(row, Mapping):
+            if not all(map(range(self.width).__contains__, row)):
+                raise ValueError("row columns must lie in 0..%d" % (self.width - 1))
+            items = row.items()
+            den = _common_denominator(row.values())
+        elif len(row) != self.width:
             raise ValueError("row width %d, expected %d" % (len(row), self.width))
-        _, r = _clear_denominators(row)
-        for pc, prow in self._rows:
-            if r[pc] != 0:
-                a, b = prow[pc], r[pc]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
-                r = [ma * x - mb * y for x, y in zip(r, prow)]
-        content = gcd(*r)
-        if content == 0:
+        else:
+            items = enumerate(row)
+            den = _common_denominator(row)
+        r = {c: x.numerator * (den // x.denominator) for c, x in items if x}
+        rows = self._rows
+        heap = list(r)  # r's columns, smallest first; cleared ones are skipped
+        heapify(heap)
+        while heap:
+            pc = heappop(heap)
+            if pc not in r:
+                continue
+            if pc not in rows:
+                break
+            prow = rows[pc]
+            a, b = prow[pc], r[pc]
+            g = gcd(a, b)
+            ma, mb = a // g, b // g
+            if ma != 1:
+                r = {c: ma * x for c, x in r.items()}
+            for c, y in prow.items():
+                if c in r:
+                    x = r[c] - mb * y
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
+                else:
+                    r[c] = -mb * y
+                    heappush(heap, c)
+        if not r:
             return False
-        r = [x // content for x in r]
-        pc = next(i for i, x in enumerate(r) if x != 0)
+        content = gcd(*r.values())
         if r[pc] < 0:
-            r = [-x for x in r]
-        insort(self._rows, (pc, r), key=lambda t: t[0])
+            content = -content
+        if content != 1:
+            r = {c: x // content for c, x in r.items()}
+        rows[pc] = r
         return True
 
 

@@ -13,9 +13,9 @@ equivariant lift over a degree-one class v.
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import index
+from operator import index, mul
 
-from .algebra import IntegerPolynomial, MultiPoly, RowSpace
+from .algebra import IntegerPolynomial, MultiPoly, RowSpace, _clear_denominators
 from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions
 
 
@@ -328,23 +328,15 @@ def specialize_v(presentation, value=0):
 
 
 def _weighted_monomials(degrees, d):
-    # All exponent tuples with the given total weighted degree.
-    out = []
-
-    def rec(pos, remaining, prefix):
-        if pos == len(degrees):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = degrees[pos]
-        top = remaining // w
-        for e in range(top + 1):
-            prefix.append(e)
-            rec(pos + 1, remaining - e * w, prefix)
-            prefix.pop()
-
-    rec(0, d, [])
-    return out
+    # All exponent tuples with the given total weighted degree, in
+    # lexicographic order.  The last exponent is solved for, not searched.
+    if not degrees:
+        return [()] if d == 0 else []
+    *head, last = degrees
+    partial = [((), d)]  # (leading exponents, degree left for the rest)
+    for w in head:
+        partial = [(p + (e,), rest - e * w) for p, rest in partial for e in range(rest // w + 1)]
+    return [p + (rest // last,) for p, rest in partial if rest % last == 0]
 
 
 def _substitute(rel, x, value):
@@ -414,25 +406,44 @@ def _eliminate_linear(variables, degrees, relations):
     )
 
 
+@lru_cache(maxsize=128)
+def _prepared_relations(presentation):
+    # (degree, ((exponents, integer coefficient), ...)) per nonzero
+    # relation, each relation scaled by the lcm of its denominators.
+    # Keyed by the presentation object, which _eliminate_linear's cache
+    # hands back for an equal presentation.
+    out = []
+    for rel in presentation.relations:
+        if not rel.is_zero():
+            _, coeffs = _clear_denominators(list(rel.terms.values()))
+            rd = rel.homogeneous_degree(presentation.degrees)
+            out.append((rd, tuple(zip(rel.terms, coeffs))))
+    return tuple(out)
+
+
 def _macaulay_dimension(presentation, d):
     # Monomials of weighted degree d, minus the rank of the span of the
-    # (monomial x relation) products landing in degree d.
+    # (monomial x relation) products landing in degree d.  A monomial is
+    # coded as a mixed-radix int in base d + 1: no exponent of a monomial
+    # of degree at most d exceeds d, so a product that lands in degree d
+    # has the sum of its factors' codes.
     degrees = presentation.degrees
     monomials = _weighted_monomials(degrees, d)
     if not monomials:
         return 0
-    column = {m: pos for pos, m in enumerate(monomials)}
+    powers = [(d + 1) ** i for i in range(len(degrees))]
+
+    def code(exps):
+        return sum(map(mul, exps, powers))
+
+    column = {code(m): pos for pos, m in enumerate(monomials)}
     space = RowSpace(len(monomials))
-    for rel in presentation.relations:
-        rd = rel.homogeneous_degree(degrees)
-        if rel.is_zero() or rd > d:
+    for rd, terms in _prepared_relations(presentation):
+        if rd > d:
             continue
-        for shift in _weighted_monomials(degrees, d - rd):
-            row = [0] * len(monomials)
-            for exps, c in rel.terms.items():
-                key = tuple(a + b for a, b in zip(exps, shift))
-                row[column[key]] = c
-            space.add(row)
+        terms = [(code(e), c) for e, c in terms]
+        for shift in map(code, _weighted_monomials(degrees, d - rd)):
+            space.add({column[t + shift]: c for t, c in terms})
     return len(monomials) - space.rank
 
 
@@ -444,9 +455,11 @@ def graded_dimension(presentation, d):
     _eliminate_linear), which takes Gr's k(n-k) generators down to k.
     Then counts monomials of weighted degree d on what is left and
     subtracts the rank of the span of (monomial x relation) products
-    landing in degree d.  Exact: the RowSpace rank clears each row to
-    integers once.  Raises InvalidDegree for d < 0 and, at every d, for a
-    presentation that is not homogeneous.
+    landing in degree d.  Each product goes to the RowSpace as a sparse
+    {column: int} row, read off the relation's terms, which are cleared
+    to integers once per presentation, so the rank is exact.  Raises
+    InvalidDegree for d < 0 and, at every d, for a presentation that is
+    not homogeneous.
     """
     if d < 0:
         raise InvalidDegree("degree must be nonnegative, got %d" % d)

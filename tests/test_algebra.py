@@ -278,6 +278,7 @@ class TestSchurPartitionInput:
         lambda: RationalMatrix([[0.1, 1]]),
         lambda: schur_evaluate((1,), (1.5, 2)),
         lambda: RowSpace(2).add([1.5, 2]),
+        lambda: RowSpace(2).add({0: 1.5}),
         lambda: matrix_rank([[0.1, 1]]),
     ],
     ids=[
@@ -296,6 +297,7 @@ class TestSchurPartitionInput:
         "RationalMatrix",
         "schur_evaluate",
         "RowSpace.add",
+        "RowSpace.add-mapping",
         "matrix_rank",
     ],
 )
@@ -357,6 +359,38 @@ class TestRankAndRowSpace:
         assert not space.add([2, 0, 0])
         assert space.add([Fraction(1, 3), 1, 0])
         assert space.rank == 2
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_dense_and_mapping_rows_agree(self, data):
+        width = data.draw(st.integers(1, 7))
+        entry = st.one_of(
+            st.integers(-9, 9),
+            st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        )
+        rows = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            # each row keeps a random subset of its columns
+            mask = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+            rows.append([data.draw(entry) if keep else 0 for keep in mask])
+        for _ in range(data.draw(st.integers(0, 3))):
+            # planted dependent row: a rational combination of two rows
+            i, j = data.draw(st.tuples(*[st.integers(0, len(rows) - 1)] * 2))
+            a, b = data.draw(st.tuples(entry, entry))
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        rows = data.draw(st.permutations(rows))
+        dense, sparse = RowSpace(width), RowSpace(width)
+        for row in rows:
+            # the mapping lists its columns in any order, zeros or not
+            items = [(c, x) for c, x in enumerate(row) if x or data.draw(st.booleans())]
+            mapping = dict(data.draw(st.permutations(items)))
+            assert dense.add(row) == sparse.add(mapping)
+        assert dense.rank == sparse.rank == sympy.Matrix(rows).rank()
+
+    @pytest.mark.parametrize("row", [{3: 1}, {-1: 1}, {0: 1, 5: 2}])
+    def test_mapping_column_outside_width_rejected(self, row):
+        with pytest.raises(ValueError):
+            RowSpace(3).add(row)
 
 
 class TestJordanType:

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from cohomix.algebra import IntegerPolynomial, MultiPoly
 from cohomix.errors import (
@@ -19,6 +20,7 @@ from cohomix.grassmann import (
     GradedPresentation,
     _eliminate_linear,
     _macaulay_dimension,
+    _weighted_monomials,
     WeightSystem,
     enumerate_fixed_subspaces,
     equivariant_presentation,
@@ -297,10 +299,15 @@ class TestGradedDimension:
         pres = ordinary_presentation(7, 3)
         assert graded_dimensions(pres, 12) == gaussian_binomial(7, 3)
 
-    @pytest.mark.parametrize("n, k", [(8, 3), (9, 3), (10, 4)])
+    @pytest.mark.parametrize("n, k", [(8, 3), (9, 3), (10, 4), (11, 4)])
     def test_full_profile_matches_gaussian(self, n, k):
         pres = ordinary_presentation(n, k)
         assert graded_dimensions(pres, k * (n - k)) == gaussian_binomial(n, k)
+
+    @pytest.mark.slow
+    def test_equivariant_gr84_to_degree_16(self):
+        sums = list(accumulate(gaussian_binomial(8, 4)))
+        assert graded_dimensions(equivariant_presentation(8, 4), 16) == sums[:17]
 
     def test_equivariant_gr63_full_profile(self):
         # H_T = H tensor Q[v], so degree d has dimension b_0 + ... + b_d
@@ -355,6 +362,95 @@ def _profile_both_routes(pres, top):
     )
 
 
+def _brute_monomials(degrees, d):
+    # every exponent in 0..d, kept when the weighted degree is d
+    return [
+        e for e in product(range(d + 1), repeat=len(degrees))
+        if sum(a * w for a, w in zip(e, degrees)) == d
+    ]
+
+
+def _dense_macaulay_dimension(pres, d):
+    # Built here, apart from the library: dense (monomial x relation) rows
+    # over brute-force monomials, ranked by sympy.
+    monomials = _brute_monomials(pres.degrees, d)
+    column = {m: pos for pos, m in enumerate(monomials)}
+    rows = []
+    for rel in pres.relations:
+        rd = rel.homogeneous_degree(pres.degrees)
+        if rel.is_zero() or rd > d:
+            continue
+        for shift in _brute_monomials(pres.degrees, d - rd):
+            row = [0] * len(monomials)
+            for exps, c in rel.terms.items():
+                row[column[tuple(a + b for a, b in zip(exps, shift))]] = c
+            rows.append(row)
+    return len(monomials) - (sympy.Matrix(rows).rank() if rows else 0)
+
+
+def _coefficient_two(c):
+    # c*x - y^2 and x*y, with deg x = 2 and deg y = 1
+    variables = ("x", "y")
+    return GradedPresentation(
+        variables,
+        (2, 1),
+        [
+            MultiPoly(variables, {(1, 0): c, (0, 2): -1}),
+            MultiPoly(variables, {(1, 1): 1}),
+        ],
+    )
+
+
+class TestMacaulayDimension:
+    @pytest.mark.parametrize(
+        "pres, top",
+        [
+            (_reduced(ordinary_presentation(4, 2)), 5),
+            (_reduced(ordinary_presentation(5, 2)), 7),
+            (_reduced(equivariant_presentation(4, 2)), 6),
+            (_reduced(equivariant_presentation(5, 2)), 8),
+            (equivariant_presentation(4, 2), 6),
+            (_coefficient_two(2), 5),
+            (_coefficient_two(-2), 5),
+            (_reduced(_coefficient_two(2)), 5),
+            (_reduced(_coefficient_two(-2)), 5),
+            # x^2 and y share degree 2: a monomial code in base d would
+            # give them one column
+            (GradedPresentation(("x", "y"), (1, 2), [
+                MultiPoly(("x", "y"), {(2, 0): 1}),
+                MultiPoly(("x", "y"), {(0, 1): 1}),
+            ]), 4),
+        ],
+        ids=[
+            "ordinary-4-2",
+            "ordinary-5-2",
+            "equivariant-4-2",
+            "equivariant-5-2",
+            "equivariant-4-2-unreduced",
+            "coefficient-2",
+            "coefficient-minus-2",
+            "coefficient-2-reduced",
+            "coefficient-minus-2-reduced",
+            "square-beside-degree-two",
+        ],
+    )
+    def test_matches_dense_sympy_rank(self, pres, top):
+        got = [_macaulay_dimension(pres, d) for d in range(top + 1)]
+        assert got == [_dense_macaulay_dimension(pres, d) for d in range(top + 1)]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.integers(1, 4), max_size=4).map(tuple), st.integers(0, 8))
+    @example((3,), 6)
+    @example((3,), 7)
+    @example((2, 2, 2), 4)
+    @example((1, 1), 0)
+    @example((2, 4), 3)  # no solution
+    @example((), 0)  # every variable eliminated
+    @example((), 2)
+    def test_weighted_monomials_brute_force(self, degrees, d):
+        assert _weighted_monomials(degrees, d) == _brute_monomials(degrees, d)
+
+
 class TestLinearElimination:
     def test_gr_reduces_to_k_variables(self):
         assert len(_reduced(ordinary_presentation(8, 3)).variables) == 3
@@ -400,15 +496,7 @@ class TestLinearElimination:
     @pytest.mark.parametrize("c", [2, -2])
     def test_coefficient_two(self, c):
         # c*x - y^2 with deg x = 2 gives x = y^2/c, so x*y becomes y^3/c
-        variables = ("x", "y")
-        pres = GradedPresentation(
-            variables,
-            (2, 1),
-            [
-                MultiPoly(variables, {(1, 0): c, (0, 2): -1}),
-                MultiPoly(variables, {(1, 1): 1}),
-            ],
-        )
+        pres = _coefficient_two(c)
         reduced = _reduced(pres)
         assert reduced.relations == (MultiPoly(("y",), {(3,): Fraction(1, c)}),)
         assert _profile_both_routes(pres, 4) == ([1, 1, 1, 0, 0],) * 2
