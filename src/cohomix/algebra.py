@@ -755,7 +755,8 @@ def coefficient_str(c):
 
 class MultiPoly:
     """Polynomial with Fraction coefficients over a fixed ordered tuple of
-    named variables.  Terms map exponent tuples to nonzero coefficients.
+    distinct named variables.  Terms map exponent tuples to nonzero
+    coefficients.
 
     `terms` is never mutated after construction: every operation builds a
     new MultiPoly.  So the hash, which is by value, is computed once, on
@@ -767,6 +768,8 @@ class MultiPoly:
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
         nv = len(self.variables)
+        if len(set(self.variables)) != nv:
+            raise ValueError("repeated variable name in %r" % (self.variables,))
         clean = {}
         for exps, c in (terms or {}).items():
             c = Fraction(c)
@@ -778,10 +781,6 @@ class MultiPoly:
             clean[exps] = c
         self.terms = clean
         self._hash = None
-
-    @classmethod
-    def zero(cls, variables):
-        return cls(variables)
 
     def is_zero(self):
         return not self.terms
@@ -831,18 +830,27 @@ class MultiPoly:
         return self._hash
 
     def substitute(self, name, value):
-        """Evaluate one variable at a rational constant and drop it."""
+        """Replace one variable by a rational constant, or by a MultiPoly
+        over the other variables in their order, and drop it.
+
+        >>> p = MultiPoly(("x", "y"), {(2, 0): 1, (0, 1): 3})
+        >>> p.substitute("y", 2).canonical_str()
+        '1*x^2 + 6'
+        >>> p.substitute("x", MultiPoly(("y",), {(1,): 1})).canonical_str()
+        '1*y^2 + 3*y'
+        """
         idx = self.variables.index(name)
-        value = Fraction(value)
         rest = self.variables[:idx] + self.variables[idx + 1 :]
-        out = {}
+        if not isinstance(value, MultiPoly):
+            value = MultiPoly(rest, {(0,) * len(rest): value})
+        by_power = {}
         for exps, c in self.terms.items():
-            factor = value ** exps[idx]
-            if factor == 0:
-                continue
-            key = exps[:idx] + exps[idx + 1 :]
-            out[key] = out.get(key, Fraction(0)) + c * factor
-        return MultiPoly(rest, out)
+            by_power.setdefault(exps[idx], {})[exps[:idx] + exps[idx + 1 :]] = c
+        # Horner's rule in the dropped variable, highest power first
+        out = MultiPoly(rest)
+        for a in range(max(by_power, default=0), -1, -1):
+            out = out * value + MultiPoly(rest, by_power.get(a))
+        return out
 
     def homogeneous_degree(self, degrees):
         """The common weighted degree of the terms, or None when mixed.

@@ -46,6 +46,9 @@ def _emit(doc, text_lines, fmt):
             print(line)
 
 
+# Each handler returns (JSON document, text lines); main prints one of them.
+
+
 def _cmd_grass_presentation(args):
     pres = (
         equivariant_presentation(args.n, args.k)
@@ -66,8 +69,7 @@ def _cmd_grass_presentation(args):
         if var == "v":
             continue
         lines.append("relation %s: %s" % (var, rel))
-    _emit(doc, lines, args.format)
-    return 0
+    return doc, lines
 
 
 def _cmd_grass_poincare(args):
@@ -79,16 +81,14 @@ def _cmd_grass_poincare(args):
         poly = poincare_from_regular_sequence(degrees, 1)
     coeffs = poly.coefficient_list()
     doc = {"n": args.n, "k": args.k, "method": args.method, "coefficients": coeffs}
-    _emit(doc, [str(coeffs)], args.format)
-    return 0
+    return doc, [str(coeffs)]
 
 
 def _cmd_hilb_fixed_points(args):
     triples = enumerate_hilb_fixed_points(args.k)
     doc = {"k": args.k, "count": len(triples), "triples": [str(t) for t in triples]}
     lines = ["count: %d" % len(triples)] + [str(t) for t in triples]
-    _emit(doc, lines, args.format)
-    return 0
+    return doc, lines
 
 
 def _cmd_hilb_embed(args):
@@ -100,8 +100,7 @@ def _cmd_hilb_embed(args):
         "indices": list(image.indices),
         "ambient": image.n,
     }
-    _emit(doc, ["[%s]" % ", ".join(str(i) for i in image.indices)], args.format)
-    return 0
+    return doc, ["[%s]" % ", ".join(str(i) for i in image.indices)]
 
 
 def _cmd_hilb_betti(args):
@@ -111,15 +110,20 @@ def _cmd_hilb_betti(args):
         "betti: %s" % (list(table.betti),),
         "fixed_points: %d" % table.fixed_points,
     ]
-    _emit(doc, lines, args.format)
-    return 0
+    return doc, lines
+
+
+def _fixed_set_images(k):
+    # The torus action on Hilb_k(P^2) and the Gotzmann image of each of its
+    # fixed points, in enumeration order.
+    triples = enumerate_hilb_fixed_points(k)
+    action = build_torus_action(k)
+    return action, [degree_k_part(t, k) for t in triples]
 
 
 def _cmd_hilb_schur_basis(args):
-    triples = enumerate_hilb_fixed_points(args.k)
-    action = build_torus_action(args.k)
+    action, images = _fixed_set_images(args.k)
     betti = hilb_betti(args.k, action).betti
-    images = [degree_k_part(t, args.k) for t in triples]
     selection = select_schur_basis(
         images, action.weight_system(), p_max=2 * args.k, expected_betti=betti
     )
@@ -140,16 +144,14 @@ def _cmd_hilb_schur_basis(args):
         lines.append(
             "deficiency at p=%d: pure Schur rows give %d of %d" % (p, a, e)
         )
-    _emit(doc, lines, args.format)
-    return 0
+    return doc, lines
 
 
 def _cmd_hilb_poincare(args):
     poly = poincare_of_hilb(args.k)
     coeffs = poly.coefficient_list()
     doc = {"k": args.k, "variable": "t", "coefficients": coeffs}
-    _emit(doc, [str(coeffs)], args.format)
-    return 0
+    return doc, [str(coeffs)]
 
 
 def _cmd_b2_check(args):
@@ -160,32 +162,36 @@ def _cmd_b2_check(args):
     poly = IntegerPolynomial(coeffs)
     verdict = b2_regularity_verdict(poly)
     doc = {"coefficients": poly.coefficient_list(), "verdict": verdict}
-    _emit(doc, [verdict], args.format)
-    return 0
+    return doc, [verdict]
 
 
 def _cmd_b2_jordan(args):
     jt, regular = jordan_regularity_check(args.k)
     doc = {"k": args.k, "jordan_type": str(jt), "regular": regular}
-    _emit(doc, ["%s regular=%s" % (jt, "true" if regular else "false")], args.format)
-    return 0
+    return doc, ["%s regular=%s" % (jt, "true" if regular else "false")]
 
 
 def _cmd_eq_localization(args):
-    triples = enumerate_hilb_fixed_points(args.k)
-    action = build_torus_action(args.k)
-    ws = action.weight_system()
-    points = [degree_k_part(t, args.k) for t in triples]
-    rank, full = localization_rank_check(points, ws)
+    action, points = _fixed_set_images(args.k)
+    rank, full = localization_rank_check(points, action.weight_system())
     doc = {"k": args.k, "points": len(points), "rank": rank, "full": full}
-    _emit(doc, ["rank=%d full=%s" % (rank, "true" if full else "false")], args.format)
-    return 0
+    return doc, ["rank=%d full=%s" % (rank, "true" if full else "false")]
 
 
-def _add_format(parser):
-    parser.add_argument(
+_N = ("--n", {"type": int, "required": True})
+_K = ("--k", {"type": int, "required": True})
+
+
+def _add_command(subparsers, name, func, summary, *arguments):
+    # One subcommand: its own (flag, options) arguments, then --format,
+    # which every command takes and its help lists last.
+    p = subparsers.add_parser(name, help=summary)
+    for flag, options in arguments:
+        p.add_argument(flag, **options)
+    p.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
+    p.set_defaults(func=func)
 
 
 def build_parser():
@@ -196,72 +202,44 @@ def build_parser():
     )
     groups = parser.add_subparsers(dest="group", required=True)
 
-    grass = groups.add_parser("grass", help="Grassmannian computations")
-    grass_sub = grass.add_subparsers(dest="command", required=True)
+    def group(name, summary):
+        return groups.add_parser(name, help=summary).add_subparsers(dest="command", required=True)
 
-    p = grass_sub.add_parser("presentation", help="cohomology ring presentation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--equivariant", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_grass_presentation)
+    grass = group("grass", "Grassmannian computations")
+    _add_command(
+        grass, "presentation", _cmd_grass_presentation, "cohomology ring presentation",
+        _N, _K, ("--equivariant", {"action": "store_true"}),
+    )
+    _add_command(
+        grass, "poincare", _cmd_grass_poincare, "Poincare polynomial in q",
+        _N, _K, ("--method", {"choices": ("cells", "regular-sequence"), "default": "cells"}),
+    )
 
-    p = grass_sub.add_parser("poincare", help="Poincare polynomial in q")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", choices=("cells", "regular-sequence"), default="cells")
-    _add_format(p)
-    p.set_defaults(func=_cmd_grass_poincare)
+    hilb = group("hilb", "Hilbert scheme of points in the plane")
+    _add_command(hilb, "fixed-points", _cmd_hilb_fixed_points, "torus-fixed partition triples", _K)
+    _add_command(
+        hilb, "embed", _cmd_hilb_embed, "Gotzmann image of one fixed point",
+        _K, ("--triple", {"required": True, "help": "e.g. \"1;1;\" for ((1),(1),())"}),
+    )
+    _add_command(
+        hilb, "betti", _cmd_hilb_betti, "Betti numbers from the fixed-point filtration", _K
+    )
+    _add_command(
+        hilb, "schur-basis", _cmd_hilb_schur_basis, "greedy Schur-row basis with deficiencies", _K
+    )
+    _add_command(hilb, "poincare", _cmd_hilb_poincare, "Poincare polynomial in t", _K)
 
-    hilb = groups.add_parser("hilb", help="Hilbert scheme of points in the plane")
-    hilb_sub = hilb.add_subparsers(dest="command", required=True)
+    b2 = group("b2", "regularity obstructions")
+    _add_command(
+        b2, "check", _cmd_b2_check, "root-of-unity criterion on a Poincare polynomial",
+        ("--poincare", {"required": True, "help": "comma-separated coefficients"}),
+    )
+    _add_command(
+        b2, "jordan", _cmd_b2_jordan, "Jordan type of the nilpotent action on R_k", _K
+    )
 
-    p = hilb_sub.add_parser("fixed-points", help="torus-fixed partition triples")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hilb_fixed_points)
-
-    p = hilb_sub.add_parser("embed", help="Gotzmann image of one fixed point")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--triple", required=True, help="e.g. \"1;1;\" for ((1),(1),())")
-    _add_format(p)
-    p.set_defaults(func=_cmd_hilb_embed)
-
-    p = hilb_sub.add_parser("betti", help="Betti numbers from the fixed-point filtration")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hilb_betti)
-
-    p = hilb_sub.add_parser("schur-basis", help="greedy Schur-row basis with deficiencies")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hilb_schur_basis)
-
-    p = hilb_sub.add_parser("poincare", help="Poincare polynomial in t")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_hilb_poincare)
-
-    b2 = groups.add_parser("b2", help="regularity obstructions")
-    b2_sub = b2.add_subparsers(dest="command", required=True)
-
-    p = b2_sub.add_parser("check", help="root-of-unity criterion on a Poincare polynomial")
-    p.add_argument("--poincare", required=True, help="comma-separated coefficients")
-    _add_format(p)
-    p.set_defaults(func=_cmd_b2_check)
-
-    p = b2_sub.add_parser("jordan", help="Jordan type of the nilpotent action on R_k")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_b2_jordan)
-
-    eq = groups.add_parser("eq", help="equivariant localization")
-    eq_sub = eq.add_subparsers(dest="command", required=True)
-
-    p = eq_sub.add_parser("localization", help="rank check over the fixed points")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_eq_localization)
+    eq = group("eq", "equivariant localization")
+    _add_command(eq, "localization", _cmd_eq_localization, "rank check over the fixed points", _K)
 
     return parser
 
@@ -275,13 +253,14 @@ def main(argv=None):
         if isinstance(value, list):
             parser.error("argument --%s: expected one value" % name)
     try:
-        return args.func(args)
+        _emit(*args.func(args), args.format)
     except InternalInvariantViolation as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

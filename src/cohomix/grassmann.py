@@ -239,23 +239,40 @@ def relation_generator(i, j, n, k):
 
 
 class GradedPresentation:
-    """A graded ring presentation: ordered variables, their degrees, and the
-    list of relations.  Every degree is positive, so each graded piece is
-    finite-dimensional."""
+    """A graded ring presentation: ordered distinct variables, their
+    degrees, and the tuple of relations.  Every degree is positive, so each
+    graded piece is finite-dimensional.
 
-    __slots__ = ("variables", "degrees", "relations")
+    The relations are never reassigned after construction, so each nonzero
+    relation's degree and its terms cleared to integers are prepared here,
+    once, for the Macaulay rank of graded_dimension.
+    """
+
+    __slots__ = ("variables", "degrees", "relations", "_integer_relations")
 
     def __init__(self, variables, degrees, relations):
         self.variables = tuple(variables)
         self.degrees = tuple(index(d) for d in degrees)
         if len(self.variables) != len(self.degrees):
             raise ValueError("one degree per variable")
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("repeated variable name in %r" % (self.variables,))
         if any(d <= 0 for d in self.degrees):
             raise InvalidDegree("variable degrees must be positive: %r" % (self.degrees,))
         self.relations = tuple(relations)
         for rel in self.relations:
             if rel.variables != self.variables:
                 raise ValueError("relation over the wrong variable tuple")
+        # (degree, ((exponents, integer coefficient), ...)) per nonzero
+        # relation, each scaled by the lcm of its denominators
+        self._integer_relations = tuple(
+            (
+                rel.homogeneous_degree(self.degrees),
+                tuple(zip(rel.terms, _clear_denominators(list(rel.terms.values()))[1])),
+            )
+            for rel in self.relations
+            if not rel.is_zero()
+        )
 
     def is_homogeneous(self):
         """Every relation concentrated in a single weighted degree."""
@@ -339,35 +356,19 @@ def _weighted_monomials(degrees, d):
     return [p + (rest // last,) for p, rest in partial if rest % last == 0]
 
 
-def _substitute(rel, x, value):
-    # rel with the variable at position x replaced by the polynomial value.
-    by_power = {}
-    for exps, c in rel.terms.items():
-        by_power.setdefault(exps[x], {})[exps[:x] + (0,) + exps[x + 1 :]] = c
-    if set(by_power) == {0}:
-        return rel
-    out = MultiPoly.zero(rel.variables)
-    power = MultiPoly(rel.variables, {(0,) * len(rel.variables): 1})
-    for a in range(max(by_power) + 1):
-        if a in by_power:
-            out = out + MultiPoly(rel.variables, by_power[a]) * power
-        power = power * value
-    return out
-
-
 @lru_cache(maxsize=128)
 def _eliminate_linear(variables, degrees, relations):
     """An isomorphic presentation without the variables that a relation
     defines linearly.
 
     While some relation has a term c*x, x a single variable to the first
-    power, substitute x = -(rest)/c into the other relations and drop x
-    together with that relation; the first such relation, and in it the
-    first such variable, goes first.  Degrees are positive, so x appears
-    in no other term of its relation, and each step is a graded ring
-    isomorphism.  Raises InvalidDegree for a presentation that is not
-    homogeneous.  Cached by value, since the result does not depend on
-    the degree asked for.
+    power, substitute x = -(rest)/c into the other relations with
+    MultiPoly.substitute, which drops x, and drop that relation; the first
+    such relation, and in it the first such variable, goes first.  Degrees
+    are positive, so x appears in no other term of its relation, and each
+    step is a graded ring isomorphism.  Raises InvalidDegree for a
+    presentation that is not homogeneous.  Cached by value, since the
+    result does not depend on the degree asked for.
 
     >>> pres = ordinary_presentation(4, 2)
     >>> reduced = _eliminate_linear(pres.variables, pres.degrees, pres.relations)
@@ -379,7 +380,6 @@ def _eliminate_linear(variables, degrees, relations):
     if any(rel.homogeneous_degree(degrees) is None for rel in relations):
         raise InvalidDegree("presentation is not homogeneous")
     rels = [rel for rel in relations if not rel.is_zero()]
-    dropped = set()
     while True:
         for pos, rel in enumerate(rels):
             linear = [e for e in rel.terms if sum(e) == 1]
@@ -391,34 +391,15 @@ def _eliminate_linear(variables, degrees, relations):
         x = unit.index(1)
         rel = rels.pop(pos)
         c = rel.terms[unit]
-        value = MultiPoly(variables, {e: -b / c for e, b in rel.terms.items() if e != unit})
-        rels = [r for r in (_substitute(r, x, value) for r in rels) if not r.is_zero()]
-        dropped.add(x)
-    kept = [i for i in range(len(variables)) if i not in dropped]
-    kept_vars = tuple(variables[i] for i in kept)
-    return GradedPresentation(
-        kept_vars,
-        (degrees[i] for i in kept),
-        [
-            MultiPoly(kept_vars, {tuple(e[i] for i in kept): c for e, c in rel.terms.items()})
-            for rel in rels
-        ],
-    )
-
-
-@lru_cache(maxsize=128)
-def _prepared_relations(presentation):
-    # (degree, ((exponents, integer coefficient), ...)) per nonzero
-    # relation, each relation scaled by the lcm of its denominators.
-    # Keyed by the presentation object, which _eliminate_linear's cache
-    # hands back for an equal presentation.
-    out = []
-    for rel in presentation.relations:
-        if not rel.is_zero():
-            _, coeffs = _clear_denominators(list(rel.terms.values()))
-            rd = rel.homogeneous_degree(presentation.degrees)
-            out.append((rd, tuple(zip(rel.terms, coeffs))))
-    return tuple(out)
+        name = variables[x]
+        variables = variables[:x] + variables[x + 1 :]
+        degrees = degrees[:x] + degrees[x + 1 :]
+        value = MultiPoly(
+            variables,
+            {e[:x] + e[x + 1 :]: -b / c for e, b in rel.terms.items() if e != unit},
+        )
+        rels = [r for r in (r.substitute(name, value) for r in rels) if not r.is_zero()]
+    return GradedPresentation(variables, degrees, rels)
 
 
 def _macaulay_dimension(presentation, d):
@@ -438,7 +419,7 @@ def _macaulay_dimension(presentation, d):
 
     column = {code(m): pos for pos, m in enumerate(monomials)}
     space = RowSpace(len(monomials))
-    for rd, terms in _prepared_relations(presentation):
+    for rd, terms in presentation._integer_relations:
         if rd > d:
             continue
         terms = [(code(e), c) for e, c in terms]
@@ -456,8 +437,8 @@ def graded_dimension(presentation, d):
     Then counts monomials of weighted degree d on what is left and
     subtracts the rank of the span of (monomial x relation) products
     landing in degree d.  Each product goes to the RowSpace as a sparse
-    {column: int} row, read off the relation's terms, which are cleared
-    to integers once per presentation, so the rank is exact.  Raises
+    {column: int} row, read off the integer-cleared terms that the reduced
+    presentation prepared when it was built, so the rank is exact.  Raises
     InvalidDegree for d < 0 and, at every d, for a presentation that is
     not homogeneous.
     """

@@ -606,6 +606,26 @@ class TestMultiPoly:
         assert q.variables == ("x",)
         assert q.terms == {(1,): Fraction(-1)}
 
+    def test_substitute_polynomial(self):
+        # x = y - 2/3*z in 1/2*x^2*y + 3*x*z - y^2, expanded by hand
+        p = MultiPoly(("x", "y", "z"), {(2, 1, 0): Fraction(1, 2), (1, 0, 1): 3, (0, 2, 0): -1})
+        value = MultiPoly(("y", "z"), {(1, 0): 1, (0, 1): Fraction(-2, 3)})
+        assert p.substitute("x", value) == MultiPoly(("y", "z"), {
+            (3, 0): Fraction(1, 2),
+            (2, 1): Fraction(-2, 3),
+            (1, 2): Fraction(2, 9),
+            (1, 1): 3,
+            (0, 2): -2,
+            (2, 0): -1,
+        })
+        # a value must live over the remaining variables, in order
+        with pytest.raises(ValueError):
+            p.substitute("x", MultiPoly(("z", "y"), {(1, 0): 1}))
+
+    def test_repeated_variable_name_rejected(self):
+        with pytest.raises(ValueError, match="repeated variable"):
+            MultiPoly(("v", "v"), {(0, 1): 1})
+
     def test_homogeneous_degree(self):
         p = MultiPoly(("x", "y"), {(1, 1): 1, (0, 3): -1})
         assert p.homogeneous_degree((2, 1)) == 3

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -225,6 +226,41 @@ class TestEq:
         assert main(["eq", "localization", "--k", "1", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"k": 1, "points": 3, "rank": 3, "full": True}
+
+
+def _command_paths(parser, path=()):
+    # every leaf command of the parser, as its argv prefix
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _command_paths(child, path + (name,))
+
+
+COMMANDS = list(_command_paths(cli.build_parser()))
+
+
+class TestHelp:
+    def test_every_command_listed(self):
+        assert len(COMMANDS) == 10
+
+    def test_top_level(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: cohomix ")
+        assert all(group in out for group in ("grass", "hilb", "b2", "eq"))
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_command(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(command) + ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: cohomix %s " % " ".join(command))
+        assert "--format {text,json}" in out
 
 
 class TestDeterminism:

@@ -341,6 +341,18 @@ class TestGradedDimension:
         with pytest.raises(InvalidDegree):
             GradedPresentation(("x", "y"), (1, -1), [])
 
+    def test_repeated_variable_names_rejected(self):
+        # substitution goes by name, so a second v would be skipped: with
+        # distinct names this presentation's profile is [1, 1, 1, 1, 1]
+        with pytest.raises(ValueError, match="repeated variable"):
+            GradedPresentation(("x", "x"), (1, 1), [])
+        with pytest.raises(ValueError, match="repeated variable"):
+            specialize_v(GradedPresentation(
+                ("v", "v"), (1, 2), [MultiPoly(("v", "v"), {(0, 1): 1})]
+            ))
+        distinct = GradedPresentation(("u", "v"), (1, 2), [MultiPoly(("u", "v"), {(0, 1): 1})])
+        assert graded_dimensions(specialize_v(distinct), 4) == [1, 1, 1, 1, 1]
+
     def test_not_homogeneous_raises_at_every_degree(self):
         # x + x^2 with deg x = 2: degree 1 has no monomials, and still raises
         rel = MultiPoly(("x",), {(1,): 1, (2,): 1})
@@ -414,6 +426,8 @@ class TestMacaulayDimension:
             (_coefficient_two(-2), 5),
             (_reduced(_coefficient_two(2)), 5),
             (_reduced(_coefficient_two(-2)), 5),
+            (_coefficient_two(Fraction(2, 3)), 5),
+            (_reduced(_coefficient_two(Fraction(2, 3))), 5),
             # x^2 and y share degree 2: a monomial code in base d would
             # give them one column
             (GradedPresentation(("x", "y"), (1, 2), [
@@ -431,6 +445,8 @@ class TestMacaulayDimension:
             "coefficient-minus-2",
             "coefficient-2-reduced",
             "coefficient-minus-2-reduced",
+            "coefficient-two-thirds",
+            "coefficient-two-thirds-reduced",
             "square-beside-degree-two",
         ],
     )
@@ -493,7 +509,7 @@ class TestLinearElimination:
         assert reduced.relations == (MultiPoly(("y",), {(2,): 1}),)
         assert _profile_both_routes(pres, 3) == ([1, 1, 0, 0],) * 2
 
-    @pytest.mark.parametrize("c", [2, -2])
+    @pytest.mark.parametrize("c", [2, -2, Fraction(2, 3)])
     def test_coefficient_two(self, c):
         # c*x - y^2 with deg x = 2 gives x = y^2/c, so x*y becomes y^3/c
         pres = _coefficient_two(c)
