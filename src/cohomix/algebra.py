@@ -7,7 +7,8 @@ small integer determinants and RowSpace reduces sparse integer rows,
 each a dict of its nonzero entries.  fractions.Fraction appears only at
 the API edge, for rational points and rows, which are scaled to integers
 once on the way in.  Nothing in this package touches floating point: a
-float point, row or matrix entry raises TypeError.
+float point, row or matrix entry, or polynomial coefficient, value or
+scalar, raises TypeError.
 """
 
 from collections.abc import Mapping
@@ -127,6 +128,15 @@ def _common_denominator(values):
     except AttributeError:
         bad = next(x for x in values if not hasattr(x, "denominator"))
         raise TypeError("expected int or Fraction entries, got %s" % type(bad).__name__) from None
+
+
+def _fraction(c):
+    # The one gate for a rational coefficient, value or scalar: an int or
+    # a Fraction comes back as a Fraction; anything else, a float, a str
+    # or a Decimal included, raises TypeError.
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise TypeError("expected an int or Fraction, got %s" % type(c).__name__)
 
 
 def _clear_denominators(values):
@@ -347,15 +357,14 @@ class RowSpace:
 
 
 class RationalMatrix:
-    """A dense, immutable matrix of Fractions."""
+    """A dense, immutable matrix of Fractions, built from rows of int or
+    Fraction entries; any other entry, a float or a str, raises
+    TypeError."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, rows):
-        rows = [list(row) for row in rows]
-        if any(isinstance(x, float) for row in rows for x in row):
-            raise TypeError("matrix entries must be int or Fraction, not float")
-        entries = tuple(tuple(map(Fraction, row)) for row in rows)
+        entries = tuple(tuple(map(_fraction, row)) for row in rows)
         if not entries:
             raise ValueError("matrix needs at least one row")
         ncols = len(entries[0])
@@ -520,7 +529,8 @@ class IntegerPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, IntegerPolynomial):
+            other = index(other)
             return IntegerPolynomial([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return IntegerPolynomial()
@@ -572,20 +582,7 @@ class IntegerPolynomial:
         return self.str_with_variable("q")
 
     def str_with_variable(self, var):
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                pieces.append(str(c))
-            elif e == 1:
-                pieces.append("%s%s" % ("" if c == 1 else "-" if c == -1 else str(c) + "*", var))
-            else:
-                head = "" if c == 1 else "-" if c == -1 else str(c) + "*"
-                pieces.append("%s%s^%d" % (head, var, e))
-        return " + ".join(pieces)
+        return _terms_str(enumerate(self.coeffs), var)
 
     def __repr__(self):
         return "IntegerPolynomial(%r)" % (self.coeffs,)
@@ -753,10 +750,27 @@ def coefficient_str(c):
     return "%d/%d" % (c.numerator, c.denominator)
 
 
+def _power_str(var, e):
+    # 'x' or 'x^e'
+    return var if e == 1 else "%s^%d" % (var, e)
+
+
+def _terms_str(pairs, var):
+    # (exponent, coefficient) pairs in the order given, zero coefficients
+    # skipped, as 'c', 'x', '-x^e' or 'c*x^e' joined by ' + '; '0' for none
+    return " + ".join(
+        coefficient_str(c) if e == 0
+        else ("" if c == 1 else "-" if c == -1 else coefficient_str(c) + "*") + _power_str(var, e)
+        for e, c in pairs
+        if c
+    ) or "0"
+
+
 class MultiPoly:
     """Polynomial with Fraction coefficients over a fixed ordered tuple of
     distinct named variables.  Terms map exponent tuples to nonzero
-    coefficients.
+    coefficients.  A coefficient or scalar is an int or a Fraction; any
+    other, a float or a str, raises TypeError.
 
     `terms` is never mutated after construction: every operation builds a
     new MultiPoly.  So the hash, which is by value, is computed once, on
@@ -772,7 +786,7 @@ class MultiPoly:
             raise ValueError("repeated variable name in %r" % (self.variables,))
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _fraction(c)
             if c == 0:
                 continue
             exps = tuple(map(index, exps))
@@ -803,7 +817,7 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_same_ring(other)
         out = {}
@@ -816,7 +830,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _fraction(c)
         return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -865,19 +879,14 @@ class MultiPoly:
     def canonical_str(self):
         """Deterministic rendering: descending graded lexicographic term
         order, every coefficient printed, e.g. '-1*w_1_1*w_4_2'."""
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-        rendered = []
-        for exps in keys:
-            factors = [coefficient_str(self.terms[exps])]
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            rendered.append("*".join(factors))
-        return " + ".join(rendered)
+        return " + ".join(
+            "*".join(
+                [coefficient_str(self.terms[exps])]
+                + [_power_str(name, e) for name, e in zip(self.variables, exps) if e]
+            )
+            for exps in keys
+        ) or "0"
 
     def __repr__(self):
         return "MultiPoly(%s)" % self.canonical_str()

@@ -15,21 +15,23 @@ surjectivity after localization.
 from fractions import Fraction
 from operator import index
 
-from .algebra import Partition, coefficient_str, schur_evaluate
+from .algebra import Partition, _fraction, _terms_str, coefficient_str, schur_evaluate
 from .errors import UnknownFixedPoint
 from .filtration import box_of, check_fits, schur_rank_steps
 
 
 class LaurentPolynomial:
     """Finite Fraction-coefficient combination of integer powers of v,
-    negative exponents allowed."""
+    negative exponents allowed.  A coefficient, a value of v or a scalar
+    is an int or a Fraction; any other, a float or a str, raises
+    TypeError."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         clean = {}
         for e, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = _fraction(c)
             if c != 0:
                 clean[index(e)] = c
         self.coeffs = clean
@@ -65,7 +67,8 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPolynomial):
+            other = _fraction(other)
             return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -76,7 +79,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __call__(self, v):
-        v = Fraction(v)
+        v = _fraction(v)
         return sum((c * v ** e for e, c in self.coeffs.items()), Fraction(0))
 
     def __eq__(self, other):
@@ -88,18 +91,7 @@ class LaurentPolynomial:
         return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            cs = coefficient_str(c)
-            if e == 0:
-                pieces.append(cs)
-            else:
-                head = "" if c == 1 else "-" if c == -1 else cs + "*"
-                pieces.append("%sv^%d" % (head, e) if e != 1 else "%sv" % head)
-        return " + ".join(pieces)
+        return _terms_str(sorted(self.coeffs.items(), reverse=True), "v")
 
     def __repr__(self):
         return "LaurentPolynomial(%r)" % (self.coeffs,)
@@ -129,7 +121,8 @@ class EquivariantClass:
     def __mul__(self, other):
         """Pointwise product over the intersection of the supports, kept in
         the order of the left factor."""
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, EquivariantClass):
+            other = _fraction(other)
             return EquivariantClass(self.support, tuple(v * other for v in self.values))
         common = [pt for pt in self.support if pt in other.support]
         return EquivariantClass(

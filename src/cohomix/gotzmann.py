@@ -16,7 +16,7 @@ regular group action would force.
 from functools import lru_cache
 from operator import index
 
-from .algebra import Partition, RationalMatrix, jordan_type, partitions_in_box
+from .algebra import Partition, RationalMatrix, _power_str, jordan_type, partitions_in_box
 from .errors import (
     ConditionViolated,
     InternalInvariantViolation,
@@ -53,15 +53,9 @@ class MonomialBasis:
         return self.monomials[i]
 
     def label(self, monomial):
-        """Human-readable product form, e.g. 'X_1*X_0' for (1, 1, 0)."""
-        a, b, c = monomial
-        factors = []
-        for name, e in (("X_0", a), ("X_1", b), ("X_2", c)):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append("%s^%d" % (name, e))
-        return "*".join(factors) if factors else "1"
+        """Human-readable product form, e.g. 'X_0*X_1' for (1, 1, 0)."""
+        factors = zip(_CHART_NAMES, monomial, strict=True)
+        return "*".join(_power_str(name, e) for name, e in factors if e) or "1"
 
     def __repr__(self):
         return "MonomialBasis(k=%d, %d monomials)" % (self.k, len(self.monomials))

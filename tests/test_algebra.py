@@ -24,11 +24,18 @@ from cohomix.algebra import (
     schur_evaluate,
     strip_cyclotomic_factors,
 )
-from cohomix.equivariant import LaurentPolynomial
+from cohomix.equivariant import LaurentPolynomial, eq_schur_class
 from cohomix.errors import NotNilpotent, NotPolynomial
 from cohomix.filtration import BettiTable
 from cohomix.gotzmann import build_torus_action
-from cohomix.grassmann import FixedSubspace, GradedPresentation, WeightSystem
+from cohomix.grassmann import (
+    FixedSubspace,
+    GradedPresentation,
+    WeightSystem,
+    enumerate_fixed_subspaces,
+    equivariant_presentation,
+    specialize_v,
+)
 
 from oracles import (
     brute_force_partitions,
@@ -72,6 +79,8 @@ class TestPartitionsInBox:
 
     def test_size_zero(self):
         assert partitions_in_box(3, 3, 0) == [Partition(())]
+        with pytest.raises(ValueError):
+            partitions_in_box(-1, 2, 2)
 
     def test_many_parts_without_recursion(self):
         assert partitions_in_box(1500, 1, 1500) == [Partition((1,) * 1500)]
@@ -280,6 +289,19 @@ class TestSchurPartitionInput:
         lambda: RowSpace(2).add([1.5, 2]),
         lambda: RowSpace(2).add({0: 1.5}),
         lambda: matrix_rank([[0.1, 1]]),
+        lambda: MultiPoly(("x",), {(1,): 0.1}),
+        lambda: MultiPoly(("x",), {(1,): "1/3"}),
+        lambda: MultiPoly(("x",), {(1,): 1}).scale(0.5),
+        lambda: LaurentPolynomial({1: 0.5}),
+        lambda: LaurentPolynomial({1: 1})(0.5),
+        lambda: RationalMatrix([["1/2"]]),
+        lambda: specialize_v(equivariant_presentation(4, 2), 0.1),
+        lambda: IntegerPolynomial([1, 1]) * 0.5,
+        lambda: MultiPoly(("x",), {(1,): 1}) * 0.5,
+        lambda: LaurentPolynomial({1: 1}) * 0.5,
+        lambda: eq_schur_class(
+            (1,), enumerate_fixed_subspaces(4, 2), WeightSystem.principal(4)
+        ) * 0.5,
     ],
     ids=[
         "WeightSystem",
@@ -299,6 +321,17 @@ class TestSchurPartitionInput:
         "RowSpace.add",
         "RowSpace.add-mapping",
         "matrix_rank",
+        "MultiPoly-float-coefficient",
+        "MultiPoly-str-coefficient",
+        "MultiPoly.scale",
+        "LaurentPolynomial-coefficient",
+        "LaurentPolynomial-value",
+        "RationalMatrix-str",
+        "specialize_v",
+        "IntegerPolynomial-scalar",
+        "MultiPoly-scalar",
+        "LaurentPolynomial-scalar",
+        "EquivariantClass-scalar",
     ],
 )
 def test_non_integer_input_rejected_not_truncated(build):
@@ -319,6 +352,7 @@ class TestRankAndRowSpace:
 
     def test_rank_of_zero_rows(self):
         assert matrix_rank([[0, 0], [0, 0]]) == 0
+        assert matrix_rank([]) == 0
 
     def test_rank_against_sympy(self):
         rows = [
@@ -359,6 +393,8 @@ class TestRankAndRowSpace:
         assert not space.add([2, 0, 0])
         assert space.add([Fraction(1, 3), 1, 0])
         assert space.rank == 2
+        with pytest.raises(ValueError):
+            space.add([1, 2])
 
     @settings(deadline=None, max_examples=80)
     @given(st.data())
@@ -404,6 +440,15 @@ class TestJordanType:
     def test_rejects_non_nilpotent(self):
         with pytest.raises(NotNilpotent):
             jordan_type([[1, 0], [0, 0]])
+        # a matrix of the wrong shape is rejected before any power
+        with pytest.raises(ValueError, match="square"):
+            jordan_type([[0, 1]])
+        with pytest.raises(ValueError, match="at least one row"):
+            RationalMatrix([])
+        with pytest.raises(ValueError, match="ragged"):
+            RationalMatrix([[1, 2], [3]])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            RationalMatrix([[1, 2]]).mul(RationalMatrix([[1, 2]]))
 
     def test_against_sympy_jordan_form(self):
         m = [
@@ -579,6 +624,13 @@ class TestIntegerPolynomial:
     def test_exact_divide_rejects_remainder(self):
         with pytest.raises(NotPolynomial):
             IntegerPolynomial([1, 0, 1]).exact_divide(IntegerPolynomial([1, 1]))
+        # a leading coefficient that does not divide, a larger degree
+        with pytest.raises(NotPolynomial):
+            IntegerPolynomial([0, 1]).exact_divide(IntegerPolynomial([0, 2]))
+        with pytest.raises(NotPolynomial):
+            IntegerPolynomial([1, 1]).exact_divide(IntegerPolynomial([1, 0, 1]))
+        with pytest.raises(ZeroDivisionError):
+            IntegerPolynomial([1, 1]).exact_divide(IntegerPolynomial())
 
     def test_evaluation(self):
         p = IntegerPolynomial([1, 0, 2, 0, 5, 0, 6, 0, 5, 0, 2, 0, 1])
@@ -590,6 +642,7 @@ class TestIntegerPolynomial:
     def test_str(self):
         assert str(IntegerPolynomial([1, 1, 2, 1, 1])) == "1 + q + 2*q^2 + q^3 + q^4"
         assert str(IntegerPolynomial()) == "0"
+        assert IntegerPolynomial([-1, -1, 0, 2, 1]).str_with_variable("t") == "-1 + -t + 2*t^3 + t^4"
 
 
 class TestMultiPoly:
@@ -625,6 +678,9 @@ class TestMultiPoly:
     def test_repeated_variable_name_rejected(self):
         with pytest.raises(ValueError, match="repeated variable"):
             MultiPoly(("v", "v"), {(0, 1): 1})
+        # as is an exponent vector longer than the variable tuple
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(("x",), {(1, 2): 1})
 
     def test_homogeneous_degree(self):
         p = MultiPoly(("x", "y"), {(1, 1): 1, (0, 3): -1})

@@ -47,6 +47,8 @@ class TestLaurentPolynomial:
         assert str(LaurentPolynomial({1: 66})) == "66*v"
         assert str(LaurentPolynomial({0: Fraction(1, 2)})) == "1/2"
         assert str(LaurentPolynomial()) == "0"
+        p = LaurentPolynomial({-2: Fraction(-1, 2), -1: -1, 0: 3, 1: 1, 2: Fraction(2, 3)})
+        assert str(p) == "2/3*v^2 + v + 3 + -v^-1 + -1/2*v^-2"
 
 
 class TestEqSchurClass:

@@ -199,6 +199,11 @@ class TestHilbRoute:
         points, _ = hilb_points(2)
         with pytest.raises(TypeError):
             filtration_betti(points + enumerate_hilb_fixed_points(2))
+        with pytest.raises(BoxViolation):
+            filtration_betti(
+                enumerate_fixed_subspaces(4, 2) + enumerate_fixed_subspaces(5, 2),
+                WeightSystem.principal(5),
+            )
 
     def test_arguments_of_the_other_route_rejected(self):
         triples = enumerate_hilb_fixed_points(2)
@@ -210,6 +215,8 @@ class TestHilbRoute:
             filtration_betti(triples, p_max=2)
         with pytest.raises(TypeError):
             filtration_betti(subspaces, ws, action=build_torus_action(2))
+        with pytest.raises(ValueError):
+            filtration_betti(subspaces)
 
     def test_action_for_another_degree_rejected(self):
         triples = enumerate_hilb_fixed_points(4)
@@ -455,6 +462,8 @@ class TestSelectSchurBasis:
         points, ws = hilb_points(2)
         with pytest.raises(InvalidDegree):
             select_schur_basis(points, ws, p_max=-1)
+        with pytest.raises(TypeError):
+            select_schur_basis(enumerate_hilb_fixed_points(2), ws)
 
     def test_no_silent_substitution(self):
         # every selected partition at level p really has size p

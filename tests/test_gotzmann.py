@@ -135,6 +135,10 @@ class TestMonomialBasis:
     def test_rejects_k0(self):
         with pytest.raises(InvalidDegree):
             monomial_basis(0)
+        with pytest.raises(InvalidDegree):
+            enumerate_hilb_fixed_points(0)
+        with pytest.raises(InvalidDegree):
+            build_torus_action(0)
 
 
 class TestTorusAction:
@@ -169,6 +173,8 @@ class TestTorusAction:
     def test_rejects_small_g(self):
         with pytest.raises(ConditionViolated):
             build_torus_action(2, 1, 3, 2, 1)
+        with pytest.raises(ConditionViolated, match="exponents must be positive"):
+            build_torus_action(2, 3, 0, 2, 1)
 
 
 class TestPartitionTriple:

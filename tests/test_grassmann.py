@@ -24,6 +24,7 @@ from cohomix.grassmann import (
     WeightSystem,
     enumerate_fixed_subspaces,
     equivariant_presentation,
+    generator_variables,
     graded_dimension,
     graded_dimensions,
     minus_cell_dimension,
@@ -55,6 +56,8 @@ class TestWeightSystem:
     def test_rejects_repeats(self):
         with pytest.raises(InvalidDimensions):
             WeightSystem((1, 1, 2))
+        with pytest.raises(InvalidDimensions):
+            WeightSystem([])
 
     def test_at_bounds(self):
         ws = WeightSystem((5, 6, 7))
@@ -192,6 +195,11 @@ class TestPoincareFromRegularSequence:
     def test_noncancelling_raises(self):
         with pytest.raises(NotPolynomial):
             poincare_from_regular_sequence((3,), 1)
+        # a shift or a degree that is not positive
+        with pytest.raises(ValueError, match="shift"):
+            poincare_from_regular_sequence([1], 0)
+        with pytest.raises(ValueError, match="degrees"):
+            poincare_from_regular_sequence([0], 1)
 
     def test_agrees_with_cells(self):
         for n, k in ((4, 2), (6, 2), (10, 3)):
@@ -218,6 +226,8 @@ class TestWDegree:
             w_degree(1, 3, 4, 2)
         with pytest.raises(InvalidDimensions):
             w_degree(1, 1, 2, 2)
+        with pytest.raises(InvalidDimensions):
+            generator_variables(2, 2)
 
 
 class TestRelationGenerator:
@@ -285,6 +295,8 @@ class TestPresentations:
 class TestGradedDimension:
     def test_constants(self):
         assert graded_dimension(ordinary_presentation(4, 2), 0) == 1
+        with pytest.raises(InvalidDegree):
+            graded_dimension(ordinary_presentation(4, 2), -1)
 
     def test_gr24_full_profile(self):
         pres = ordinary_presentation(4, 2)
@@ -340,6 +352,11 @@ class TestGradedDimension:
             GradedPresentation(("x",), (0,), [])
         with pytest.raises(InvalidDegree):
             GradedPresentation(("x", "y"), (1, -1), [])
+        # one degree per variable, and every relation over those variables
+        with pytest.raises(ValueError):
+            GradedPresentation(("x",), (1, 2), [])
+        with pytest.raises(ValueError):
+            GradedPresentation(("x",), (1,), [MultiPoly(("y",), {(1,): 1})])
 
     def test_repeated_variable_names_rejected(self):
         # substitution goes by name, so a second v would be skipped: with

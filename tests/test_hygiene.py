@@ -160,3 +160,71 @@ def test_every_function_and_class_has_a_reader():
         if (unread := [d for d in module_definitions(source) if d not in read])
     }
     assert orphans == {}
+
+
+def _names_fraction(node):
+    return (isinstance(node, ast.Name) and node.id == "Fraction") or (
+        isinstance(node, ast.Attribute) and node.attr == "Fraction"
+    )
+
+
+def ungated_fractions(source, gate=None):
+    """Line numbers where the source makes a Fraction of one value outside
+    the module-level function named `gate`: a call `Fraction(x)` whose one
+    argument is not an int literal, or `Fraction` handed to another call
+    as the callable to apply, as in `map(Fraction, row)`.  `Fraction(0)`
+    and the two-argument `Fraction(value, den)` are not counted, nor are
+    `isinstance` and `issubclass`, which only test a type."""
+    tree = ast.parse(source)
+    skipped = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == gate:
+            skipped.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skipped or not isinstance(node, ast.Call):
+            continue
+        args = node.args + [k.value for k in node.keywords]
+        if _names_fraction(node.func):
+            if len(args) == 1 and not (
+                isinstance(args[0], ast.Constant) and type(args[0].value) is int
+            ):
+                lines.append(node.lineno)
+        elif getattr(node.func, "id", None) not in ("isinstance", "issubclass"):
+            if any(map(_names_fraction, args)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_reader_sees_every_ungated_fraction():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "def _fraction(c):\n    return Fraction(c)\n"
+        "a = Fraction(x)\n"
+        "b = Fraction(0) + Fraction(n, d)\n"
+        "c = list(map(Fraction, row))\n"
+        "d = fractions.Fraction(y)\n"
+        "e = isinstance(z, Fraction) or isinstance(z, (int, Fraction))\n"
+        "f = sorted(row, key=Fraction)\n"
+        "g = Fraction(0.5)\n"
+    )
+    assert ungated_fractions(source, gate="_fraction") == [5, 7, 8, 10, 11]
+    assert ungated_fractions(source) == [4, 5, 7, 8, 10, 11]
+
+
+def test_one_gate_makes_every_rational_coefficient():
+    # algebra._fraction is the one place where a coefficient, value or
+    # scalar becomes a Fraction, so a float or a str cannot slip in
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    ungated = {
+        p.name: lines
+        for p in modules
+        if (
+            lines := ungated_fractions(
+                p.read_text(encoding="utf-8"), "_fraction" if p.name == "algebra.py" else None
+            )
+        )
+    }
+    assert ungated == {}
