@@ -452,6 +452,37 @@ def jordan_type(matrix):
     return Partition(tuple(parts))
 
 
+def _exact_quotient(coeffs, divisor):
+    # The quotient coefficients of coeffs / divisor (constant term first,
+    # divisor[-1] nonzero) when the division is exact over the integers,
+    # else None.  One pass over a copy of coeffs, top down: each quotient
+    # coefficient overwrites the entry it comes from, and only the
+    # divisor's nonzero lower terms are subtracted below it, so what is
+    # left under the quotient is the remainder.  A leading +-1 divides
+    # without divmod.
+    m = len(divisor) - 1
+    lead = divisor[m]
+    lower = [(i - m, b) for i, b in enumerate(divisor[:m]) if b]
+    rem = list(coeffs)
+    for top in range(len(rem) - 1, m - 1, -1):
+        f = rem[top]
+        if not f:
+            continue
+        if lead != 1:
+            if lead == -1:
+                f = -f
+            else:
+                f, r = divmod(f, lead)
+                if r:
+                    return None
+            rem[top] = f
+        for offset, b in lower:
+            rem[top + offset] -= f * b
+    if any(rem[:m]):
+        return None
+    return rem[m:]
+
+
 class IntegerPolynomial:
     """Dense integer-coefficient polynomial; coefficient i sits on q^i.
 
@@ -500,6 +531,10 @@ class IntegerPolynomial:
         return list(self.coeffs) if self.coeffs else [0]
 
     def __call__(self, x):
+        """The value at an int or a Fraction, of the same type; any other
+        argument, a float included, raises TypeError."""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError("expected an int or Fraction, got %s" % type(x).__name__)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -514,6 +549,8 @@ class IntegerPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, IntegerPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -545,30 +582,21 @@ class IntegerPolynomial:
 
     def exact_divide(self, other):
         """Quotient self / other when the division is exact over the
-        integers; raises NotPolynomial otherwise."""
+        integers; the divisor need not be monic.  Raises NotPolynomial for
+        an inexact division or a divisor of larger degree, and
+        ZeroDivisionError for the zero divisor.  One pass of
+        _exact_quotient: only the divisor's nonzero lower terms are
+        subtracted."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return IntegerPolynomial()
         if other.degree > self.degree:
             raise NotPolynomial("degree %d does not divide degree %d" % (other.degree, self.degree))
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        q = [0] * (len(rem) - len(other.coeffs) + 1)
-        for top in range(len(rem) - 1, len(other.coeffs) - 2, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            if c % lead != 0:
-                raise NotPolynomial("quotient is not an integer polynomial")
-            f = c // lead
-            shift = top - (len(other.coeffs) - 1)
-            q[shift] = f
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] -= f * b
-        if any(rem):
-            raise NotPolynomial("nonzero remainder")
-        return IntegerPolynomial(q)
+        quotient = _exact_quotient(self.coeffs, other.coeffs)
+        if quotient is None:
+            raise NotPolynomial("quotient is not an integer polynomial")
+        return IntegerPolynomial(quotient)
 
     def interleave_zero(self):
         """Substitute q = t^2: spread coefficients onto even exponents."""
@@ -628,11 +656,11 @@ def cyclotomic_polynomial(d):
     """
     if d < 1:
         raise ValueError("d must be positive")
-    p = IntegerPolynomial([-1] + [0] * (d - 1) + [1])
+    cs = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            p = p.exact_divide(cyclotomic_polynomial(e))
-    return p
+            cs = _exact_quotient(cs, cyclotomic_polynomial(e).coeffs)
+    return IntegerPolynomial(cs)
 
 
 @lru_cache(maxsize=64)
@@ -713,10 +741,13 @@ def strip_cyclotomic_factors(poly):
 
     Before any division, q = 2 filters: Phi_d | p in Z[q] forces
     Phi_d(2) | p(2) in Z, and Phi_d(2) comes from the Moebius product
-    without building Phi_d.  Only a candidate that passes has
-    cyclotomic_polynomial(d) built and divided out, again and again while
-    the filter passes and the division is exact; a q = 2 false positive
-    just meets an inexact division.
+    without building Phi_d.  Only a candidate that passes has the
+    coefficients of cyclotomic_polynomial(d) read, once, and divided out,
+    again and again while the filter passes and the division is exact; a
+    q = 2 false positive just meets an inexact division.  The sweep works
+    on a plain coefficient list: each division is one in-place pass of
+    _exact_quotient over the nonzero lower terms of the monic Phi_d, and
+    the residual becomes an IntegerPolynomial only at the end.
 
     >>> ok, res = strip_cyclotomic_factors(IntegerPolynomial([1, 1, 2, 1, 1]))
     >>> ok, res.coeffs
@@ -726,21 +757,25 @@ def strip_cyclotomic_factors(poly):
     if p.is_zero():
         raise ValueError("the zero polynomial has no factor decomposition")
     low = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    p = IntegerPolynomial(p.coeffs[low:])
-    at_two = p(2)
-    for d, phi in _cyclotomic_candidates(p.degree):
-        if d > 2 * p.degree ** 2:
+    cs = p.coeffs[low:]
+    at_two = p(2) >> low  # exact: q^low divides p
+    for d, phi in _cyclotomic_candidates(len(cs) - 1):
+        degree = len(cs) - 1
+        if d > 2 * degree ** 2:
             break
-        if phi > p.degree:
+        if phi > degree:
             continue
         factor_at_two = _cyclotomic_at_two(d)
+        if at_two % factor_at_two:
+            continue
+        divisor = cyclotomic_polynomial(d).coeffs
         while at_two % factor_at_two == 0:
-            try:
-                p = p.exact_divide(cyclotomic_polynomial(d))
-            except NotPolynomial:
+            quotient = _exact_quotient(cs, divisor)
+            if quotient is None:
                 break
+            cs = quotient
             at_two //= factor_at_two
-    return p.degree <= 0, p
+    return len(cs) <= 1, IntegerPolynomial(cs)
 
 
 def coefficient_str(c):
@@ -804,6 +839,8 @@ class MultiPoly:
             raise ValueError("polynomials live over different variables")
 
     def __add__(self, other):
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_same_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():

@@ -55,6 +55,8 @@ class LaurentPolynomial:
         return self.coeffs.get(e, Fraction(0))
 
     def __add__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, Fraction(0)) + c
