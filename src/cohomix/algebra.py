@@ -146,12 +146,13 @@ def _clear_denominators(values):
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
-@lru_cache(maxsize=4096)
-def _complete_homogeneous(points, top):
+@lru_cache(maxsize=4096, typed=True)
+def _complete_homogeneous(top, *points):
     # (D, h_0..h_top at D * points), the sums padded with len(points) zeros
     # on each side.  The one-variable-at-a-time recurrence keeps this
     # O(len(points) * top) integer operations.  Cached results are shared
-    # between calls, hence the tuple.
+    # between calls, hence the tuple.  Each point is an argument of its own,
+    # so the cache is keyed by its type too and a float always misses.
     den, ints = _clear_denominators(points)
     h = [1] + [0] * top
     for x in ints:
@@ -161,8 +162,8 @@ def _complete_homogeneous(points, top):
     return den, tuple(pad + h + pad)
 
 
-@lru_cache(maxsize=4096)
-def _elementary(points):
+@lru_cache(maxsize=4096, typed=True)
+def _elementary(*points):
     # (D, e_0..e_len(points) at D * points), padded as above: the same
     # recurrence, run downwards so that each e_(m-1) is read before it
     # takes in x.
@@ -219,14 +220,13 @@ def schur_evaluate(mu, points):
     gives one.  The value is an int when the points are integers.  Rational
     points are scaled by the lcm D of their denominators, and homogeneity
     gives s_mu(points) = s_mu(D * points) / D^|mu| as a Fraction.  A point
-    that is neither raises TypeError when its sums are computed (a float
-    equal to points already cached reads their exact value).
+    that is neither raises TypeError, whatever the cache holds.
 
-    Each call is one lookup in a bounded cache, keyed by the points as
-    given, plus one small determinant.  A miss scales the points to
-    integers, computes their complete homogeneous or elementary sums and
-    pads them with zeros, so evaluating every partition of a box at the
-    same point does that work once.  The determinant has size
+    Each call is one lookup in a bounded cache, keyed by the points and
+    their types as given, plus one small determinant.  A miss scales the
+    points to integers, computes their complete homogeneous or elementary
+    sums and pads them with zeros, so evaluating every partition of a box
+    at the same point does that work once.  The determinant has size
     min(len(mu), mu_1), in closed form up to size 3: when
     mu_1 >= len(mu) it is Jacobi-Trudi in the complete homogeneous sums,
     det(h_(mu_i - i + j)); otherwise it is the dual Jacobi-Trudi
@@ -256,17 +256,16 @@ def schur_evaluate(mu, points):
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         parts = Partition(parts).parts
-    if not parts:
-        return 1
     n = len(points)
-    if len(parts) > n:
-        return 0
+    if not parts or len(parts) > n:
+        _common_denominator(points)  # the type check that a cache miss makes
+        return 0 if parts else 1
     if parts[0] >= len(parts):
         rows = parts
-        den, seq = _complete_homogeneous(tuple(points), parts[0] + len(parts) - 1)
+        den, seq = _complete_homogeneous(parts[0] + len(parts) - 1, *points)
     else:
         rows = _conjugate(parts)
-        den, seq = _elementary(tuple(points))
+        den, seq = _elementary(*points)
     # Entry (i, j) is seq[n + rows[i] - i + j]: the n zeros on either side
     # of the cached sums stand in for h_d and e_d at d < 0 and for e_d
     # past n, as the size is at most len(parts) <= n.
@@ -563,6 +562,8 @@ class IntegerPolynomial:
         return IntegerPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
+        if not isinstance(other, IntegerPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -808,11 +809,10 @@ class MultiPoly:
     other, a float or a str, raises TypeError.
 
     `terms` is never mutated after construction: every operation builds a
-    new MultiPoly.  So the hash, which is by value, is computed once, on
-    first use, and kept.
+    new MultiPoly.  Equality and the hash are by value.
     """
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
@@ -829,7 +829,6 @@ class MultiPoly:
                 raise ValueError("bad exponent vector %r" % (exps,))
             clean[exps] = c
         self.terms = clean
-        self._hash = None
 
     def is_zero(self):
         return not self.terms
@@ -851,6 +850,8 @@ class MultiPoly:
         return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -876,9 +877,7 @@ class MultiPoly:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.variables, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.variables, frozenset(self.terms.items())))
 
     def substitute(self, name, value):
         """Replace one variable by a rational constant, or by a MultiPoly

@@ -66,6 +66,8 @@ class LaurentPolynomial:
         return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):

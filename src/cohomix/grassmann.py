@@ -216,25 +216,24 @@ def relation_generator(i, j, n, k):
     where the structure constant c_{a,b} is 1 unless a = b, in which case
     it vanishes together with its term.  Concretely the first term drops
     exactly when i = 1 and the last exactly when j = k, so every surviving
-    factor is a genuine generator.  Homogeneous of degree w_degree(i,j) + 1,
-    over the variables generator_variables(n, k).
+    factor is a genuine generator and no two terms share a monomial.
+    Homogeneous of degree w_degree(i,j) + 1, over the variables
+    generator_variables(n, k).
     """
     _check_generator_index(i, j, n, k)
     variables = generator_variables(n, k)
-    terms = {}
 
-    def add(coeff, *gens):
+    def monomial(*gens):
         exps = [0] * len(variables)
         for gi, gj in gens:
             exps[(gi - 1) * k + (gj - 1)] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
+        return tuple(exps)
 
+    terms = {monomial((i, 1), (n - k, j)): -1}
     if i != 1:
-        add(-1, (i - 1, j))
-    add(-1, (i, 1), (n - k, j))
-    if j + 1 != k + 1:
-        add(1, (i, j + 1))
+        terms[monomial((i - 1, j))] = -1
+    if j != k:
+        terms[monomial((i, j + 1))] = 1
     return MultiPoly(variables, terms)
 
 
@@ -245,7 +244,9 @@ class GradedPresentation:
 
     The relations are never reassigned after construction, so each nonzero
     relation's degree and its terms cleared to integers are prepared here,
-    once, for the Macaulay rank of graded_dimension.
+    once, for the Macaulay rank of graded_dimension.  There is no __eq__
+    or __hash__: a presentation is equal only to itself, so graded_dimension
+    reduces each presentation object once, whatever degrees it asks for.
     """
 
     __slots__ = ("variables", "degrees", "relations", "_integer_relations")
@@ -276,10 +277,7 @@ class GradedPresentation:
 
     def is_homogeneous(self):
         """Every relation concentrated in a single weighted degree."""
-        return all(
-            rel.is_zero() or rel.homogeneous_degree(self.degrees) is not None
-            for rel in self.relations
-        )
+        return all(rd is not None for rd, _ in self._integer_relations)
 
     def relation_degrees(self):
         return tuple(rel.homogeneous_degree(self.degrees) for rel in self.relations)
@@ -313,23 +311,16 @@ def equivariant_presentation(n, k):
     which is homogeneous of degree (n-k) + j - i + 1 and restricts to minus
     twice the ordinary relation at v = 0.
     """
-    variables = generator_variables(n, k) + ("v",)
-    degrees = generator_degrees(n, k) + (1,)
-
-    def lift(poly):
-        return MultiPoly(variables, {e + (0,): c for e, c in poly.terms.items()})
-
+    ordinary = ordinary_presentation(n, k)
+    variables = ordinary.variables + ("v",)
     relations = []
-    for i in range(1, n - k + 1):
-        for j in range(1, k + 1):
-            coeff = 2 * (n - k) - 2 * (i - j)
-            v_exps = [0] * len(variables)
-            v_exps[(i - 1) * k + (j - 1)] = 1
-            v_exps[-1] = 1
-            linear = MultiPoly(variables, {tuple(v_exps): coeff})
-            ordinary = lift(relation_generator(i, j, n, k))
-            relations.append(linear - ordinary.scale(2))
-    return GradedPresentation(variables, degrees, tuple(relations))
+    for w, rel in enumerate(ordinary.relations):
+        i, j = divmod(w, k)  # w_{i+1,j+1} sits at position w
+        v_w = tuple(int(p == w) for p in range(len(ordinary.variables))) + (1,)
+        terms = {v_w: 2 * ((n - k) - (i - j))}
+        terms.update((e + (0,), -2 * c) for e, c in rel.terms.items())
+        relations.append(MultiPoly(variables, terms))
+    return GradedPresentation(variables, ordinary.degrees + (1,), relations)
 
 
 def specialize_v(presentation, value=0):
@@ -357,7 +348,7 @@ def _weighted_monomials(degrees, d):
 
 
 @lru_cache(maxsize=128)
-def _eliminate_linear(variables, degrees, relations):
+def _eliminate_linear(presentation):
     """An isomorphic presentation without the variables that a relation
     defines linearly.
 
@@ -367,19 +358,21 @@ def _eliminate_linear(variables, degrees, relations):
     such relation, and in it the first such variable, goes first.  Degrees
     are positive, so x appears in no other term of its relation, and each
     step is a graded ring isomorphism.  Raises InvalidDegree for a
-    presentation that is not homogeneous.  Cached by value, since the
-    result does not depend on the degree asked for.
+    presentation that is not homogeneous.  The result does not depend on
+    the degree asked for, so it is cached per presentation object (a
+    GradedPresentation is its own key, by identity), not by value.
 
     >>> pres = ordinary_presentation(4, 2)
-    >>> reduced = _eliminate_linear(pres.variables, pres.degrees, pres.relations)
+    >>> reduced = _eliminate_linear(pres)
     >>> len(pres.variables), len(reduced.variables)
     (4, 2)
     >>> [_macaulay_dimension(reduced, d) for d in range(5)]
     [1, 1, 2, 1, 1]
     """
-    if any(rel.homogeneous_degree(degrees) is None for rel in relations):
+    if not presentation.is_homogeneous():
         raise InvalidDegree("presentation is not homogeneous")
-    rels = [rel for rel in relations if not rel.is_zero()]
+    variables, degrees = presentation.variables, presentation.degrees
+    rels = [rel for rel in presentation.relations if not rel.is_zero()]
     while True:
         for pos, rel in enumerate(rels):
             linear = [e for e in rel.terms if sum(e) == 1]
@@ -432,7 +425,7 @@ def graded_dimension(presentation, d):
     """Dimension of the degree-d piece of the presented graded ring.
 
     First eliminates every variable that a relation defines linearly (a
-    graded ring isomorphism, computed once per presentation value; see
+    graded ring isomorphism, computed once per presentation object; see
     _eliminate_linear), which takes Gr's k(n-k) generators down to k.
     Then counts monomials of weighted degree d on what is left and
     subtracts the rank of the span of (monomial x relation) products
@@ -444,10 +437,7 @@ def graded_dimension(presentation, d):
     """
     if d < 0:
         raise InvalidDegree("degree must be nonnegative, got %d" % d)
-    reduced = _eliminate_linear(
-        presentation.variables, presentation.degrees, presentation.relations
-    )
-    return _macaulay_dimension(reduced, d)
+    return _macaulay_dimension(_eliminate_linear(presentation), d)
 
 
 def graded_dimensions(presentation, top):

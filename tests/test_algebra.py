@@ -208,8 +208,8 @@ class TestSchurRoutes:
             assert cold == warm
 
     def test_whole_fraction_points_cached_first_still_give_ints(self):
-        # Whole Fractions equal the ints and hash alike, so they share cache
-        # entries: the entry they fill must still read as ints.
+        # Whole Fractions equal the ints but are cached apart from them, as
+        # the caches are keyed by type: each entry must still read as ints.
         ints = (4, 0, -3, 4)
         fractions = tuple(Fraction(x) for x in ints)
         for cached in (algebra._complete_homogeneous, algebra._elementary):
@@ -287,6 +287,10 @@ class TestSchurPartitionInput:
         lambda: BettiTable([1, 2, 1], 4.9),
         lambda: RationalMatrix([[0.1, 1]]),
         lambda: schur_evaluate((1,), (1.5, 2)),
+        lambda: (schur_evaluate((1,), (Fraction(3, 2), 2)), schur_evaluate((1,), (1.5, 2))),
+        lambda: (schur_evaluate((1, 1), (2, 3)), schur_evaluate((1, 1), (2.0, 3))),
+        lambda: schur_evaluate((), (1.5,)),
+        lambda: schur_evaluate((1, 1), (1.5,)),
         lambda: RowSpace(2).add([1.5, 2]),
         lambda: RowSpace(2).add({0: 1.5}),
         lambda: matrix_rank([[0.1, 1]]),
@@ -320,6 +324,10 @@ class TestSchurPartitionInput:
         "BettiTable-fixed-points",
         "RationalMatrix",
         "schur_evaluate",
+        "schur_evaluate-after-equal-Fraction",
+        "schur_evaluate-after-equal-int",
+        "schur_evaluate-empty-partition",
+        "schur_evaluate-more-parts-than-points",
         "RowSpace.add",
         "RowSpace.add-mapping",
         "matrix_rank",
@@ -361,6 +369,23 @@ def test_scalar_sum_rejected(poly, op):
     for scalar in (1, Fraction(1, 2), 0.5):
         with pytest.raises(TypeError):
             op(poly, scalar)
+
+
+@pytest.mark.parametrize("other", [1, "a"])
+@pytest.mark.parametrize(
+    "poly",
+    [
+        IntegerPolynomial([1, 1]),
+        MultiPoly(("x",), {(1,): 1}),
+        LaurentPolynomial({1: 1}),
+    ],
+    ids=["IntegerPolynomial", "MultiPoly", "LaurentPolynomial"],
+)
+def test_foreign_subtrahend_reported_as_subtraction(poly, other):
+    # a foreign operand is refused by - itself, not reported as a failed +
+    # or a failed unary -
+    with pytest.raises(TypeError, match="for -:"):
+        poly - other
 
 
 class TestRankAndRowSpace:
