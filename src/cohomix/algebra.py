@@ -184,16 +184,10 @@ def _conjugate(parts):
 
 
 def _determinant(rows):
-    # Sizes 2 and 3 by cofactor expansion.  From size 4 on, Bareiss
-    # fraction-free elimination (Bareiss 1968): each step divides exactly
-    # by the previous pivot, so every entry stays an integer minor.
+    # Bareiss fraction-free elimination (Bareiss 1968): each step divides
+    # exactly by the previous pivot, so every entry stays an integer minor.
+    # schur_evaluate reads sizes 2 and 3 off its sums itself.
     n = len(rows)
-    if n == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(row) for row in rows]
     sign, prev = 1, 1
     for c in range(n - 1):
@@ -227,13 +221,14 @@ def schur_evaluate(mu, points):
     points to integers, computes their complete homogeneous or elementary
     sums and pads them with zeros, so evaluating every partition of a box
     at the same point does that work once.  The determinant has size
-    min(len(mu), mu_1), in closed form up to size 3: when
-    mu_1 >= len(mu) it is Jacobi-Trudi in the complete homogeneous sums,
-    det(h_(mu_i - i + j)); otherwise it is the dual Jacobi-Trudi
-    (Naegelsbach-Kostka) identity in the elementary sums on the conjugate
-    partition mu', det(e_(mu'_i - i + j)), with e_d = 0 past the number of
-    points.  Neither divides by differences of points, so repeated points
-    are legal.
+    min(len(mu), mu_1).  Up to size 3 its entries are read by index from
+    the cached sums and expanded by cofactors; from size 4 on it goes to
+    Bareiss elimination.  When mu_1 >= len(mu) it is Jacobi-Trudi in the
+    complete homogeneous sums, det(h_(mu_i - i + j)); otherwise it is the
+    dual Jacobi-Trudi (Naegelsbach-Kostka) identity in the elementary sums
+    on the conjugate partition mu', det(e_(mu'_i - i + j)), with e_d = 0
+    past the number of points.  Neither divides by differences of points,
+    so repeated points are legal.
 
     >>> schur_evaluate((1,), (6, 12, 18, 30))
     66
@@ -272,6 +267,17 @@ def schur_evaluate(mu, points):
     size = len(rows)
     if size == 1:
         value = seq[n + rows[0]]
+    elif size == 2:
+        a, b = n + rows[0], n + rows[1] - 1
+        value = seq[a] * seq[b + 1] - seq[a + 1] * seq[b]
+    elif size == 3:
+        a, b, c = n + rows[0], n + rows[1] - 1, n + rows[2] - 2
+        b0, b1, b2, c0, c1, c2 = seq[b], seq[b + 1], seq[b + 2], seq[c], seq[c + 1], seq[c + 2]
+        value = (
+            seq[a] * (b1 * c2 - b2 * c1)
+            - seq[a + 1] * (b0 * c2 - b2 * c0)
+            + seq[a + 2] * (b0 * c1 - b1 * c0)
+        )
     else:
         value = _determinant([seq[n + part - i : n + part - i + size] for i, part in enumerate(rows)])
     return value if den == 1 else Fraction(value, den ** sum(parts))
@@ -280,8 +286,10 @@ def schur_evaluate(mu, points):
 class RowSpace:
     """Incremental exact row space of int or Fraction rows, kept sparse.
 
-    A row is a sequence of `width` entries or a mapping {column: entry}.
-    Each added row is cleared to integers once, from the numerators and
+    A row is a sequence of `width` entries or a mapping {column: entry};
+    a mapping column must be an integer in 0..width-1 (TypeError for a
+    float or Fraction column, ValueError outside the range).  Each added
+    row is cleared to integers once, from the numerators and
     denominators of its entries, and held as a dict {column: int} of its
     nonzero entries.  While its leading column is the pivot of a stored
     row, it is reduced fraction-free by that row, each step touching
@@ -309,7 +317,9 @@ class RowSpace:
         Returns True when the rank grew.
         """
         if isinstance(row, Mapping):
-            if not all(map(range(self.width).__contains__, row)):
+            # index() turns away a float or Fraction column, which the
+            # range test alone would take for the int it equals
+            if not all(map(range(self.width).__contains__, map(index, row))):
                 raise ValueError("row columns must lie in 0..%d" % (self.width - 1))
             items = row.items()
             den = _common_denominator(row.values())
@@ -318,7 +328,10 @@ class RowSpace:
         else:
             items = enumerate(row)
             den = _common_denominator(row)
-        r = {c: x.numerator * (den // x.denominator) for c, x in items if x}
+        if den == 1:
+            r = {c: x.numerator for c, x in items if x}
+        else:
+            r = {c: x.numerator * (den // x.denominator) for c, x in items if x}
         rows = self._rows
         heap = list(r)  # r's columns, smallest first; cleared ones are skipped
         heapify(heap)

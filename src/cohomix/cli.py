@@ -225,7 +225,10 @@ def build_parser():
         hilb, "betti", _cmd_hilb_betti, "Betti numbers from the fixed-point filtration", _K
     )
     _add_command(
-        hilb, "schur-basis", _cmd_hilb_schur_basis, "greedy Schur-row basis with deficiencies", _K
+        hilb, "schur-basis", _cmd_hilb_schur_basis,
+        "rank jumps of pure Schur rows on the Gotzmann images, level by level; "
+        "not a basis of H*(Hilb_k), and only shortfalls are reported",
+        _K,
     )
     _add_command(hilb, "poincare", _cmd_hilb_poincare, "Poincare polynomial in t", _K)
 

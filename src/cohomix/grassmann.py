@@ -335,16 +335,21 @@ def specialize_v(presentation, value=0):
     return GradedPresentation(variables, degrees, relations)
 
 
-def _weighted_monomials(degrees, d):
-    # All exponent tuples with the given total weighted degree, in
-    # lexicographic order.  The last exponent is solved for, not searched.
+def _weighted_monomials(degrees, d, base):
+    # The codes sum(e_i * base**i) of all exponent tuples e with the given
+    # total weighted degree, in lexicographic order of e.  The last
+    # exponent is solved for, not searched.
     if not degrees:
-        return [()] if d == 0 else []
+        return [0] if d == 0 else []
     *head, last = degrees
-    partial = [((), d)]  # (leading exponents, degree left for the rest)
+    partial = [(0, d)]  # (code of the leading exponents, degree left for the rest)
+    power = 1
     for w in head:
-        partial = [(p + (e,), rest - e * w) for p, rest in partial for e in range(rest // w + 1)]
-    return [p + (rest // last,) for p, rest in partial if rest % last == 0]
+        partial = [
+            (p + e * power, rest - e * w) for p, rest in partial for e in range(rest // w + 1)
+        ]
+        power *= base
+    return [p + rest // last * power for p, rest in partial if rest % last == 0]
 
 
 @lru_cache(maxsize=128)
@@ -402,21 +407,17 @@ def _macaulay_dimension(presentation, d):
     # of degree at most d exceeds d, so a product that lands in degree d
     # has the sum of its factors' codes.
     degrees = presentation.degrees
-    monomials = _weighted_monomials(degrees, d)
+    monomials = _weighted_monomials(degrees, d, d + 1)
     if not monomials:
         return 0
     powers = [(d + 1) ** i for i in range(len(degrees))]
-
-    def code(exps):
-        return sum(map(mul, exps, powers))
-
-    column = {code(m): pos for pos, m in enumerate(monomials)}
+    column = {m: pos for pos, m in enumerate(monomials)}
     space = RowSpace(len(monomials))
     for rd, terms in presentation._integer_relations:
         if rd > d:
             continue
-        terms = [(code(e), c) for e, c in terms]
-        for shift in map(code, _weighted_monomials(degrees, d - rd)):
+        terms = [(sum(map(mul, e, powers)), c) for e, c in terms]
+        for shift in _weighted_monomials(degrees, d - rd, d + 1):
             space.add({column[t + shift]: c for t, c in terms})
     return len(monomials) - space.rank
 

@@ -188,16 +188,50 @@ class TestSchurRoutes:
                 assert schur_evaluate(mu, points) == ssyt_sum(mu, tuple(points)), (mu, points)
 
     def test_determinant_size_is_min_of_length_and_first_part(self, monkeypatch):
-        sizes = []
-        determinant = algebra._determinant
+        # mu_1 >= len(mu) reads the h sums up to mu_1 + len(mu) - 1, the
+        # rest the e sums; sizes up to 3 are read off the sums, and only
+        # from size 4 on does a determinant go to Bareiss, with that size.
+        routes, sizes = [], []
+        h, e, determinant = algebra._complete_homogeneous, algebra._elementary, algebra._determinant
+        monkeypatch.setattr(
+            algebra, "_complete_homogeneous",
+            lambda top, *points: routes.append(("h", top)) or h(top, *points),
+        )
+        monkeypatch.setattr(
+            algebra, "_elementary", lambda *points: routes.append(("e",)) or e(*points)
+        )
         monkeypatch.setattr(
             algebra, "_determinant", lambda rows: sizes.append(len(rows)) or determinant(rows)
         )
-        for mu in BOX_4_5[1:]:
+        for mu in BOX_4_5:
+            routes.clear()
             sizes.clear()
             schur_evaluate(mu, (2, 5, -1, 7, 3))
+            if not mu:
+                assert routes == sizes == []
+                continue
+            route = ("h", mu[0] + len(mu) - 1) if mu[0] >= len(mu) else ("e",)
             size = min(len(mu), mu[0])
-            assert sizes == ([size] if size > 1 else []), mu
+            assert routes == [route], mu
+            assert sizes == ([size] if size >= 4 else []), mu
+
+    def test_bareiss_sizes_against_tableaux_sum(self):
+        # Every partition of a 5 x 5 box whose determinant has size 4 or 5,
+        # at distinct, repeated and rational points.
+        box = [
+            mu.parts
+            for p in range(26)
+            for mu in partitions_in_box(5, 5, p)
+            if len(mu) >= 4 and mu[0] >= 4
+        ]
+        assert len(box) == 160
+        for points in [
+            (3, -1, 0, 2, -4, 5),
+            (2, 2, -1, 2, -1, 0),
+            (Fraction(1, 2), -3, Fraction(-2, 3), 1, Fraction(1, 2), 4),
+        ]:
+            for mu in box:
+                assert schur_evaluate(mu, points) == ssyt_sum(mu, points), (mu, points)
 
     def test_cold_and_warm_caches_agree(self):
         for points in self.DISTINCT + self.REPEATED:
@@ -293,6 +327,8 @@ class TestSchurPartitionInput:
         lambda: schur_evaluate((1, 1), (1.5,)),
         lambda: RowSpace(2).add([1.5, 2]),
         lambda: RowSpace(2).add({0: 1.5}),
+        lambda: RowSpace(3).add({1.0: 2, 0: 1}),
+        lambda: RowSpace(3).add({Fraction(1): 2}),
         lambda: matrix_rank([[0.1, 1]]),
         lambda: MultiPoly(("x",), {(1,): 0.1}),
         lambda: MultiPoly(("x",), {(1,): "1/3"}),
@@ -330,6 +366,8 @@ class TestSchurPartitionInput:
         "schur_evaluate-more-parts-than-points",
         "RowSpace.add",
         "RowSpace.add-mapping",
+        "RowSpace.add-float-column",
+        "RowSpace.add-Fraction-column",
         "matrix_rank",
         "MultiPoly-float-coefficient",
         "MultiPoly-str-coefficient",

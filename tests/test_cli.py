@@ -174,6 +174,14 @@ class TestHilb:
         out = capsys.readouterr().out
         assert "deficiency at p=1: pure Schur rows give 1 of 2" in out
 
+    def test_schur_basis_help_says_it_is_not_a_basis(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["hilb", "--help"])
+        assert "not a basis of H*(Hilb_k)" in " ".join(capsys.readouterr().out.split())
+        # at k = 2, p = 4 the rank jump is two, where b_4 = 1
+        assert main(["hilb", "schur-basis", "--k", "2"]) == 0
+        assert "p=4: (2,2) (2,1,1)" in capsys.readouterr().out.splitlines()
+
     def test_schur_basis_json(self, capsys):
         assert main(["hilb", "schur-basis", "--k", "2", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -498,7 +498,10 @@ class TestMacaulayDimension:
     @example((), 0)  # every variable eliminated
     @example((), 2)
     def test_weighted_monomials_brute_force(self, degrees, d):
-        assert _weighted_monomials(degrees, d) == _brute_monomials(degrees, d)
+        # the codes in base d + 1 of the brute-force monomials, in their order
+        powers = [(d + 1) ** i for i in range(len(degrees))]
+        codes = [sum(a * p for a, p in zip(e, powers)) for e in _brute_monomials(degrees, d)]
+        assert _weighted_monomials(degrees, d, d + 1) == codes
 
 
 class TestLinearElimination:
