@@ -15,8 +15,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from operator import index
+from itertools import accumulate, combinations
+from math import gcd, lcm, prod
+from operator import index, neg, sub
 
 from .errors import NotNilpotent, NotPolynomial
 
@@ -658,10 +659,46 @@ def _prime_divisors(n):
     return primes
 
 
+def _binomial_quotient(rr, times, over):
+    # rr (highest degree first) times q^e - 1 for each e in times, then
+    # over q^e - 1 for each e in over, as a new list; None at the first
+    # division with a remainder, which, after all the multiplications, is
+    # exactly when the whole quotient is not a polynomial.  Dividing by
+    # q^e - 1 is a running sum down each residue class mod e; the last e
+    # sums are the remainder.
+    rr = list(rr)  # a failed division leaves the caller's list as it was
+    for e in times:
+        rr = list(map(sub, rr + [0] * e, [0] * e + rr))
+    for e in over:
+        for c in range(e):
+            rr[c::e] = accumulate(rr[c::e])
+        if any(rr[-e:]):
+            return None
+        del rr[-e:]
+    return rr
+
+
+@lru_cache(maxsize=4096)
+def _cyclotomic_binomials(d):
+    """(num, den, Phi_d(2)): Phi_d is the Moebius product of (q^e - 1)^mu(d/e)
+    over e | d, the binomials of num over those of den.  Only squarefree
+    d/e count, one per set of distinct primes of d.
+
+    >>> [_cyclotomic_binomials(d) for d in (1, 2, 6)]
+    [((1,), (), 1), ((2,), (1,), 3), ((6, 1), (3, 2), 3)]
+    """
+    num, den = [], []
+    primes = _prime_divisors(d)
+    for r in range(len(primes) + 1):
+        (den if r % 2 else num).extend(d // prod(c) for c in combinations(primes, r))
+    value = prod((1 << e) - 1 for e in num) // prod((1 << e) - 1 for e in den)
+    return tuple(num), tuple(den), value
+
+
 @lru_cache(maxsize=4096)
 def cyclotomic_polynomial(d):
-    """The d-th cyclotomic polynomial, by exact division of q^d - 1 by all
-    lower cyclotomic factors.
+    """The d-th cyclotomic polynomial, multiplied out of its Moebius
+    product of binomials q^e - 1 (see _cyclotomic_binomials).
 
     >>> cyclotomic_polynomial(1).coeffs
     (-1, 1)
@@ -670,11 +707,8 @@ def cyclotomic_polynomial(d):
     """
     if d < 1:
         raise ValueError("d must be positive")
-    cs = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            cs = _exact_quotient(cs, cyclotomic_polynomial(e).coeffs)
-    return IntegerPolynomial(cs)
+    num, den, _ = _cyclotomic_binomials(d)
+    return IntegerPolynomial(reversed(_binomial_quotient([1], num, den)))
 
 
 @lru_cache(maxsize=64)
@@ -712,30 +746,6 @@ def _cyclotomic_candidates(bound):
     return tuple(found)
 
 
-@lru_cache(maxsize=4096)
-def _cyclotomic_at_two(d):
-    """Phi_d(2), by the Moebius product of (2^e - 1)^mu(d/e) over the
-    divisors e of d; only squarefree d/e count, one per set of distinct
-    prime factors of d.
-
-    >>> [_cyclotomic_at_two(d) for d in (1, 2, 3, 4, 6, 12)]
-    [1, 3, 7, 5, 3, 13]
-    """
-    primes = _prime_divisors(d)
-    num = den = 1
-    for mask in range(1 << len(primes)):
-        e, odd = d, False
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                e //= p
-                odd = not odd
-        if odd:
-            den *= (1 << e) - 1
-        else:
-            num *= (1 << e) - 1
-    return num // den
-
-
 def strip_cyclotomic_factors(poly):
     """Divide out the power of q and every cyclotomic factor, in one sweep.
 
@@ -754,14 +764,16 @@ def strip_cyclotomic_factors(poly):
     longer divides no later division brings it back.
 
     Before any division, q = 2 filters: Phi_d | p in Z[q] forces
-    Phi_d(2) | p(2) in Z, and Phi_d(2) comes from the Moebius product
-    without building Phi_d.  Only a candidate that passes has the
-    coefficients of cyclotomic_polynomial(d) read, once, and divided out,
-    again and again while the filter passes and the division is exact; a
-    q = 2 false positive just meets an inexact division.  The sweep works
-    on a plain coefficient list: each division is one in-place pass of
-    _exact_quotient over the nonzero lower terms of the monic Phi_d, and
-    the residual becomes an IntegerPolynomial only at the end.
+    Phi_d(2) | p(2) in Z.  A candidate that passes is divided out again
+    and again while the filter passes and the division is exact; a false
+    positive meets an inexact division, which leaves the coefficients as
+    they were.  Phi_d is never built: each division multiplies by the
+    binomials q^e - 1 below it in its Moebius product and divides by
+    those above (_binomial_quotient); the same product gives Phi_d(2).
+    For d = 2m, m odd, Phi_d(q) = Phi_m(-q) and Phi_2(q) = -Phi_1(-q): the
+    odd-degree coefficients are negated, Phi_m, with half the binomials,
+    is divided out, and the signs go back, one more per Phi_1.  The
+    filter still reads Phi_d(2) = Phi_m(-2), so it passes as before.
 
     >>> ok, res = strip_cyclotomic_factors(IntegerPolynomial([1, 1, 2, 1, 1]))
     >>> ok, res.coeffs
@@ -771,25 +783,32 @@ def strip_cyclotomic_factors(poly):
     if p.is_zero():
         raise ValueError("the zero polynomial has no factor decomposition")
     low = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    cs = p.coeffs[low:]
+    rr = list(reversed(p.coeffs[low:]))  # highest degree first
     at_two = p(2) >> low  # exact: q^low divides p
-    for d, phi in _cyclotomic_candidates(len(cs) - 1):
-        degree = len(cs) - 1
+    for d, phi in _cyclotomic_candidates(len(rr) - 1):
+        degree = len(rr) - 1
         if d > 2 * degree ** 2:
             break
         if phi > degree:
             continue
-        factor_at_two = _cyclotomic_at_two(d)
+        num, den, factor_at_two = _cyclotomic_binomials(d)
         if at_two % factor_at_two:
             continue
-        divisor = cyclotomic_polynomial(d).coeffs
+        if d % 4 == 2:  # work on p(-q) and divide by Phi_{d/2}
+            rr[-2::-2] = map(neg, rr[-2::-2])
+            num, den, _ = _cyclotomic_binomials(d // 2)
+        divisions = 0
         while at_two % factor_at_two == 0:
-            quotient = _exact_quotient(cs, divisor)
+            quotient = _binomial_quotient(rr, den, num)
             if quotient is None:
                 break
-            cs = quotient
+            rr = quotient
             at_two //= factor_at_two
-    return len(cs) <= 1, IntegerPolynomial(cs)
+            divisions += 1
+        if d % 4 == 2:  # back to q, times (-1)^divisions when d = 2
+            start = -1 if d == 2 and divisions % 2 else -2
+            rr[start::-2] = map(neg, rr[start::-2])
+    return len(rr) <= 1, IntegerPolynomial(reversed(rr))
 
 
 def coefficient_str(c):

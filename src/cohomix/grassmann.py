@@ -15,8 +15,8 @@ from itertools import combinations
 from math import comb
 from operator import index, mul
 
-from .algebra import IntegerPolynomial, MultiPoly, RowSpace, _clear_denominators
-from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions
+from .algebra import IntegerPolynomial, MultiPoly, RowSpace, _binomial_quotient, _clear_denominators
+from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions, NotPolynomial
 
 
 class WeightSystem:
@@ -154,22 +154,25 @@ def poincare_from_regular_sequence(degrees, shift):
 
         prod_i (1 - q^(d_i + s)) / (1 - q^(d_i))
 
-    over the given generator degrees d_i with relation shift s, by exact
-    polynomial division.  Raises NotPolynomial when the rational function
-    fails to cancel to a polynomial.  For the cohomology of Gr(n-k, V) the
-    degrees are the w_degree values and the shift is 1.
+    over the given generator degrees d_i with relation shift s: with as
+    many factors above as below, the signs cancel, so the product is
+    taken by every q^(d_i + s) - 1 and then divided by every q^(d_i) - 1
+    (_binomial_quotient), with no denominator product.  Raises
+    NotPolynomial at the first division with a remainder, i.e. when the
+    rational function fails to cancel to a polynomial.  For the
+    cohomology of Gr(n-k, V) the degrees are the w_degree values and the
+    shift is 1.
     """
     if shift < 1:
         raise ValueError("shift must be positive, got %d" % shift)
-    numerator = IntegerPolynomial.one()
-    denominator = IntegerPolynomial.one()
-    one = IntegerPolynomial.one()
+    degrees = tuple(degrees)
     for d in degrees:
         if d < 1:
             raise ValueError("degrees must be positive, got %d" % d)
-        numerator = numerator * (one - IntegerPolynomial.monomial(1, d + shift))
-        denominator = denominator * (one - IntegerPolynomial.monomial(1, d))
-    return numerator.exact_divide(denominator)
+    rr = _binomial_quotient([1], [d + shift for d in degrees], degrees)
+    if rr is None:
+        raise NotPolynomial("quotient is not an integer polynomial")
+    return IntegerPolynomial(reversed(rr))
 
 
 def w_degree(i, j, n, k):

@@ -5,6 +5,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 import pytest
 import sympy
@@ -573,13 +574,21 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(6).coeffs == (1, -1, 1)
 
     def test_product_over_divisors(self):
-        for d in (6, 12):
+        # q^d - 1 is the product of Phi_e over e | d, multiplied out by
+        # IntegerPolynomial, not by the binomial kernel
+        for d in range(1, 201):
             product = IntegerPolynomial.one()
             for e in range(1, d + 1):
                 if d % e == 0:
                     product = product * cyclotomic_polynomial(e)
             expected = IntegerPolynomial([-1] + [0] * (d - 1) + [1])
-            assert product == expected
+            assert product == expected, d
+
+    def test_phi_of_twice_an_odd_number_is_phi_at_minus_q(self):
+        # the identities behind the sweep's q -> -q step
+        assert cyclotomic_polynomial(2) == -_at_minus_q(cyclotomic_polynomial(1))
+        for m in range(3, 200, 2):
+            assert cyclotomic_polynomial(2 * m) == _at_minus_q(cyclotomic_polynomial(m)), m
 
     def test_strip_gaussian_binomial_to_constant(self):
         ok, residual = strip_cyclotomic_factors(IntegerPolynomial([1, 1, 2, 1, 1]))
@@ -605,6 +614,10 @@ class TestCyclotomic:
         ok, residual = strip_cyclotomic_factors(p)
         assert ok
         assert residual.is_constant()
+
+
+def _at_minus_q(p):
+    return IntegerPolynomial([-c if i % 2 else c for i, c in enumerate(p.coeffs)])
 
 
 def _sympy_strip(coeffs):
@@ -658,6 +671,49 @@ class TestStripAgainstSympy:
             if any(coeffs):
                 self.check(IntegerPolynomial(coeffs))
 
+    def test_failed_division_leaves_the_polynomial_as_it_was(self):
+        # each input passes the q = 2 filter of a Phi_d that does not
+        # divide it, for d = 1, 2, 6 and the odd prime 5, and a later
+        # factor does divide: the failed division must not have written
+        # into the working coefficients
+        phi = cyclotomic_polynomial
+        cases = [
+            (IntegerPolynomial([1, 1]), (1,)),  # Phi_2 after a failed Phi_1
+            (IntegerPolynomial([4, 1]) * phi(3), (1, 2)),
+            (IntegerPolynomial([4, 1]) * phi(10), (1, 2, 6)),
+            (IntegerPolynomial([29, 1]) * phi(7), (1, 5)),
+            (IntegerPolynomial([29, 1]) * phi(2) * phi(7), (1, 5)),
+        ]
+        for p, failing in cases:
+            for d in failing:
+                assert p(2) % phi(d)(2) == 0, (p, d)
+                with pytest.raises(NotPolynomial):
+                    p.exact_divide(phi(d))
+            self.check(p)
+        assert strip_cyclotomic_factors([1, 1]) == (True, IntegerPolynomial([1]))
+
+    def test_residual_sign_after_odd_and_even_runs_of_phi_2(self):
+        # Phi_2(q) = -Phi_1(-q): the sign of the residual depends on the
+        # parity of the number of Phi_2 divided out
+        cubic = IntegerPolynomial([5, -1, 0, 2])
+        for power in (44, 45):
+            p = cubic
+            for _ in range(power):
+                p = p * cyclotomic_polynomial(2)
+            for sign in (1, -1):
+                ok, residual = strip_cyclotomic_factors(sign * p)
+                assert (ok, residual) == (False, sign * cubic), (power, sign)
+                self.check(sign * p)
+
+    def test_t_polynomials(self):
+        # q = t^2 turns each Phi_d(q) into Phi_d(t) Phi_2d(t) for odd d and
+        # into Phi_2d(t) for even d: the q -> -q step at high multiplicity
+        for n in range(1, 13):
+            for k in range(n // 2 + 1):  # [n, k]_q = [n, n - k]_q
+                self.check(IntegerPolynomial(gaussian_binomial(n, k)).interleave_zero())
+        for k in range(1, 7):
+            self.check(IntegerPolynomial(goettsche_betti(k, 2 * k)).interleave_zero())
+
     def test_planted_products(self):
         phi = cyclotomic_polynomial
         quadratic = IntegerPolynomial([2, 1, 1])  # q^2 + q + 2, not cyclotomic
@@ -701,8 +757,21 @@ class TestStripCandidates:
             assert list(algebra._cyclotomic_candidates(bound)) == expected, bound
 
     def test_moebius_value_at_two(self):
+        # the helper's binomials are the Moebius ones, its Phi_d(2) is the
+        # value of cyclotomic_polynomial(d) at 2, and the values multiply
+        # over the divisors to 2^d - 1, which fixes each of them
+        mobius = [None, 1] + [0] * 499
+        for n in range(2, 501):
+            mobius[n] = -sum(mobius[e] for e in range(1, n) if n % e == 0)
+        values = [None]
         for d in range(1, 501):
-            assert algebra._cyclotomic_at_two(d) == cyclotomic_polynomial(d)(2), d
+            num, den, at_two = algebra._cyclotomic_binomials(d)
+            divisors = [e for e in range(1, d + 1) if d % e == 0]
+            assert sorted(num) == [e for e in divisors if mobius[d // e] == 1], d
+            assert sorted(den) == [e for e in divisors if mobius[d // e] == -1], d
+            assert at_two == cyclotomic_polynomial(d)(2), d
+            values.append(at_two)
+            assert prod(values[e] for e in divisors) == 2 ** d - 1, d
 
     def test_hilbert_polynomials_as_before(self):
         for k in range(1, 11):

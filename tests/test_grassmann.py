@@ -195,11 +195,27 @@ class TestPoincareFromRegularSequence:
     def test_noncancelling_raises(self):
         with pytest.raises(NotPolynomial):
             poincare_from_regular_sequence((3,), 1)
+        with pytest.raises(NotPolynomial):
+            poincare_from_regular_sequence((2,), 1)
+        # q - 1 divides, q^3 - 1 then leaves a remainder
+        with pytest.raises(NotPolynomial):
+            poincare_from_regular_sequence((1, 3), 1)
         # a shift or a degree that is not positive
         with pytest.raises(ValueError, match="shift"):
             poincare_from_regular_sequence([1], 0)
         with pytest.raises(ValueError, match="degrees"):
             poincare_from_regular_sequence([0], 1)
+
+    def test_gaussian_binomials(self):
+        for n in range(2, 13):
+            for k in range(1, n):
+                degrees = [
+                    w_degree(i, j, n, k)
+                    for i in range(1, n - k + 1)
+                    for j in range(1, k + 1)
+                ]
+                poly = poincare_from_regular_sequence(degrees, 1)
+                assert poly.coefficient_list() == gaussian_binomial(n, k), (n, k)
 
     def test_agrees_with_cells(self):
         for n, k in ((4, 2), (6, 2), (10, 3)):
