@@ -31,7 +31,7 @@ print("cell generating function:", from_cells)
 # degree w_degree(i,j) and one relation of degree w_degree(i,j)+1
 degrees = [w_degree(i, j, n, k) for i in range(1, n - k + 1) for j in range(1, k + 1)]
 print("generator degrees:", degrees)
-from_product = poincare_from_regular_sequence(degrees, 1)
+from_product = poincare_from_regular_sequence(degrees)
 print("regular-sequence product:", from_product)
 
 assert from_cells == from_product

@@ -75,11 +75,19 @@ class Partition:
 
     @classmethod
     def parse(cls, text):
-        """Inverse of str: '2,1' -> Partition((2, 1)), '' -> Partition(())."""
+        """Inverse of str: '2,1' -> Partition((2, 1)), '' -> Partition(()).
+        A part that is not an integer raises ValueError naming it."""
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(int(p) for p in text.split(",")))
+        parts = []
+        for i, part in enumerate(text.split(","), 1):
+            try:
+                parts.append(int(part))
+            except ValueError:
+                message = "part %d of partition %r is not an integer: %r"
+                raise ValueError(message % (i, text, part)) from None
+        return cls(parts)
 
 
 def partitions_in_box(max_parts, max_part, size):
@@ -179,8 +187,9 @@ def _elementary(*points):
 
 @lru_cache(maxsize=256)
 def _conjugate(parts):
-    # Column lengths of the diagram.  Callers evaluate one partition at
-    # many points in a row, so a small cache serves them.
+    # Column lengths of the diagram, for schur_evaluate and jordan_type.
+    # schur_evaluate reads one partition at many points in a row, so a
+    # small cache serves it.
     return tuple(sum(1 for p in parts if p > c) for c in range(parts[0]))
 
 
@@ -436,8 +445,9 @@ def matrix_rank(matrix):
 def jordan_type(matrix):
     """Jordan type of a nilpotent matrix as a Partition of block sizes.
 
-    The number of blocks of size at least s is rank(N^(s-1)) - rank(N^s).
-    Raises NotNilpotent when N^dim is still nonzero.
+    The number of blocks of size at least s is rank(N^(s-1)) - rank(N^s),
+    so these rank drops are the conjugate of the Jordan type.  Raises
+    NotNilpotent when N^dim is still nonzero.
 
     >>> jordan_type([[0, 1], [0, 0]])
     Partition((2,))
@@ -456,44 +466,7 @@ def jordan_type(matrix):
         power = power.mul(m)
     if ranks[-1] != 0:
         raise NotNilpotent("rank of the %d-th power is still %d" % (len(ranks) - 1, ranks[-1]))
-    blocks_ge = [ranks[s - 1] - ranks[s] for s in range(1, len(ranks))]
-    parts = []
-    for s in range(len(blocks_ge), 0, -1):
-        count = blocks_ge[s - 1] - (blocks_ge[s] if s < len(blocks_ge) else 0)
-        parts.extend([s] * count)
-    parts.sort(reverse=True)
-    return Partition(tuple(parts))
-
-
-def _exact_quotient(coeffs, divisor):
-    # The quotient coefficients of coeffs / divisor (constant term first,
-    # divisor[-1] nonzero) when the division is exact over the integers,
-    # else None.  One pass over a copy of coeffs, top down: each quotient
-    # coefficient overwrites the entry it comes from, and only the
-    # divisor's nonzero lower terms are subtracted below it, so what is
-    # left under the quotient is the remainder.  A leading +-1 divides
-    # without divmod.
-    m = len(divisor) - 1
-    lead = divisor[m]
-    lower = [(i - m, b) for i, b in enumerate(divisor[:m]) if b]
-    rem = list(coeffs)
-    for top in range(len(rem) - 1, m - 1, -1):
-        f = rem[top]
-        if not f:
-            continue
-        if lead != 1:
-            if lead == -1:
-                f = -f
-            else:
-                f, r = divmod(f, lead)
-                if r:
-                    return None
-            rem[top] = f
-        for offset, b in lower:
-            rem[top + offset] -= f * b
-    if any(rem[:m]):
-        return None
-    return rem[m:]
+    return Partition(_conjugate(tuple(a - b for a, b in zip(ranks, ranks[1:]))))
 
 
 class IntegerPolynomial:
@@ -599,19 +572,31 @@ class IntegerPolynomial:
         """Quotient self / other when the division is exact over the
         integers; the divisor need not be monic.  Raises NotPolynomial for
         an inexact division or a divisor of larger degree, and
-        ZeroDivisionError for the zero divisor.  One pass of
-        _exact_quotient: only the divisor's nonzero lower terms are
-        subtracted."""
+        ZeroDivisionError for the zero divisor.  Long division, top down,
+        on a copy of the coefficients: each quotient coefficient overwrites
+        the entry it comes from, and only the divisor's nonzero lower terms
+        are subtracted below it, so what is left under the quotient is the
+        remainder."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return IntegerPolynomial()
-        if other.degree > self.degree:
-            raise NotPolynomial("degree %d does not divide degree %d" % (other.degree, self.degree))
-        quotient = _exact_quotient(self.coeffs, other.coeffs)
-        if quotient is None:
+        m = other.degree
+        if m > self.degree:
+            raise NotPolynomial("degree %d does not divide degree %d" % (m, self.degree))
+        lead = other.coeffs[m]
+        lower = [(i - m, b) for i, b in enumerate(other.coeffs[:m]) if b]
+        rem = list(self.coeffs)
+        for top in range(len(rem) - 1, m - 1, -1):
+            f, r = divmod(rem[top], lead)
+            if r:
+                raise NotPolynomial("quotient is not an integer polynomial")
+            rem[top] = f
+            for offset, b in lower:
+                rem[top + offset] -= f * b
+        if any(rem[:m]):
             raise NotPolynomial("quotient is not an integer polynomial")
-        return IntegerPolynomial(quotient)
+        return IntegerPolynomial(rem[m:])
 
     def interleave_zero(self):
         """Substitute q = t^2: spread coefficients onto even exponents."""
@@ -695,7 +680,6 @@ def _cyclotomic_binomials(d):
     return tuple(num), tuple(den), value
 
 
-@lru_cache(maxsize=4096)
 def cyclotomic_polynomial(d):
     """The d-th cyclotomic polynomial, multiplied out of its Moebius
     product of binomials q^e - 1 (see _cyclotomic_binomials).

@@ -78,7 +78,7 @@ def _cmd_grass_poincare(args):
     if args.method == "cells":
         poly = poincare_from_cells(WeightSystem.principal(args.n), args.k)
     else:
-        poly = poincare_from_regular_sequence(degrees, 1)
+        poly = poincare_from_regular_sequence(degrees)
     coeffs = poly.coefficient_list()
     doc = {"n": args.n, "k": args.k, "method": args.method, "coefficients": coeffs}
     return doc, [str(coeffs)]

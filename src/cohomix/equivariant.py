@@ -15,7 +15,7 @@ surjectivity after localization.
 from fractions import Fraction
 from operator import index
 
-from .algebra import Partition, _fraction, _terms_str, coefficient_str, schur_evaluate
+from .algebra import Partition, _fraction, _terms_str, schur_evaluate
 from .errors import UnknownFixedPoint
 from .filtration import box_of, check_fits, schur_rank_steps
 
@@ -99,9 +99,6 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return "LaurentPolynomial(%r)" % (self.coeffs,)
-
-    def to_json_dict(self):
-        return {str(e): coefficient_str(self.coeffs[e]) for e in sorted(self.coeffs)}
 
 
 class EquivariantClass:

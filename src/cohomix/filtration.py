@@ -120,14 +120,14 @@ def _is_subspace_list(points):
     return bool(points) and all(isinstance(pt, FixedSubspace) for pt in points)
 
 
-def filtration_betti(points, ws=None, p_max=None, action=None):
+def filtration_betti(points, ws=None, action=None):
     """Betti numbers of the variety carrying the given fixed points.  Each
     route reads only its own arguments and raises TypeError on the others.
 
     Grassmannian fixed subspaces, with their ambient WeightSystem ws: r_p
     is the rank of the evaluation matrix over the box partitions of size
-    at most p, and b_p = r_p - r_{p-1}, for p = 0..p_max (default: the box
-    area k(n-k)).
+    at most p, and b_p = r_p - r_{p-1}, for p = 0 up to the box area
+    k(n-k).
 
     Hilbert-scheme partition triples of total size k: b_p, for p = 0..2k,
     counts the given fixed points whose attracting cell has dimension p,
@@ -142,15 +142,15 @@ def filtration_betti(points, ws=None, p_max=None, action=None):
     """
     points = list(points)
     if _is_triple_list(points):
-        if ws is not None or p_max is not None:
-            raise TypeError("partition triples take only an action, not ws or p_max")
+        if ws is not None:
+            raise TypeError("partition triples take only an action, not ws")
         return _cell_betti(points, action)
     if _is_subspace_list(points):
         if action is not None:
-            raise TypeError("fixed subspaces take ws and p_max, not an action")
+            raise TypeError("fixed subspaces take ws, not an action")
         if ws is None:
             raise ValueError("fixed subspaces need their ambient WeightSystem")
-        betti = [len(grew) for grew in schur_rank_steps(points, ws, p_max)]
+        betti = [len(grew) for grew in schur_rank_steps(points, ws)]
         return BettiTable(betti, len(points))
     raise TypeError("points must be all FixedSubspace or all PartitionTriple")
 

@@ -14,6 +14,7 @@ regular group action would force.
 """
 
 from functools import lru_cache
+from math import comb
 from operator import index
 
 from .algebra import Partition, RationalMatrix, _power_str, jordan_type, partitions_in_box
@@ -257,7 +258,9 @@ def degree_k_part(triple, k):
         raise InvalidDegree(
             "triple has total size %d, expected k=%d" % (triple.size, k)
         )
-    n = len(monomial_basis(k))
+    if k < 1:
+        raise InvalidDegree("k must be at least 1, got %d" % k)
+    n = comb(k + 2, 2)
     outside = set(outside_positions(triple, k))
     return FixedSubspace(tuple(i for i in range(1, n + 1) if i not in outside), n)
 

@@ -149,27 +149,24 @@ def poincare_from_cells(ws, k):
     return IntegerPolynomial(coeffs)
 
 
-def poincare_from_regular_sequence(degrees, shift):
+def poincare_from_regular_sequence(degrees):
     """Expand the product
 
-        prod_i (1 - q^(d_i + s)) / (1 - q^(d_i))
+        prod_i (1 - q^(d_i + 1)) / (1 - q^(d_i))
 
-    over the given generator degrees d_i with relation shift s: with as
-    many factors above as below, the signs cancel, so the product is
-    taken by every q^(d_i + s) - 1 and then divided by every q^(d_i) - 1
-    (_binomial_quotient), with no denominator product.  Raises
-    NotPolynomial at the first division with a remainder, i.e. when the
-    rational function fails to cancel to a polynomial.  For the
-    cohomology of Gr(n-k, V) the degrees are the w_degree values and the
-    shift is 1.
+    over the given generator degrees d_i, each relation one degree above
+    its generator: with as many factors above as below, the signs cancel,
+    so the product is taken by every q^(d_i + 1) - 1 and then divided by
+    every q^(d_i) - 1 (_binomial_quotient), with no denominator product.
+    Raises NotPolynomial at the first division with a remainder, i.e. when
+    the rational function fails to cancel to a polynomial.  For the
+    cohomology of Gr(n-k, V) the degrees are the w_degree values.
     """
-    if shift < 1:
-        raise ValueError("shift must be positive, got %d" % shift)
     degrees = tuple(degrees)
     for d in degrees:
         if d < 1:
             raise ValueError("degrees must be positive, got %d" % d)
-    rr = _binomial_quotient([1], [d + shift for d in degrees], degrees)
+    rr = _binomial_quotient([1], [d + 1 for d in degrees], degrees)
     if rr is None:
         raise NotPolynomial("quotient is not an integer polynomial")
     return IntegerPolynomial(reversed(rr))

@@ -32,6 +32,18 @@ def gaussian_binomial(n, k):
     return coeffs
 
 
+def jordan_sl2(k):
+    """Jordan type of the derivation X_0 -> X_1 -> X_2 -> 0 on the degree-k
+    forms R_k, from sl_2 theory rather than matrix ranks.
+
+    On <X_0, X_1, X_2> the derivation is one nilpotent block of size 3, the
+    raising operator of sl_2 on V_2 = Sym^2 C^2 in a suitable basis.  So
+    R_k = Sym^k V_2 = sum of V_(2k-4j) over j = 0..k//2 (Cayley-Sylvester),
+    and the raising operator has one block of size m + 1 on each V_m.
+    """
+    return tuple(2 * k + 1 - 4 * j for j in range(k // 2 + 1))
+
+
 def schur_bialternant(mu, points):
     """Schur value as a ratio of alternants; requires distinct points."""
     pts = [Fraction(x) for x in points]

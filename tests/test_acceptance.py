@@ -83,11 +83,12 @@ def test_criterion_1_poincare_from_cells_is_gaussian():
 
 
 def test_criterion_2_regular_sequence_consistency():
-    """The regular-sequence product over the generator degrees with shift 1
-    reproduces the cell answer exactly for the same three Grassmannians."""
+    """The regular-sequence product over the generator degrees, each
+    relation one degree above its generator, reproduces the cell answer
+    exactly for the same three Grassmannians."""
     for n, k in ((4, 2), (6, 2), (10, 3)):
         from_cells = poincare_from_cells(WeightSystem.principal(n), k)
-        from_product = poincare_from_regular_sequence(_w_degrees(n, k), 1)
+        from_product = poincare_from_regular_sequence(_w_degrees(n, k))
         assert from_cells == from_product, (n, k)
     _report(2, "regular-sequence product formula agrees with cells exactly")
 

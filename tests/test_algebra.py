@@ -514,6 +514,18 @@ class TestRankAndRowSpace:
             RowSpace(3).add(row)
 
 
+def jordan_blocks(sizes):
+    # the block-diagonal nilpotent with one Jordan block per size, as rows
+    dim = sum(sizes)
+    m = [[0] * dim for _ in range(dim)]
+    offset = 0
+    for s in sizes:
+        for i in range(s - 1):
+            m[offset + i][offset + i + 1] = 1
+        offset += s
+    return m
+
+
 class TestJordanType:
     def test_single_block(self):
         n = [[0, 1], [0, 0]]
@@ -552,13 +564,24 @@ class TestJordanType:
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     def test_block_sums_and_reconstruction(self, sizes):
         sizes = sorted(sizes, reverse=True)
-        dim = sum(sizes)
-        m = [[0] * dim for _ in range(dim)]
-        offset = 0
-        for s in sizes:
-            for i in range(s - 1):
-                m[offset + i][offset + i + 1] = 1
-            offset += s
+        assert jordan_type(jordan_blocks(sizes)) == tuple(sizes)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
+    def test_conjugated_blocks(self, sizes, data):
+        # N -> E N E^-1 for E = I + c*e_ij, i != j: row i gains c times row
+        # j, then column j loses c times column i.  A run of these is a
+        # unimodular change of basis, so the Jordan type stays while N
+        # leaves Jordan form.
+        sizes = sorted(sizes, reverse=True)
+        m = jordan_blocks(sizes)
+        slot = st.integers(0, len(m) - 1)
+        steps = st.lists(st.tuples(slot, slot, st.integers(-3, 3)), max_size=12)
+        for i, j, c in data.draw(steps):
+            if i != j:
+                m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+                for row in m:
+                    row[j] -= c * row[i]
         assert jordan_type(m) == tuple(sizes)
 
 

@@ -96,6 +96,14 @@ class TestHilb:
         code, _out, err = run_cli(["hilb", "embed", "--k", "2", "--triple", "1;1"])
         assert code == 2
 
+    @pytest.mark.parametrize("triple, message", [
+        ("1;x;", "error: part 1 of partition 'x' is not an integer: 'x'"),
+        ("2,1,;;", "error: part 3 of partition '2,1,' is not an integer: ''"),
+    ])
+    def test_embed_non_integer_part_named(self, triple, message, capsys):
+        assert main(["hilb", "embed", "--k", "2", "--triple", triple]) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_embed_size_mismatch(self):
         code, _out, _err = run_cli(["hilb", "embed", "--k", "3", "--triple", "1;1;"])
         assert code == 2

@@ -79,7 +79,7 @@ class TestEvaluationMatrix:
 class TestGrassmannianRoute:
     def test_gr24_betti(self):
         ws = WeightSystem.principal(4)
-        table = filtration_betti(enumerate_fixed_subspaces(4, 2), ws, p_max=4)
+        table = filtration_betti(enumerate_fixed_subspaces(4, 2), ws)
         assert table.betti == (1, 1, 2, 1, 1)
         assert table.cumulative == (1, 2, 4, 5, 6)
 
@@ -172,9 +172,9 @@ class TestHilbRoute:
         for k in (2, 3):
             points, ws = hilb_points(k)
             n = points[0].n
-            restricted = filtration_betti(points, ws, p_max=2 * k)
-            ambient = filtration_betti(enumerate_fixed_subspaces(n, k), ws, p_max=2 * k)
-            for bp_sub, bp_amb in zip(restricted.betti, ambient.betti):
+            restricted = filtration_betti(points, ws).betti[: 2 * k + 1]
+            ambient = filtration_betti(enumerate_fixed_subspaces(n, k), ws).betti[: 2 * k + 1]
+            for bp_sub, bp_amb in zip(restricted, ambient):
                 assert bp_sub <= bp_amb
 
     def test_true_betti_can_exceed_ambient(self):
@@ -183,7 +183,7 @@ class TestHilbRoute:
         # which is why the pure evaluation filtration cannot compute it
         points, ws = hilb_points(2)
         hilb = filtration_betti(enumerate_hilb_fixed_points(2))
-        ambient = filtration_betti(enumerate_fixed_subspaces(6, 2), ws, p_max=4)
+        ambient = filtration_betti(enumerate_fixed_subspaces(6, 2), ws)
         assert hilb.betti[1] == 2
         assert ambient.betti[1] == 1
 
@@ -191,9 +191,9 @@ class TestHilbRoute:
         # the function-theoretic filtration on the embedded fixed set is a
         # genuinely different (smaller) object; frozen for documentation
         points, ws = hilb_points(2)
-        table = filtration_betti(points, ws, p_max=4)
-        assert table.betti == (1, 1, 2, 2, 2)
-        assert table.cumulative == (1, 2, 4, 6, 8)
+        table = filtration_betti(points, ws)
+        assert table.betti == (1, 1, 2, 2, 2, 1, 0, 0, 0)
+        assert table.cumulative == (1, 2, 4, 6, 8, 9, 9, 9, 9)
 
     def test_mixed_points_rejected(self):
         points, _ = hilb_points(2)
@@ -211,8 +211,6 @@ class TestHilbRoute:
         ws = WeightSystem.principal(4)
         with pytest.raises(TypeError):
             filtration_betti(triples, ws)
-        with pytest.raises(TypeError):
-            filtration_betti(triples, p_max=2)
         with pytest.raises(TypeError):
             filtration_betti(subspaces, ws, action=build_torus_action(2))
         with pytest.raises(ValueError):
@@ -544,9 +542,9 @@ class TestSharedSchurRankLoop:
 
     def test_betti_equals_selection_sizes(self):
         for points, ws, p_max in self.cases():
-            table = filtration_betti(points, ws, p_max=p_max)
+            table = filtration_betti(points, ws)
             sel = select_schur_basis(points, ws, p_max=p_max)
-            assert list(table.betti) == [len(sel[p]) for p in range(p_max + 1)]
+            assert list(table.betti[: p_max + 1]) == [len(sel[p]) for p in range(p_max + 1)]
 
     def test_full_scan_total_is_localization_rank(self):
         for points, ws, _p_max in self.cases():

@@ -26,6 +26,8 @@ from cohomix.gotzmann import (
     tangent_weights,
 )
 
+from oracles import jordan_sl2
+
 
 def reference_tangent_weights(triple, action):
     # the defining formula: each leg counted by scanning the rows below
@@ -242,6 +244,8 @@ class TestDegreeKPart:
     def test_size_mismatch_raises(self):
         with pytest.raises(InvalidDegree):
             degree_k_part(PartitionTriple.parse("1;1;"), 3)
+        with pytest.raises(InvalidDegree, match="at least 1"):
+            degree_k_part(PartitionTriple.parse(";;"), 0)
 
     def test_matches_box_set_definition(self):
         for k in range(1, 9):
@@ -463,6 +467,10 @@ class TestNilpotent:
         assert jordan_regularity_check(2) == ((5, 1), False)
         assert jordan_regularity_check(3) == ((7, 3), False)
         assert jordan_regularity_check(4) == ((9, 5, 1), False)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+    def test_jordan_type_is_the_sl2_closed_form(self, k):
+        assert jordan_regularity_check(k) == (jordan_sl2(k), k == 1)
 
     def test_block_sizes_sum_to_dim(self):
         for k in range(1, 5):

@@ -183,28 +183,26 @@ class TestPoincareFromCells:
 
 class TestPoincareFromRegularSequence:
     def test_gr24(self):
-        poly = poincare_from_regular_sequence((2, 3, 1, 2), 1)
+        poly = poincare_from_regular_sequence((2, 3, 1, 2))
         assert poly.coefficient_list() == [1, 1, 2, 1, 1]
 
     def test_projective_line(self):
-        assert poincare_from_regular_sequence((1,), 1).coeffs == (1, 1)
+        assert poincare_from_regular_sequence((1,)).coeffs == (1, 1)
 
     def test_empty(self):
-        assert poincare_from_regular_sequence((), 1).coeffs == (1,)
+        assert poincare_from_regular_sequence(()).coeffs == (1,)
 
     def test_noncancelling_raises(self):
         with pytest.raises(NotPolynomial):
-            poincare_from_regular_sequence((3,), 1)
+            poincare_from_regular_sequence((3,))
         with pytest.raises(NotPolynomial):
-            poincare_from_regular_sequence((2,), 1)
+            poincare_from_regular_sequence((2,))
         # q - 1 divides, q^3 - 1 then leaves a remainder
         with pytest.raises(NotPolynomial):
-            poincare_from_regular_sequence((1, 3), 1)
-        # a shift or a degree that is not positive
-        with pytest.raises(ValueError, match="shift"):
-            poincare_from_regular_sequence([1], 0)
+            poincare_from_regular_sequence((1, 3))
+        # a degree that is not positive
         with pytest.raises(ValueError, match="degrees"):
-            poincare_from_regular_sequence([0], 1)
+            poincare_from_regular_sequence([0])
 
     def test_gaussian_binomials(self):
         for n in range(2, 13):
@@ -214,7 +212,7 @@ class TestPoincareFromRegularSequence:
                     for i in range(1, n - k + 1)
                     for j in range(1, k + 1)
                 ]
-                poly = poincare_from_regular_sequence(degrees, 1)
+                poly = poincare_from_regular_sequence(degrees)
                 assert poly.coefficient_list() == gaussian_binomial(n, k), (n, k)
 
     def test_agrees_with_cells(self):
@@ -224,7 +222,7 @@ class TestPoincareFromRegularSequence:
                 for i in range(1, n - k + 1)
                 for j in range(1, k + 1)
             ]
-            assert poincare_from_regular_sequence(degrees, 1) == poincare_from_cells(
+            assert poincare_from_regular_sequence(degrees) == poincare_from_cells(
                 WeightSystem.principal(n), k
             )
 
