@@ -17,7 +17,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
 from math import gcd, lcm, prod
-from operator import index, neg, sub
+from operator import add, index, neg, sub
 
 from .errors import NotNilpotent, NotPolynomial
 
@@ -83,11 +83,27 @@ class Partition:
         parts = []
         for i, part in enumerate(text.split(","), 1):
             try:
-                parts.append(int(part))
+                parts.append(_parse_int(part))
             except ValueError:
                 message = "part %d of partition %r is not an integer: %r"
                 raise ValueError(message % (i, text, part)) from None
         return cls(parts)
+
+
+def _parse_int(text):
+    """An optional sign and ASCII digits, with surrounding whitespace, as an
+    int.  int() alone would also read '1_0' as 10 and any Unicode decimal
+    digit, such as the Arabic-Indic one, as its value; those raise here.
+
+    >>> [_parse_int(t) for t in ('7', ' -12 ', '+0')]
+    [7, -12, 0]
+    """
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not an integer: %r" % (text,))
+    return int(text)
 
 
 def partitions_in_box(max_parts, max_part, size):
@@ -649,14 +665,27 @@ def _binomial_quotient(rr, times, over):
     # over q^e - 1 for each e in over, as a new list; None at the first
     # division with a remainder, which, after all the multiplications, is
     # exactly when the whole quotient is not a polynomial.  Dividing by
-    # q^e - 1 is a running sum down each residue class mod e; the last e
-    # sums are the remainder.
-    rr = list(rr)  # a failed division leaves the caller's list as it was
+    # q^e - 1 is a running sum with stride e whose last e sums are the
+    # remainder.  With n = len(rr) it is one accumulate for e = 1, one per
+    # residue class mod e (e steps) while e * e <= n, and for larger e
+    # ceil(n / e) - 1 block steps, each adding the block of sums before it
+    # (the last block may be short).  The caller's list is never written,
+    # so a failed division leaves it as it was.
     for e in times:
         rr = list(map(sub, rr + [0] * e, [0] * e + rr))
     for e in over:
-        for c in range(e):
-            rr[c::e] = accumulate(rr[c::e])
+        n = len(rr)
+        if e == 1:
+            rr = list(accumulate(rr))
+        elif e * e <= n:
+            rr = rr[:]
+            for c in range(e):
+                rr[c::e] = accumulate(rr[c::e])
+        else:
+            out = rr[:e]
+            for i in range(e, n, e):
+                out += map(add, rr[i : i + e], out[i - e : i])
+            rr = out
         if any(rr[-e:]):
             return None
         del rr[-e:]
@@ -754,6 +783,10 @@ def strip_cyclotomic_factors(poly):
     they were.  Phi_d is never built: each division multiplies by the
     binomials q^e - 1 below it in its Moebius product and divides by
     those above (_binomial_quotient); the same product gives Phi_d(2).
+    Dividing n coefficients by q^e - 1 is a running sum with stride e:
+    one prefix sum for e = 1, one per residue class mod e while
+    e * e <= n, and for larger e, such as the q^55 - 1 of Phi_55 on a
+    degree-80 input, block by block in ceil(n / e) - 1 steps.
     For d = 2m, m odd, Phi_d(q) = Phi_m(-q) and Phi_2(q) = -Phi_1(-q): the
     odd-degree coefficients are negated, Phi_m, with half the binomials,
     is divided out, and the signs go back, one more per Phi_1.  The

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .algebra import IntegerPolynomial
+from .algebra import IntegerPolynomial, _parse_int
 from .equivariant import localization_rank_check
 from .errors import InternalInvariantViolation
 from .filtration import (
@@ -155,10 +155,13 @@ def _cmd_hilb_poincare(args):
 
 
 def _cmd_b2_check(args):
-    try:
-        coeffs = [int(c) for c in args.poincare.split(",")]
-    except ValueError:
-        raise ValueError("--poincare expects comma-separated integers") from None
+    coeffs = []
+    for c in args.poincare.split(","):
+        try:
+            coeffs.append(_parse_int(c))
+        except ValueError:
+            message = "--poincare expects comma-separated integers, got %r"
+            raise ValueError(message % (c,)) from None
     poly = IntegerPolynomial(coeffs)
     verdict = b2_regularity_verdict(poly)
     doc = {"coefficients": poly.coefficient_list(), "verdict": verdict}
@@ -178,8 +181,16 @@ def _cmd_eq_localization(args):
     return doc, ["rank=%d full=%s" % (rank, "true" if full else "false")]
 
 
-_N = ("--n", {"type": int, "required": True})
-_K = ("--k", {"type": int, "required": True})
+def _int_option(text):
+    # argparse type of --n and --k: the strict integer of _parse_int
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+
+
+_N = ("--n", {"type": _int_option, "required": True})
+_K = ("--k", {"type": _int_option, "required": True})
 
 
 def _add_command(subparsers, name, func, summary, *arguments):

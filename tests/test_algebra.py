@@ -9,7 +9,7 @@ from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cohomix import algebra
 from cohomix.algebra import (
@@ -815,6 +815,58 @@ class TestStripCandidates:
         # exact division decides
         p = IntegerPolynomial([-2, 1]) * cyclotomic_polynomial(5) * cyclotomic_polynomial(1)
         assert strip_cyclotomic_factors(p) == (False, IntegerPolynomial([-2, 1]))
+
+
+@st.composite
+def _dividend_and_binomial(draw):
+    # a coefficient list (highest degree first) and e from 1 to n + 2, so
+    # that every branch of the kernel runs: e = 1, e * e <= n, e * e > n,
+    # e = n and e > n; half the time the remainder mod q^e - 1 (the sums
+    # of the coefficients over each class of exponents mod e) is
+    # subtracted, which makes the division exact
+    rr = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=40))
+    n = len(rr)
+    e = draw(st.integers(1, n + 2))
+    if draw(st.booleans()):
+        for j in range(min(e, n)):
+            rr[n - 1 - j] -= sum(rr[n - 1 - i] for i in range(j, n, e))
+    return rr, e
+
+
+class TestBinomialQuotient:
+    @settings(deadline=None, max_examples=300)
+    @given(_dividend_and_binomial())
+    @example(([1, 2, 3], 1))
+    @example(([1, 2, 3], 3))
+    @example(([0, 0, 0], 3))
+    @example(([1, 2, 3], 5))
+    def test_against_exact_divide(self, case):
+        rr, e = case
+        before = list(rr)
+        got = algebra._binomial_quotient(rr, (), (e,))
+        assert rr == before
+        binomial = IntegerPolynomial.monomial(1, e) - IntegerPolynomial.one()
+        try:
+            expected = IntegerPolynomial(reversed(rr)).exact_divide(binomial)
+        except NotPolynomial:
+            assert got is None
+        else:
+            assert got is not None
+            assert IntegerPolynomial(reversed(got)) == expected
+
+    def test_several_blocks_and_a_short_last_one(self):
+        # n = 23, e = 5: 25 > 23, so the division runs block by block,
+        # four steps with a last block of 3
+        quotient = list(range(1, 19))
+        rr = [a - b for a, b in zip(quotient + [0] * 5, [0] * 5 + quotient)]  # times q^5 - 1
+        assert len(rr) == 23
+        before = list(rr)
+        assert algebra._binomial_quotient(rr, (), (5,)) == quotient
+        assert rr == before
+        rr[-3] += 1
+        before = list(rr)
+        assert algebra._binomial_quotient(rr, (), (5,)) is None
+        assert rr == before
 
 
 class TestIntegerPolynomial:

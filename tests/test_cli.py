@@ -99,6 +99,9 @@ class TestHilb:
     @pytest.mark.parametrize("triple, message", [
         ("1;x;", "error: part 1 of partition 'x' is not an integer: 'x'"),
         ("2,1,;;", "error: part 3 of partition '2,1,' is not an integer: ''"),
+        # int() would read these as (10) and (1, 1)
+        ("1_0;;", "error: part 1 of partition '1_0' is not an integer: '1_0'"),
+        ("١,١;;", "error: part 1 of partition '١,١' is not an integer: '١'"),
     ])
     def test_embed_non_integer_part_named(self, triple, message, capsys):
         assert main(["hilb", "embed", "--k", "2", "--triple", triple]) == 2
@@ -221,6 +224,19 @@ class TestB2:
             code, _out, _err = run_cli(["b2", "check", "--poincare", text])
             assert code == 2, text
 
+    @pytest.mark.parametrize("text, token", [
+        ("1_0,1", "1_0"), ("1,١", "١"), ("1,²", "²"), ("1,0x1", "0x1"),
+    ])
+    def test_check_only_ascii_integers(self, text, token, capsys):
+        # int() would read 1_0 as 10, and the Arabic-Indic one as 1
+        assert main(["b2", "check", "--poincare", text]) == 2
+        message = "error: --poincare expects comma-separated integers, got %r" % token
+        assert capsys.readouterr().err.strip() == message
+
+    def test_check_signs_and_spaces_still_read(self, capsys):
+        assert main(["b2", "check", "--poincare", " 1, +1,2 ,1,1\n"]) == 0
+        assert capsys.readouterr().out.strip() == "INCONCLUSIVE"
+
     def test_jordan(self, capsys):
         assert main(["b2", "jordan", "--k", "2"]) == 0
         assert capsys.readouterr().out.strip() == "5,1 regular=false"
@@ -242,6 +258,25 @@ class TestEq:
         assert main(["eq", "localization", "--k", "1", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"k": 1, "points": 3, "rank": 3, "full": True}
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("argv, token", [
+        (["hilb", "fixed-points", "--k", "1_0"], "1_0"),
+        (["hilb", "fixed-points", "--k", "٣"], "٣"),
+        (["b2", "jordan", "--k", "²"], "²"),
+        (["grass", "poincare", "--n", "١٠", "--k", "2"], "١٠"),
+        (["grass", "presentation", "--n", "4", "--k", "0_2"], "0_2"),
+    ])
+    def test_only_ascii_integers(self, argv, token, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid int value: %r" % token in capsys.readouterr().err
+
+    def test_signs_and_spaces_still_read(self, capsys):
+        assert main(["hilb", "fixed-points", "--k", " +3 "]) == 0
+        assert capsys.readouterr().out.startswith("count: 22\n")
 
 
 def _command_paths(parser, path=()):
