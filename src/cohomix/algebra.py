@@ -203,9 +203,9 @@ def _elementary(*points):
 
 @lru_cache(maxsize=256)
 def _conjugate(parts):
-    # Column lengths of the diagram, for schur_evaluate and jordan_type.
-    # schur_evaluate reads one partition at many points in a row, so a
-    # small cache serves it.
+    # Column lengths of the diagram, for schur_evaluate, jordan_type and
+    # gotzmann._chart_tangent_weights.  schur_evaluate reads one partition
+    # at many points in a row, so a small cache serves it.
     return tuple(sum(1 for p in parts if p > c) for c in range(parts[0]))
 
 
@@ -449,7 +449,6 @@ class RationalMatrix:
 def matrix_rank(matrix):
     """Exact rank of a RationalMatrix or an iterable of int or Fraction rows."""
     rows = matrix.entries if isinstance(matrix, RationalMatrix) else [list(r) for r in matrix]
-    rows = list(rows)
     if not rows:
         return 0
     space = RowSpace(len(rows[0]))
@@ -573,8 +572,6 @@ class IntegerPolynomial:
         if not isinstance(other, IntegerPolynomial):
             other = index(other)
             return IntegerPolynomial([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return IntegerPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -616,8 +613,6 @@ class IntegerPolynomial:
 
     def interleave_zero(self):
         """Substitute q = t^2: spread coefficients onto even exponents."""
-        if self.is_zero():
-            return IntegerPolynomial()
         out = [0] * (2 * len(self.coeffs) - 1)
         out[::2] = self.coeffs
         return IntegerPolynomial(out)

@@ -66,8 +66,6 @@ def _cmd_grass_presentation(args):
         "degrees: " + " ".join(str(d) for d in pres.degrees),
     ]
     for var, rel in zip(pres.variables, relations):
-        if var == "v":
-            continue
         lines.append("relation %s: %s" % (var, rel))
     return doc, lines
 

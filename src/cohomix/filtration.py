@@ -52,9 +52,12 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def box_of(points):
-    """The points' common (parts, part size) box."""
+    """The points' common (parts, part size) box; any point that is not a
+    FixedSubspace raises TypeError."""
     if not points:
         raise BoxViolation("need at least one fixed point")
+    if not _is_subspace_list(points):
+        raise TypeError("the box needs FixedSubspace points")
     dims = {pt.dim for pt in points}
     ns = {pt.n for pt in points}
     if len(dims) != 1 or len(ns) != 1:

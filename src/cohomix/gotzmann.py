@@ -13,11 +13,10 @@ nilpotently on R_k; its Jordan type having a single block is what a
 regular group action would force.
 """
 
-from functools import lru_cache
 from math import comb
 from operator import index
 
-from .algebra import Partition, RationalMatrix, _power_str, jordan_type, partitions_in_box
+from .algebra import Partition, RationalMatrix, _conjugate, _power_str, jordan_type, partitions_in_box
 from .errors import (
     ConditionViolated,
     InternalInvariantViolation,
@@ -62,10 +61,8 @@ class MonomialBasis:
         return "MonomialBasis(k=%d, %d monomials)" % (self.k, len(self.monomials))
 
 
-@lru_cache(maxsize=64)
 def monomial_basis(k):
-    """The basis of R_k in the standard order; length C(k+2, 2).  One
-    shared instance per k, for the 64 most recent k."""
+    """The basis of R_k in the standard order; length C(k+2, 2)."""
     return MonomialBasis(k)
 
 
@@ -106,10 +103,13 @@ class TorusAction:
 def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
     """Validate and build the torus action for degree k.
 
-    Checks, in order: g^lam1 > c*g^lam2 for 0 <= c <= k; then
-    g^lam0 > a*g^lam1 + b*g^lam2 for all a + b = k; then pairwise
-    distinctness of the induced monomial weights.  A violated inequality
-    raises ConditionViolated naming it with the offending numbers.
+    Checks, in order: (2) g^lam1 > c*g^lam2 for 0 <= c <= k; then (1)
+    g^lam0 > a*g^lam1 + b*g^lam2 for all a + b = k.  A violated one raises
+    ConditionViolated naming it with the offending numbers.  The induced
+    weights on degree-k monomials are then pairwise distinct: (2) at c = 1
+    gives g^lam1 > g^lam2 > 0, so by (1) a higher X_0-exponent always
+    weighs more, and at equal X_0-exponents two weights differ by a
+    nonzero multiple of g^lam1 - g^lam2.
 
     The default g = k+1 with exponents (3, 2, 1) always passes: digits of a
     base-g expansion never exceed k < g.
@@ -139,11 +139,7 @@ def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
                 "condition (1) fails: g^%d > %d*g^%d + %d*g^%d is false (%d > %d)"
                 % (lam0, a, lam1, b, lam2, wa, a * wb + b * wc)
             )
-    action = TorusAction(k, g, (lam0, lam1, lam2))
-    weights = [action.monomial_weight(m) for m in monomial_basis(k)]
-    if len(set(weights)) != len(weights):
-        raise ConditionViolated("induced monomial weights are not pairwise distinct")
-    return action
+    return TorusAction(k, g, (lam0, lam1, lam2))
 
 
 class PartitionTriple:
@@ -284,10 +280,7 @@ def _chart_tangent_weights(mu, phi_u, phi_w):
     # The two tangent weights of every box of mu at a chart with local
     # weights (phi_u, phi_w), row by row, as tangent_weights spells out.
     parts = mu.parts
-    conj = [0] * (parts[0] if parts else 0)
-    for width in parts:
-        for c in range(width):
-            conj[c] += 1
+    conj = _conjugate(parts) if parts else ()
     for r, width in enumerate(parts):
         for c in range(width):
             arm, leg = width - c - 1, conj[c] - r - 1

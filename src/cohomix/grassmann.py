@@ -408,8 +408,6 @@ def _macaulay_dimension(presentation, d):
     # has the sum of its factors' codes.
     degrees = presentation.degrees
     monomials = _weighted_monomials(degrees, d, d + 1)
-    if not monomials:
-        return 0
     powers = [(d + 1) ** i for i in range(len(degrees))]
     column = {m: pos for pos, m in enumerate(monomials)}
     space = RowSpace(len(monomials))

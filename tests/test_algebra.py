@@ -427,6 +427,16 @@ def test_foreign_subtrahend_reported_as_subtraction(poly, other):
         poly - other
 
 
+class TestRationalMatrix:
+    def test_equality_and_hash_by_entries(self):
+        m = RationalMatrix([[1, Fraction(1, 2)], [0, 2]])
+        same = RationalMatrix([[Fraction(2, 2), Fraction(2, 4)], [0, 2]])
+        assert m == same and hash(m) == hash(same)
+        assert m != RationalMatrix([[1, Fraction(1, 2)], [0, 3]])
+        assert m != m.entries
+        assert len({m, same, RationalMatrix.identity(2)}) == 2
+
+
 class TestRankAndRowSpace:
     def test_rank_of_identity(self):
         assert matrix_rank(RationalMatrix.identity(5)) == 5
@@ -946,6 +956,27 @@ class TestIntegerPolynomial:
 
     def test_interleave(self):
         assert IntegerPolynomial([1, 2, 3]).interleave_zero().coeffs == (1, 0, 2, 0, 3)
+
+    def test_zero_polynomial_products_and_interleave(self):
+        zero, p = IntegerPolynomial(), IntegerPolynomial([1, -2, 3])
+        assert (zero * p).is_zero() and (p * zero).is_zero()
+        assert (zero * zero).is_zero()
+        assert zero.interleave_zero().is_zero()
+
+    def test_invalid_arguments_rejected(self):
+        for bad in (lambda: euler_phi(0), lambda: cyclotomic_polynomial(0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                bad()
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntegerPolynomial.monomial(1, -1)
+        assert IntegerPolynomial.monomial(3, 2).coeffs == (0, 0, 3)
+
+    def test_equality_and_hash_by_coefficients(self):
+        p = IntegerPolynomial([1, 2, 0, 0])
+        assert p == IntegerPolynomial((1, 2)) and hash(p) == hash(IntegerPolynomial((1, 2)))
+        assert p != IntegerPolynomial([1, 2, 1])
+        assert p != (1, 2)
+        assert len({p, IntegerPolynomial([1, 2]), IntegerPolynomial()}) == 2
 
     def test_str(self):
         assert str(IntegerPolynomial([1, 1, 2, 1, 1])) == "1 + q + 2*q^2 + q^3 + q^4"

@@ -43,6 +43,12 @@ class TestLaurentPolynomial:
         p = LaurentPolynomial({2: 3, 0: 1})
         assert p(2) == 13
 
+    def test_scalar_product(self):
+        p = LaurentPolynomial({-1: 2, 3: Fraction(1, 3)})
+        assert p * 3 == LaurentPolynomial({-1: 6, 3: 1})
+        assert Fraction(1, 2) * p == LaurentPolynomial({-1: 1, 3: Fraction(1, 6)})
+        assert (p * 0).is_zero()
+
     def test_str(self):
         assert str(LaurentPolynomial({1: 66})) == "66*v"
         assert str(LaurentPolynomial({0: Fraction(1, 2)})) == "1/2"
@@ -106,6 +112,40 @@ class TestEqSchurClass:
         for pt, val in zip(sq.support, sq.values):
             s = schur_evaluate((1,), ws.at(pt.indices))
             assert val == LaurentPolynomial({2: s * s})
+
+
+class TestEquivariantClass:
+    def test_one_value_per_point(self):
+        points, _ = hilb_points(1)
+        values = [LaurentPolynomial.constant(1)] * (len(points) - 1)
+        with pytest.raises(ValueError, match="one value per fixed point"):
+            EquivariantClass(points, values)
+
+    def test_scalar_product(self):
+        points, ws = hilb_points(1)
+        c = eq_schur_class(Partition((1,)), points, ws)
+        for scaled in (c * Fraction(-1, 2), Fraction(-1, 2) * c):
+            assert scaled.support == c.support
+            assert scaled.values == tuple(v * Fraction(-1, 2) for v in c.values)
+
+
+class TestPartitionTriplesRejected:
+    # the box reads the Grassmannian of each point, which a partition
+    # triple does not have: a TypeError, not an AttributeError
+    def test_localization_rank_check(self):
+        ws = build_torus_action(2).weight_system()
+        with pytest.raises(TypeError, match="FixedSubspace"):
+            localization_rank_check(enumerate_hilb_fixed_points(2), ws)
+
+    def test_eq_schur_class(self):
+        ws = build_torus_action(2).weight_system()
+        with pytest.raises(TypeError, match="FixedSubspace"):
+            eq_schur_class(Partition((1,)), enumerate_hilb_fixed_points(2), ws)
+
+    def test_mixed_points(self):
+        points, ws = hilb_points(2)
+        with pytest.raises(TypeError, match="FixedSubspace"):
+            localization_rank_check(points + enumerate_hilb_fixed_points(2)[:1], ws)
 
 
 class TestRestrictClass:

@@ -463,6 +463,17 @@ class TestSelectSchurBasis:
         with pytest.raises(TypeError):
             select_schur_basis(enumerate_hilb_fixed_points(2), ws)
 
+    def test_length_and_sizes_in_increasing_order(self):
+        ws = WeightSystem.principal(4)
+        sel = select_schur_basis(enumerate_fixed_subspaces(4, 2), ws, p_max=3)
+        assert len(sel) == 4
+        assert list(sel) == [0, 1, 2, 3]
+        # iteration sorts the sizes, whatever order they were given in
+        built = filtration.SchurBasisSelection({2: [], 0: [Partition(())]}, {})
+        assert len(built) == 2
+        assert list(built) == [0, 2]
+        assert [p for p, _ in built.items()] == [0, 2]
+
     def test_no_silent_substitution(self):
         # every selected partition at level p really has size p
         points, ws = hilb_points(2)

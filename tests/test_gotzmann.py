@@ -1,5 +1,7 @@
 """Hilbert-scheme fixed points, torus actions, embeddings, nilpotents."""
 
+import itertools
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,22 @@ class TestTorusAction:
             weights = action.weight_system().weights
             assert len(set(weights)) == len(weights)
 
+    def test_two_conditions_give_distinct_weights(self):
+        # conditions (1) and (2) alone make the monomial weights distinct:
+        # every action they let through, over a grid of small parameters
+        built = 0
+        for k, g, *lams in itertools.product(
+            range(1, 9), range(2, 12), range(1, 6), range(1, 6), range(1, 6)
+        ):
+            try:
+                action = build_torus_action(k, g, *lams)
+            except ConditionViolated:
+                continue
+            weights = action.weight_system().weights
+            assert len(set(weights)) == len(weights)
+            built += 1
+        assert built == 543
+
     def test_rejects_small_g(self):
         with pytest.raises(ConditionViolated):
             build_torus_action(2, 1, 3, 2, 1)
@@ -190,6 +208,14 @@ class TestPartitionTriple:
 
     def test_size(self):
         assert PartitionTriple.parse("2,1;;1").size == 4
+
+    def test_equality_and_hash_by_partitions(self):
+        t = PartitionTriple((2, 1), (), (1,))
+        same = PartitionTriple.parse("2,1;;1")
+        assert t == same and hash(t) == hash(same)
+        assert t != PartitionTriple((1,), (2, 1), ())
+        assert t != "2,1;;1"
+        assert len({t, same, PartitionTriple((1,), (2, 1), ())}) == 2
 
 
 class TestEnumeration:

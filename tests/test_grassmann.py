@@ -88,6 +88,14 @@ class TestFixedSubspaces:
         with pytest.raises(InvalidDimensions):
             enumerate_fixed_subspaces(2, 5)
 
+    def test_equality_and_hash_by_indices_and_n(self):
+        a = FixedSubspace((1, 3), 4)
+        assert a == FixedSubspace([1, 3], 4) and hash(a) == hash(FixedSubspace([1, 3], 4))
+        assert a != FixedSubspace((1, 3), 5)
+        assert a != FixedSubspace((1, 2), 4)
+        assert a != (1, 3)
+        assert len({a, FixedSubspace((1, 3), 4), FixedSubspace((1, 3), 5)}) == 2
+
     def test_complement(self):
         assert FixedSubspace((1, 3), 4).complement() == (2, 4)
 
@@ -328,6 +336,12 @@ class TestGradedDimension:
         assert graded_dimension(ordinary_presentation(4, 2), 0) == 1
         with pytest.raises(InvalidDegree):
             graded_dimension(ordinary_presentation(4, 2), -1)
+
+    def test_degree_with_no_monomial_is_zero(self):
+        # x of degree 2 has no monomial in odd degree, where nothing lands
+        x2 = MultiPoly(("x",), {(2,): 1})
+        pres = GradedPresentation(("x",), (2,), [x2])
+        assert graded_dimensions(pres, 5) == [1, 0, 1, 0, 0, 0]
 
     def test_gr24_full_profile(self):
         pres = ordinary_presentation(4, 2)
