@@ -24,13 +24,7 @@ from .algebra import (
     schur_evaluate,
     strip_cyclotomic_factors,
 )
-from .equivariant import (
-    EquivariantClass,
-    LaurentPolynomial,
-    eq_schur_class,
-    localization_rank_check,
-    restrict_class,
-)
+from .equivariant import localization_rank_check
 from .errors import (
     BoxViolation,
     ConditionViolated,
@@ -40,7 +34,6 @@ from .errors import (
     InvalidDimensions,
     NotNilpotent,
     NotPolynomial,
-    UnknownFixedPoint,
 )
 from .filtration import (
     INCONCLUSIVE,
@@ -90,7 +83,6 @@ __all__ = [
     "BettiTable",
     "BoxViolation",
     "ConditionViolated",
-    "EquivariantClass",
     "FixedSubspace",
     "GradedPresentation",
     "INCONCLUSIVE",
@@ -99,7 +91,6 @@ __all__ = [
     "InternalInvariantViolation",
     "InvalidDegree",
     "InvalidDimensions",
-    "LaurentPolynomial",
     "MonomialBasis",
     "MultiPoly",
     "NOT_REGULAR",
@@ -110,7 +101,6 @@ __all__ = [
     "RationalMatrix",
     "SchurBasisSelection",
     "TorusAction",
-    "UnknownFixedPoint",
     "WeightSystem",
     "b2_regularity_verdict",
     "build_torus_action",
@@ -118,7 +108,6 @@ __all__ = [
     "degree_k_part",
     "enumerate_fixed_subspaces",
     "enumerate_hilb_fixed_points",
-    "eq_schur_class",
     "equivariant_presentation",
     "euler_phi",
     "filtration_betti",
@@ -140,7 +129,6 @@ __all__ = [
     "poincare_from_regular_sequence",
     "poincare_of_hilb",
     "relation_generator",
-    "restrict_class",
     "schur_evaluate",
     "select_schur_basis",
     "specialize_v",

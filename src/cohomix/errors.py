@@ -35,9 +35,5 @@ class BoxViolation(ValueError):
     """A partition does not fit in the required box."""
 
 
-class UnknownFixedPoint(ValueError):
-    """A restriction asked for a point outside the class's support."""
-
-
 class InternalInvariantViolation(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""

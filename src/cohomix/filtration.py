@@ -67,15 +67,6 @@ def box_of(points):
     return d, n - d
 
 
-def check_fits(mu, box):
-    """Raise BoxViolation unless the partition mu fits in the box."""
-    max_parts, max_part = box
-    if len(mu) > max_parts or (len(mu) > 0 and mu[0] > max_part):
-        raise BoxViolation(
-            "partition %s does not fit in the %d x %d box" % (mu, max_parts, max_part)
-        )
-
-
 class BettiTable:
     """Betti numbers b_0..b_P with their cumulative ranks and the number
     of fixed points they were read from."""

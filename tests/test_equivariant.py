@@ -1,18 +1,14 @@
-"""Localization representation of equivariant classes."""
+"""The localization rank check: the rank of the Schur-class restrictions
+to a fixed set, and whether it fills the set."""
 
-from fractions import Fraction
+import random
+from itertools import accumulate
 
 import pytest
 
-from cohomix.algebra import Partition, partitions_in_box, schur_evaluate
-from cohomix.equivariant import (
-    EquivariantClass,
-    LaurentPolynomial,
-    eq_schur_class,
-    localization_rank_check,
-    restrict_class,
-)
-from cohomix.errors import BoxViolation, UnknownFixedPoint
+from cohomix.algebra import matrix_rank, partitions_in_box, schur_evaluate
+from cohomix.equivariant import localization_rank_check
+from cohomix.filtration import schur_rank_steps
 from cohomix.gotzmann import (
     build_torus_action,
     degree_k_part,
@@ -27,108 +23,6 @@ def hilb_points(k):
     return [degree_k_part(t, k) for t in triples], action.weight_system()
 
 
-class TestLaurentPolynomial:
-    def test_arithmetic(self):
-        v = LaurentPolynomial.monomial(1, 1)
-        inv = LaurentPolynomial.monomial(1, -1)
-        assert (v * inv).coeffs == {0: Fraction(1)}
-        assert (v + v).coeffs == {1: Fraction(2)}
-        assert (v - v).is_zero()
-
-    def test_polynomial_flag(self):
-        assert LaurentPolynomial({0: 1, 3: 2}).is_polynomial()
-        assert not LaurentPolynomial({-1: 1}).is_polynomial()
-
-    def test_evaluation(self):
-        p = LaurentPolynomial({2: 3, 0: 1})
-        assert p(2) == 13
-
-    def test_scalar_product(self):
-        p = LaurentPolynomial({-1: 2, 3: Fraction(1, 3)})
-        assert p * 3 == LaurentPolynomial({-1: 6, 3: 1})
-        assert Fraction(1, 2) * p == LaurentPolynomial({-1: 1, 3: Fraction(1, 6)})
-        assert (p * 0).is_zero()
-
-    def test_str(self):
-        assert str(LaurentPolynomial({1: 66})) == "66*v"
-        assert str(LaurentPolynomial({0: Fraction(1, 2)})) == "1/2"
-        assert str(LaurentPolynomial()) == "0"
-        p = LaurentPolynomial({-2: Fraction(-1, 2), -1: -1, 0: 3, 1: 1, 2: Fraction(2, 3)})
-        assert str(p) == "2/3*v^2 + v + 3 + -v^-1 + -1/2*v^-2"
-
-
-class TestEqSchurClass:
-    def test_empty_partition_constant_one(self):
-        points, ws = hilb_points(1)
-        c = eq_schur_class(Partition(()), points, ws)
-        assert all(v == LaurentPolynomial.constant(1) for v in c.values)
-
-    def test_worked_66v(self):
-        _points, ws = hilb_points(2)
-        ambient = enumerate_fixed_subspaces(6, 2)
-        c = eq_schur_class(Partition((1,)), ambient, ws)
-        assert c.value_at(FixedSubspace((1, 2, 3, 4), 6)) == LaurentPolynomial({1: 66})
-
-    def test_v_power_tracks_partition_size(self):
-        points, ws = hilb_points(2)
-        for mu in partitions_in_box(4, 2, 3):
-            c = eq_schur_class(mu, points, ws)
-            for pt, val in zip(c.support, c.values):
-                expected = schur_evaluate(mu, ws.at(pt.indices))
-                assert val.coefficient(mu.size) == expected
-                assert all(e == mu.size for e in val.coeffs)
-
-    def test_setting_v_to_one_recovers_ordinary_row(self):
-        points, ws = hilb_points(2)
-        mu = Partition((2, 1))
-        c = eq_schur_class(mu, points, ws)
-        for pt, val in zip(c.support, c.values):
-            assert val(1) == schur_evaluate(mu, ws.at(pt.indices))
-
-    def test_box_violation(self):
-        points, ws = hilb_points(1)
-        with pytest.raises(BoxViolation):
-            eq_schur_class(Partition((2,)), points, ws)
-
-    def test_box_violation_on_gr24(self):
-        # Gr(2,4) has a 2 x 2 box: too long a row, or too many rows
-        ws = WeightSystem.principal(4)
-        points = enumerate_fixed_subspaces(4, 2)
-        with pytest.raises(BoxViolation):
-            eq_schur_class(Partition((3,)), points, ws)
-        with pytest.raises(BoxViolation):
-            eq_schur_class(Partition((1, 1, 1)), points, ws)
-
-    def test_integer_values_for_integer_weights(self):
-        points, ws = hilb_points(2)
-        for mu in partitions_in_box(4, 2, 3):
-            for val in eq_schur_class(mu, points, ws).values:
-                assert val.coefficient(mu.size).denominator == 1
-
-    def test_pointwise_square(self):
-        points, ws = hilb_points(1)
-        c = eq_schur_class(Partition((1,)), points, ws)
-        sq = c * c
-        for pt, val in zip(sq.support, sq.values):
-            s = schur_evaluate((1,), ws.at(pt.indices))
-            assert val == LaurentPolynomial({2: s * s})
-
-
-class TestEquivariantClass:
-    def test_one_value_per_point(self):
-        points, _ = hilb_points(1)
-        values = [LaurentPolynomial.constant(1)] * (len(points) - 1)
-        with pytest.raises(ValueError, match="one value per fixed point"):
-            EquivariantClass(points, values)
-
-    def test_scalar_product(self):
-        points, ws = hilb_points(1)
-        c = eq_schur_class(Partition((1,)), points, ws)
-        for scaled in (c * Fraction(-1, 2), Fraction(-1, 2) * c):
-            assert scaled.support == c.support
-            assert scaled.values == tuple(v * Fraction(-1, 2) for v in c.values)
-
-
 class TestPartitionTriplesRejected:
     # the box reads the Grassmannian of each point, which a partition
     # triple does not have: a TypeError, not an AttributeError
@@ -137,44 +31,36 @@ class TestPartitionTriplesRejected:
         with pytest.raises(TypeError, match="FixedSubspace"):
             localization_rank_check(enumerate_hilb_fixed_points(2), ws)
 
-    def test_eq_schur_class(self):
-        ws = build_torus_action(2).weight_system()
-        with pytest.raises(TypeError, match="FixedSubspace"):
-            eq_schur_class(Partition((1,)), enumerate_hilb_fixed_points(2), ws)
-
     def test_mixed_points(self):
         points, ws = hilb_points(2)
         with pytest.raises(TypeError, match="FixedSubspace"):
             localization_rank_check(points + enumerate_hilb_fixed_points(2)[:1], ws)
 
 
-class TestRestrictClass:
-    def test_identity_on_full_support(self):
-        points, ws = hilb_points(2)
-        c = eq_schur_class(Partition((1,)), points, ws)
-        assert restrict_class(c, points) == c
+def schur_rows_by_size(points, ws):
+    # the rows of each size p = 0 .. k(n - k), one row per partition of p
+    # in the k x (n - k) box and one column per point, with no early exit
+    k, n = points[0].dim, points[0].n
+    return [
+        [
+            [schur_evaluate(mu, ws.at(pt.indices)) for pt in points]
+            for mu in partitions_in_box(k, n - k, size)
+        ]
+        for size in range(k * (n - k) + 1)
+    ]
 
-    def test_coordinate_projection(self):
-        points, ws = hilb_points(2)
-        ambient = enumerate_fixed_subspaces(6, 2)
-        c = eq_schur_class(Partition((1,)), ambient, ws)
-        restricted = restrict_class(c, points)
-        assert restricted.support == tuple(points)
-        for pt in points:
-            assert restricted.value_at(pt) == c.value_at(pt)
 
-    def test_unknown_point(self):
-        points, ws = hilb_points(2)
-        c = eq_schur_class(Partition((1,)), points[:3], ws)
-        with pytest.raises(UnknownFixedPoint):
-            restrict_class(c, [points[4]])
-
-    def test_commutes_with_products(self):
-        points, ws = hilb_points(2)
-        c = eq_schur_class(Partition((1,)), points, ws)
-        d = eq_schur_class(Partition((1, 1)), points, ws)
-        sub = points[:4]
-        assert restrict_class(c * d, sub) == restrict_class(c, sub) * restrict_class(d, sub)
+def random_subsets(n, k, count, seed):
+    # fixed pseudo-random point lists of Gr(k, n), every third drawn with
+    # replacement so that some lists repeat a point
+    rng = random.Random(seed)
+    fixed = enumerate_fixed_subspaces(n, k)
+    for i in range(count):
+        size = rng.randint(1, len(fixed) + 2)
+        if i % 3 == 2:
+            yield [rng.choice(fixed) for _ in range(size)]
+        else:
+            yield rng.sample(fixed, min(size, len(fixed)))
 
 
 class TestLocalizationRankCheck:
@@ -203,3 +89,20 @@ class TestLocalizationRankCheck:
         pt = FixedSubspace((1, 2), 4)
         rank, full = localization_rank_check([pt, pt], ws)
         assert (rank, full) == (1, False)
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3)])
+    def test_early_exit_scan_matches_full_matrix_rank(self, n, k):
+        # the scan stops at the row that fills the rank; the rank of the
+        # whole Schur-value matrix, taken without stopping, must agree, and
+        # so must the rank of its rows of size at most p, for every p
+        ws = WeightSystem.principal(n)
+        repeated = 0
+        for points in random_subsets(n, k, 8, seed=1000 * n + k):
+            by_size = schur_rows_by_size(points, ws)
+            below = [matrix_rank(sum(by_size[: p + 1], [])) for p in range(len(by_size))]
+            jumps = [len(grew) for grew in schur_rank_steps(points, ws)]
+            assert list(accumulate(jumps)) == below
+            r = below[-1]
+            assert localization_rank_check(points, ws) == (r, r == len(points))
+            repeated += len(set(points)) < len(points)
+        assert repeated

@@ -8,9 +8,10 @@ from cohomix.algebra import (
     IntegerPolynomial,
     Partition,
     partitions_in_box,
+    schur_evaluate,
     strip_cyclotomic_factors,
 )
-from cohomix.equivariant import eq_schur_class, localization_rank_check
+from cohomix.equivariant import localization_rank_check
 from cohomix.errors import BoxViolation, InternalInvariantViolation, InvalidDegree
 from cohomix.filtration import (
     INCONCLUSIVE,
@@ -61,19 +62,18 @@ def hilb_points(k):
 
 
 class TestEvaluationMatrix:
-    # the Schur values at fixed points that the rank filtration ranks, read
-    # through eq_schur_class: the v^|mu| coefficient is the matrix entry
+    # the Schur values at fixed points that the rank filtration ranks: the
+    # entry of mu at a point is s_mu of the weights there
     def test_empty_partition_row_is_ones(self):
         ws = WeightSystem.principal(4)
         points = enumerate_fixed_subspaces(4, 2)
-        c = eq_schur_class(Partition(()), points, ws)
-        assert tuple(v.coefficient(0) for v in c.values) == (1,) * 6
+        row = tuple(schur_evaluate(Partition(()), ws.at(pt.indices)) for pt in points)
+        assert row == (1,) * 6
 
     def test_worked_66(self):
         _points, ws = hilb_points(2)
         point = FixedSubspace((1, 2, 3, 4), 6)
-        c = eq_schur_class(Partition((1,)), [point], ws)
-        assert c.value_at(point).coefficient(1) == 66
+        assert schur_evaluate(Partition((1,)), ws.at(point.indices)) == 66
 
 
 class TestGrassmannianRoute:
@@ -566,6 +566,4 @@ class TestSharedSchurRankLoop:
         ws = WeightSystem.principal(4)
         with pytest.raises(BoxViolation, match="need at least one fixed point"):
             list(schur_rank_steps([], ws))
-        with pytest.raises(BoxViolation, match="need at least one fixed point"):
-            eq_schur_class(Partition(()), [], ws)
         assert localization_rank_check([], ws) == (0, True)

@@ -228,3 +228,39 @@ def test_one_gate_makes_every_rational_coefficient():
         )
     }
     assert ungated == {}
+
+
+def raised_names(source):
+    """Names of the exceptions the source raises, called or not, by name
+    or as an attribute; a bare `raise` names none."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_reader_sees_raised_names():
+    source = (
+        "try:\n    f()\nexcept E:\n    raise\n"
+        "raise A('x')\n"
+        "raise B from None\n"
+        "raise errors.C()\n"
+        "D('not raised')\n"
+    )
+    assert raised_names(source) == {"A", "B", "C"}
+
+
+def test_every_error_class_is_raised():
+    # __all__ lists every error class, so the orphan check above cannot
+    # see one that nothing raises any more
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8")) for p in modules))
+    defined = module_definitions((SRC / "errors.py").read_text(encoding="utf-8"))
+    assert defined
+    assert [name for name in defined if name not in raised] == []
