@@ -3,9 +3,12 @@ The cohomology ring of Gr(2, 4) by generators and relations
 ===========================================================
 
 One generator w_{i,j} per cell, one relation per generator, read off
-from a vector field.  The degreewise dimensions of the quotient
+from a vector field: the Riccati equation of N + (v/2)H on the chart
+[I; B] whose entries are the w_{i,j}, with N the principal nilpotent and
+H = diag(3, 1, -1, -3).  The degreewise dimensions of the quotient
 reproduce the Gaussian binomial coefficients, and the equivariant lift
-collapses back onto the ordinary ring at v = 0.
+(-2 times the field, in integers) collapses back onto the ordinary ring
+at v = 0.
 """
 
 from cohomix import (

@@ -72,7 +72,6 @@ from .grassmann import (
     plus_cell_dimension,
     poincare_from_cells,
     poincare_from_regular_sequence,
-    relation_generator,
     specialize_v,
     w_degree,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "poincare_from_cells",
     "poincare_from_regular_sequence",
     "poincare_of_hilb",
-    "relation_generator",
     "schur_evaluate",
     "select_schur_basis",
     "specialize_v",

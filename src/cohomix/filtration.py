@@ -239,10 +239,9 @@ def select_schur_basis(points, ws, p_max=None, expected_betti=None):
     restricted fixed set the jump can be smaller than the true Betti
     number; pass expected_betti to have the shortfall reported in
     `deficiencies` as {p: (achieved, expected)} rather than papered over.
+    Points that are not FixedSubspace raise TypeError, and no points
+    BoxViolation, both from box_of.
     """
-    points = list(points)
-    if not _is_subspace_list(points):
-        raise TypeError("select_schur_basis needs FixedSubspace points")
     by_degree = {}
     deficiencies = {}
     for p, chosen in enumerate(schur_rank_steps(points, ws, p_max)):

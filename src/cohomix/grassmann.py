@@ -7,7 +7,9 @@ regular-sequence product formula; both routes equal the Gaussian binomial.
 
 The presentation side realizes the cohomology ring as generators w_{i,j},
 1 <= i <= n-k, 1 <= j <= k, modulo one relation per generator, with an
-equivariant lift over a degree-one class v.
+equivariant lift over a degree-one class v.  Both relation sets are read
+off one vector field, the Riccati equation on the chart [I; B] of the
+matrix N + (v/2)H: N the principal nilpotent, H the principal weights.
 """
 
 from functools import lru_cache
@@ -174,17 +176,13 @@ def poincare_from_regular_sequence(degrees):
 
 def w_degree(i, j, n, k):
     """Cohomological degree of the generator w_{i,j}: (n-k) + j - i."""
-    _check_generator_index(i, j, n, k)
-    return (n - k) + j - i
-
-
-def _check_generator_index(i, j, n, k):
     if not 0 < k < n:
         raise InvalidDimensions("need 0 < k < n, got n=%d k=%d" % (n, k))
     if not 1 <= i <= n - k:
         raise IndexOutOfRange("i=%d outside 1..%d" % (i, n - k))
     if not 1 <= j <= k:
         raise IndexOutOfRange("j=%d outside 1..%d" % (j, k))
+    return (n - k) + j - i
 
 
 def generator_variables(n, k):
@@ -208,33 +206,43 @@ def generator_degrees(n, k):
     )
 
 
-def relation_generator(i, j, n, k):
-    """The relation attached to w_{i,j}:
+def _riccati_field(n, k, equivariant):
+    """The relations, one term dict per generator in generator_variables
+    order: the vector field of an n x n matrix A on the chart of column
+    spans of [I_m; B], m = n-k, B[j][i] = w_{i+1,j+1} (0-based).  In
+    blocks A11 (m x m), A12, A21, A22 it is the Riccati equation
 
-        - c_{1,i} * w_{i-1,j} - w_{i,1} * w_{n-k,j} + c_{k+1,j+1} * w_{i,j+1}
+        B' = A21 + A22 B - B A11 - B A12 B,
 
-    where the structure constant c_{a,b} is 1 unless a = b, in which case
-    it vanishes together with its term.  Concretely the first term drops
-    exactly when i = 1 and the last exactly when j = k, so every surviving
-    factor is a genuine generator and no two terms share a monomial.
-    Homogeneous of degree w_degree(i,j) + 1, over the variables
-    generator_variables(n, k).
+    and the relation at w_{i+1,j+1} is B'[j][i].  Ordinary: A = N, the
+    principal nilpotent.  Equivariant, v last: A = -(2N + vH), H the
+    weights of WeightSystem.principal(n), so -2 times the field of
+    N + (v/2)H, as B' is linear in A.  B' is read over A's nonzero entries:
+    one of A11 moves a column of B, one of A22 a row, and A12's one entry
+    multiplies the last column by the first row; A21 is zero.
     """
-    _check_generator_index(i, j, n, k)
-    variables = generator_variables(n, k)
-
-    def monomial(*gens):
-        exps = [0] * len(variables)
-        for gi, gj in gens:
-            exps[(gi - 1) * k + (gj - 1)] += 1
-        return tuple(exps)
-
-    terms = {monomial((i, 1), (n - k, j)): -1}
-    if i != 1:
-        terms[monomial((i - 1, j))] = -1
-    if j != k:
-        terms[monomial((i, j + 1))] = 1
-    return MultiPoly(variables, terms)
+    m = n - k
+    entries = [(r, r + 1, -2 if equivariant else 1, ()) for r in range(n - 1)]
+    if equivariant:  # -vH, H = diag(n-1, n-3, ..., 1-n), with v last
+        entries += [(r, r, 2 * r + 1 - n, (m * k,)) for r in range(n) if 2 * r + 1 != n]
+    field = [{} for _ in range(m * k)]
+    for r, c, a, v_factor in entries:
+        # (relation, coefficient, factors) per term, as generator positions
+        if r < m <= c:  # -B A12 B: column r of B times row c-m
+            steps = [
+                (i * k + j, -a, (r * k + j, i * k + c - m)) for i in range(m) for j in range(k)
+            ]
+        elif r < m:  # -B A11: column r of B into column c
+            steps = [(c * k + j, -a, (r * k + j,)) for j in range(k)]
+        else:  # A22 B: row c-m of B into row r-m
+            steps = [(i * k + r - m, a, (i * k + c - m,)) for i in range(m)]
+        for w, coeff, factors in steps:
+            exps = [0] * (m * k + equivariant)
+            for f in factors + v_factor:
+                exps[f] += 1
+            exps = tuple(exps)
+            field[w][exps] = field[w].get(exps, 0) + coeff
+    return field
 
 
 class GradedPresentation:
@@ -291,36 +299,23 @@ class GradedPresentation:
 
 def ordinary_presentation(n, k):
     """Presentation of the cohomology of Gr(n-k, V): generators w_{i,j} of
-    degree (n-k) + j - i, one relation per generator."""
+    degree (n-k) + j - i, and at each the relation of the field of N (see
+    _riccati_field), - w_{i-1,j} - w_{i,1} * w_{n-k,j} + w_{i,j+1}, whose
+    first term is absent at i = 1 and last at j = k."""
     variables = generator_variables(n, k)
-    degrees = generator_degrees(n, k)
-    relations = tuple(
-        relation_generator(i, j, n, k)
-        for i in range(1, n - k + 1)
-        for j in range(1, k + 1)
-    )
-    return GradedPresentation(variables, degrees, relations)
+    relations = [MultiPoly(variables, terms) for terms in _riccati_field(n, k, False)]
+    return GradedPresentation(variables, generator_degrees(n, k), relations)
 
 
 def equivariant_presentation(n, k):
-    """Equivariant lift: same generators plus a degree-one class v appended
-    last.  The relation at w_{i,j} becomes
-
-        2 * ((n-k) - (i-j)) * v * w_{i,j} - 2 * (ordinary relation),
-
-    which is homogeneous of degree (n-k) + j - i + 1 and restricts to minus
-    twice the ordinary relation at v = 0.
-    """
-    ordinary = ordinary_presentation(n, k)
-    variables = ordinary.variables + ("v",)
-    relations = []
-    for w, rel in enumerate(ordinary.relations):
-        i, j = divmod(w, k)  # w_{i+1,j+1} sits at position w
-        v_w = tuple(int(p == w) for p in range(len(ordinary.variables))) + (1,)
-        terms = {v_w: 2 * ((n - k) - (i - j))}
-        terms.update((e + (0,), -2 * c) for e, c in rel.terms.items())
-        relations.append(MultiPoly(variables, terms))
-    return GradedPresentation(variables, ordinary.degrees + (1,), relations)
+    """Equivariant lift: the same generators plus a degree-one class v
+    appended last, and the relations of the field -(2N + vH) (see
+    _riccati_field).  -vH adds a multiple of v * w_{i,j}: the relation at
+    w_{i,j} is 2 * ((n-k) - (i-j)) * v * w_{i,j} - 2 * (ordinary relation),
+    of degree (n-k) + j - i + 1, and -2 times the ordinary one at v = 0."""
+    variables = generator_variables(n, k) + ("v",)
+    relations = [MultiPoly(variables, terms) for terms in _riccati_field(n, k, True)]
+    return GradedPresentation(variables, generator_degrees(n, k) + (1,), relations)
 
 
 def specialize_v(presentation, value=0):

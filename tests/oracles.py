@@ -7,6 +7,8 @@ different method, so agreement is evidence rather than tautology.
 from fractions import Fraction
 from itertools import combinations
 
+from cohomix.algebra import MultiPoly
+
 
 def gaussian_binomial(n, k):
     """[n choose k]_q by the q-Pascal recursion, as a coefficient list."""
@@ -130,3 +132,82 @@ def grassmannian_cells_brute(n, k, weights):
         )
         hist[d] = hist.get(d, 0) + 1
     return [hist.get(d, 0) for d in range(k * (n - k) + 1)]
+
+
+def riccati_field(a, k, variables):
+    """The Riccati field B' = A21 + A22 B - B A11 - B A12 B of the n x n
+    matrix `a` (rows of MultiPoly over `variables`) on the chart of column
+    spans of [I_m; B], m = n - k, where B[j][i] is the variable
+    'w_{i+1}_{j+1}'.  Built by dense matrix products of MultiPoly values;
+    returns B'[j][i] in the order i ascending, then j ascending.
+    """
+    n = len(a)
+    m = n - k
+    zero = MultiPoly(variables)
+
+    def var(name):
+        return MultiPoly(variables, {tuple(int(x == name) for x in variables): 1})
+
+    def product(x, y):
+        return [
+            [sum((x[r][t] * y[t][c] for t in range(len(y))), zero) for c in range(len(y[0]))]
+            for r in range(len(x))
+        ]
+
+    def block(rows, cols):
+        return [[a[r][c] for c in cols] for r in rows]
+
+    top, bottom = range(m), range(m, n)
+    b = [[var("w_%d_%d" % (i + 1, j + 1)) for i in range(m)] for j in range(k)]
+    a22_b = product(block(bottom, bottom), b)
+    b_a11 = product(b, block(top, top))
+    b_a12_b = product(product(b, block(top, bottom)), b)
+    a21 = block(bottom, top)
+    return [
+        a21[j][i] + a22_b[j][i] - b_a11[j][i] - b_a12_b[j][i]
+        for i in range(m)
+        for j in range(k)
+    ]
+
+
+def grassmann_zero_points(n, k):
+    """The zeros of the Riccati field of N + H/2 on the chart [I_m; B],
+    m = n - k: one point per m-subset I of the eigenvectors of N + H/2,
+    N the principal nilpotent and H = diag(n-1, n-3, ..., 1-n).
+
+    With h_r = (n-1)/2 - r, the eigenvector of eigenvalue h_c is column c
+    of the upper unitriangular U with U[r][c] = -U[r+1][c] / (h_r - h_c)
+    for r < c.  The span of the columns at I is [top; bottom], and its
+    chart point is B = bottom * top^-1.  Each point is returned as the
+    tuple of Fractions B[j][i], i ascending then j ascending.
+    """
+    m = n - k
+    h = [Fraction(n - 1, 2) - r for r in range(n)]
+    u = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for c in range(n):
+        for r in range(c - 1, -1, -1):
+            u[r][c] = -u[r + 1][c] / (h[r] - h[c])
+    points = []
+    for cols in combinations(range(n), m):
+        top = [[u[r][c] for c in cols] for r in range(m)]
+        bottom = [[u[r][c] for c in cols] for r in range(m, n)]
+        b = [_solve_right(top, row) for row in bottom]
+        points.append(tuple(b[j][i] for i in range(m) for j in range(k)))
+    return points
+
+
+def _solve_right(top, row):
+    # the x with x * top = row, by Gauss-Jordan elimination on top's
+    # transpose augmented with row
+    size = len(top)
+    rows = [[top[t][r] for t in range(size)] + [row[r]] for r in range(size)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[r][size] for r in range(size)]

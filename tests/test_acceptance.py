@@ -40,7 +40,6 @@ from cohomix.grassmann import (
     ordinary_presentation,
     poincare_from_cells,
     poincare_from_regular_sequence,
-    relation_generator,
     specialize_v,
     w_degree,
 )
@@ -234,9 +233,10 @@ def test_criterion_10_property_suites():
     # homogeneity of every relation over a grid of shapes
     for n, k in ((3, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3)):
         degrees = tuple(_w_degrees(n, k))
+        relations = ordinary_presentation(n, k).relations
         for i in range(1, n - k + 1):
             for j in range(1, k + 1):
-                rel = relation_generator(i, j, n, k)
+                rel = relations[(i - 1) * k + j - 1]
                 assert rel.homogeneous_degree(degrees) == w_degree(i, j, n, k) + 1
     # Schur symmetry (hypothesis engine)
     _schur_symmetry()

@@ -463,6 +463,10 @@ class TestSelectSchurBasis:
         with pytest.raises(TypeError):
             select_schur_basis(enumerate_hilb_fixed_points(2), ws)
 
+    def test_no_points_is_a_box_violation(self):
+        with pytest.raises(BoxViolation, match="need at least one fixed point"):
+            select_schur_basis([], WeightSystem.principal(4))
+
     def test_length_and_sizes_in_increasing_order(self):
         ws = WeightSystem.principal(4)
         sel = select_schur_basis(enumerate_fixed_subspaces(4, 2), ws, p_max=3)

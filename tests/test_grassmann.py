@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import accumulate, product
+from math import comb, prod
 
 import pytest
 import sympy
@@ -32,12 +33,16 @@ from cohomix.grassmann import (
     plus_cell_dimension,
     poincare_from_cells,
     poincare_from_regular_sequence,
-    relation_generator,
     specialize_v,
     w_degree,
 )
 
-from oracles import gaussian_binomial, grassmannian_cells_brute
+from oracles import (
+    gaussian_binomial,
+    grassmann_zero_points,
+    grassmannian_cells_brute,
+    riccati_field,
+)
 
 
 def reference_minus_cells(point, weights):
@@ -252,17 +257,22 @@ class TestWDegree:
             generator_variables(2, 2)
 
 
+def ordinary_relation(i, j, n, k):
+    # the relation attached to w_{i,j}, read by position
+    return ordinary_presentation(n, k).relations[(i - 1) * k + j - 1]
+
+
 class TestRelationGenerator:
     def test_both_boundary_terms_drop(self):
-        rel = relation_generator(1, 2, 6, 2)
+        rel = ordinary_relation(1, 2, 6, 2)
         assert rel.canonical_str() == "-1*w_1_1*w_4_2"
 
     def test_interior(self):
-        rel = relation_generator(2, 1, 6, 2)
+        rel = ordinary_relation(2, 1, 6, 2)
         assert rel.canonical_str() == "-1*w_2_1*w_4_1 + -1*w_1_1 + 1*w_2_2"
 
     def test_small(self):
-        rel = relation_generator(1, 1, 4, 2)
+        rel = ordinary_relation(1, 1, 4, 2)
         assert rel.canonical_str() == "-1*w_1_1*w_2_1 + 1*w_1_2"
 
     def test_homogeneity_all_indices(self):
@@ -270,7 +280,7 @@ class TestRelationGenerator:
             pres = ordinary_presentation(n, k)
             for i in range(1, n - k + 1):
                 for j in range(1, k + 1):
-                    rel = relation_generator(i, j, n, k)
+                    rel = ordinary_relation(i, j, n, k)
                     assert rel.homogeneous_degree(pres.degrees) == w_degree(i, j, n, k) + 1
 
 
@@ -313,7 +323,7 @@ class TestPresentations:
                 w = MultiPoly(variables, {
                     tuple(int(name == "w_%d_%d" % (i, j)) for name in variables): 1
                 })
-                ordinary = relation_generator(i, j, n, k)
+                ordinary = ordinary_relation(i, j, n, k)
                 lifted = MultiPoly(variables, {e + (0,): c for e, c in ordinary.terms.items()})
                 expected.append(v * w * (2 * ((n - k) - (i - j))) - lifted.scale(2))
         assert equivariant_presentation(n, k).relations == tuple(expected)
@@ -329,6 +339,63 @@ class TestPresentations:
     def test_specialize_v_rejects_plain_presentation(self):
         with pytest.raises(ValueError):
             specialize_v(ordinary_presentation(4, 2), 0)
+
+
+def _matrix(n, variables, entry):
+    # the n x n matrix whose (r, c) entry is MultiPoly(variables, entry(r, c))
+    return [[MultiPoly(variables, entry(r, c)) for c in range(n)] for r in range(n)]
+
+
+class TestRiccatiField:
+    # The package reads the field over the nonzero entries of A; the oracle
+    # multiplies dense matrices of MultiPoly values.
+
+    def test_ordinary_relations_are_the_field_of_n(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                variables = generator_variables(n, k)
+                one = (0,) * len(variables)
+                a = _matrix(n, variables, lambda r, c: {one: int(c == r + 1)})
+                expected = riccati_field(a, k, variables)
+                assert list(ordinary_presentation(n, k).relations) == expected, (n, k)
+
+    def test_equivariant_relations_are_minus_the_field_of_2n_plus_vh(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                variables = generator_variables(n, k) + ("v",)
+                one = (0,) * len(variables)
+                v = one[:-1] + (1,)
+                a = _matrix(n, variables, lambda r, c: {
+                    one: 2 * int(c == r + 1), v: (n - 1 - 2 * r) * int(c == r)
+                })
+                expected = [-rel for rel in riccati_field(a, k, variables)]
+                assert list(equivariant_presentation(n, k).relations) == expected, (n, k)
+
+
+def _evaluate(poly, point):
+    return sum(c * prod(x**e for x, e in zip(point, exps)) for exps, c in poly.terms.items())
+
+
+class TestZeroPoints:
+    def test_three_one(self):
+        assert set(grassmann_zero_points(3, 1)) == {(0, 0), (0, -1), (-2, -2)}
+
+    def test_certificate(self):
+        # At v = 1 the equivariant relations vanish at C(n, k) distinct
+        # points, so dim Q[w]/J >= C(n, k) for their ideal J.  The top-degree
+        # form of each is -2 times its ordinary relation, so dim Q[w]/J is at
+        # most the ordinary ring's dimension, C(n, k).  So J is exactly the
+        # ideal of the field's zeros.
+        for n in range(2, 9):
+            for k in range(1, n):
+                points = grassmann_zero_points(n, k)
+                assert len(set(points)) == len(points) == comb(n, k), (n, k)
+                assert all(x.denominator == 1 for point in points for x in point), (n, k)
+                for rel in equivariant_presentation(n, k).relations:
+                    for point in points:
+                        assert _evaluate(rel, point + (1,)) == 0, (n, k, point)
+                dims = graded_dimensions(ordinary_presentation(n, k), k * (n - k))
+                assert sum(dims) == comb(n, k), (n, k)
 
 
 class TestGradedDimension:
