@@ -3,15 +3,14 @@
 Partitions, Schur polynomial evaluation, fraction-free rank computation,
 Jordan types of nilpotent matrices, cyclotomic factor stripping, and two
 small polynomial containers.  The kernel is integer: Schur values are
-small integer determinants and RowSpace reduces sparse integer rows,
-each a dict of its nonzero entries.  fractions.Fraction appears only at
-the API edge, for rational points and rows, which are scaled to integers
-once on the way in.  Nothing in this package touches floating point: a
-float point, row or matrix entry, or polynomial coefficient, value or
-scalar, raises TypeError.
+small integer determinants, and RowSpace reduces sparse integer rows,
+each a dict of its nonzero entries built where the row is born.
+fractions.Fraction appears only at the API edge, for rational points and
+matrix_rank rows, which are scaled to integers once on the way in.
+Nothing in this package touches floating point: a float point, matrix
+entry, or polynomial coefficient, value or scalar, raises TypeError.
 """
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -145,16 +144,6 @@ def partitions_in_box(max_parts, max_part, size):
             return out
 
 
-def _common_denominator(values):
-    # The lcm of the denominators of ints and Fractions; TypeError for
-    # anything else, floats included.
-    try:
-        return lcm(*[x.denominator for x in values])
-    except AttributeError:
-        bad = next(x for x in values if not hasattr(x, "denominator"))
-        raise TypeError("expected int or Fraction entries, got %s" % type(bad).__name__) from None
-
-
 def _fraction(c):
     # The one gate for a rational coefficient, value or scalar: an int or
     # a Fraction comes back as a Fraction; anything else, a float, a str
@@ -165,10 +154,15 @@ def _fraction(c):
 
 
 def _clear_denominators(values):
-    # (D, [D * x for x in values]) with D the common denominator: the
-    # integer form of a point or a relation's coefficients.
-    den = _common_denominator(values)
-    return den, [x.numerator * (den // x.denominator) for x in values]
+    # (D, [D * x for x in values]) with D the lcm of the denominators, for
+    # int or Fraction values; anything else, a float included, is a TypeError.
+    try:
+        dens = [x.denominator for x in values]
+    except AttributeError:
+        bad = next(x for x in values if not hasattr(x, "denominator"))
+        raise TypeError("expected int or Fraction entries, got %s" % type(bad).__name__) from None
+    den = lcm(*dens)
+    return den, [x.numerator * (den // d) for x, d in zip(values, dens)]
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -279,7 +273,7 @@ def schur_evaluate(mu, points):
         parts = Partition(parts).parts
     n = len(points)
     if not parts or len(parts) > n:
-        _common_denominator(points)  # the type check that a cache miss makes
+        _clear_denominators(points)  # the type check that a cache miss makes
         return 0 if parts else 1
     if parts[0] >= len(parts):
         rows = parts
@@ -310,21 +304,22 @@ def schur_evaluate(mu, points):
 
 
 class RowSpace:
-    """Incremental exact row space of int or Fraction rows, kept sparse.
+    """Incremental exact row space of integer rows, kept sparse.
 
-    A row is a sequence of `width` entries or a mapping {column: entry};
-    a mapping column must be an integer in 0..width-1 (TypeError for a
-    float or Fraction column, ValueError outside the range).  Each added
-    row is cleared to integers once, from the numerators and
-    denominators of its entries, and held as a dict {column: int} of its
-    nonzero entries.  While its leading column is the pivot of a stored
-    row, it is reduced fraction-free by that row, each step touching
-    only the stored row's entries and scaling the incoming row only when
-    the stored pivot does not divide the entry it clears.  A row that
-    comes out nonzero is stripped of its content, which keeps the
-    integers small even for hundreds of rows of Schur values, and kept
-    with its leading column as pivot: it holds only entries at or after
-    the pivot.
+    A row is a fresh dict {column: int} of its nonzero entries, columns
+    in 0..width-1, which add takes over and may change, unchecked (a
+    rational or dense row goes through matrix_rank).  While its leading
+    column is the pivot of a stored row, it is reduced fraction-free by
+    that row, each step touching only the stored row's entries and
+    scaling the incoming row only when the stored pivot does not divide
+    the entry it clears.  A row that comes out nonzero is stripped of its
+    content, which keeps the integers small even for hundreds of rows of
+    Schur values, and kept with its leading column as pivot: it holds
+    only entries at or after the pivot.
+
+    >>> space = RowSpace(3)
+    >>> space.add({0: 2, 2: 4}), space.add({2: -6, 0: -3}), space.rank
+    (True, False, 1)
     """
 
     __slots__ = ("width", "_rows")
@@ -337,27 +332,8 @@ class RowSpace:
     def rank(self):
         return len(self._rows)
 
-    def add(self, row):
-        """Reduce `row` against the space; keep it if independent.
-
-        Returns True when the rank grew.
-        """
-        if isinstance(row, Mapping):
-            # index() turns away a float or Fraction column, which the
-            # range test alone would take for the int it equals
-            if not all(map(range(self.width).__contains__, map(index, row))):
-                raise ValueError("row columns must lie in 0..%d" % (self.width - 1))
-            items = row.items()
-            den = _common_denominator(row.values())
-        elif len(row) != self.width:
-            raise ValueError("row width %d, expected %d" % (len(row), self.width))
-        else:
-            items = enumerate(row)
-            den = _common_denominator(row)
-        if den == 1:
-            r = {c: x.numerator for c, x in items if x}
-        else:
-            r = {c: x.numerator * (den // x.denominator) for c, x in items if x}
+    def add(self, r):
+        """Reduce r against the space and keep it if independent; True if the rank grew."""
         rows = self._rows
         heap = list(r)  # r's columns, smallest first; cleared ones are skipped
         heapify(heap)
@@ -447,13 +423,17 @@ class RationalMatrix:
 
 
 def matrix_rank(matrix):
-    """Exact rank of a RationalMatrix or an iterable of int or Fraction rows."""
+    """Exact rank of a RationalMatrix or an iterable of int or Fraction rows,
+    each cleared to integers for a RowSpace: 0 for no rows, TypeError for a
+    float or str entry and ValueError for a row of another width."""
     rows = matrix.entries if isinstance(matrix, RationalMatrix) else [list(r) for r in matrix]
     if not rows:
         return 0
     space = RowSpace(len(rows[0]))
     for row in rows:
-        space.add(row)
+        if len(row) != space.width:
+            raise ValueError("row width %d, expected %d" % (len(row), space.width))
+        space.add({c: x for c, x in enumerate(_clear_denominators(row)[1]) if x})
     return space.rank
 
 

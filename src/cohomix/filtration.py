@@ -111,7 +111,7 @@ def _is_triple_list(points):
 
 
 def _is_subspace_list(points):
-    return bool(points) and all(isinstance(pt, FixedSubspace) for pt in points)
+    return all(isinstance(pt, FixedSubspace) for pt in points)
 
 
 def filtration_betti(points, ws=None, action=None):
@@ -186,7 +186,8 @@ def schur_rank_steps(points, ws, p_max=None):
         grew = []
         if space.rank < len(points):
             for mu in partitions_in_box(box[0], box[1], p):
-                if space.add([schur_evaluate(mu, wset) for wset in weight_sets]):
+                row = {c: x for c, wset in enumerate(weight_sets) if (x := schur_evaluate(mu, wset))}
+                if space.add(row):
                     grew.append(mu)
                     if space.rank == len(points):
                         break

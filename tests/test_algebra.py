@@ -5,7 +5,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -26,14 +26,23 @@ from cohomix.algebra import (
     schur_evaluate,
     strip_cyclotomic_factors,
 )
+from cohomix.equivariant import localization_rank_check
 from cohomix.errors import NotNilpotent, NotPolynomial
-from cohomix.filtration import BettiTable
-from cohomix.gotzmann import build_torus_action
+from cohomix.filtration import BettiTable, filtration_betti
+from cohomix.gotzmann import (
+    build_torus_action,
+    degree_k_part,
+    enumerate_hilb_fixed_points,
+    jordan_regularity_check,
+)
 from cohomix.grassmann import (
     FixedSubspace,
     GradedPresentation,
     WeightSystem,
+    enumerate_fixed_subspaces,
     equivariant_presentation,
+    graded_dimensions,
+    ordinary_presentation,
     specialize_v,
 )
 
@@ -323,11 +332,9 @@ class TestSchurPartitionInput:
         lambda: (schur_evaluate((1, 1), (2, 3)), schur_evaluate((1, 1), (2.0, 3))),
         lambda: schur_evaluate((), (1.5,)),
         lambda: schur_evaluate((1, 1), (1.5,)),
-        lambda: RowSpace(2).add([1.5, 2]),
-        lambda: RowSpace(2).add({0: 1.5}),
-        lambda: RowSpace(3).add({1.0: 2, 0: 1}),
-        lambda: RowSpace(3).add({Fraction(1): 2}),
         lambda: matrix_rank([[0.1, 1]]),
+        lambda: matrix_rank([[Fraction(1, 2), 1], [Fraction(1, 3), 0.5]]),
+        lambda: matrix_rank([[1, "1/3"]]),
         lambda: MultiPoly(("x",), {(1,): 0.1}),
         lambda: MultiPoly(("x",), {(1,): "1/3"}),
         lambda: MultiPoly(("x",), {(1,): 1}).scale(0.5),
@@ -355,11 +362,9 @@ class TestSchurPartitionInput:
         "schur_evaluate-after-equal-int",
         "schur_evaluate-empty-partition",
         "schur_evaluate-more-parts-than-points",
-        "RowSpace.add",
-        "RowSpace.add-mapping",
-        "RowSpace.add-float-column",
-        "RowSpace.add-Fraction-column",
         "matrix_rank",
+        "matrix_rank-float-among-Fractions",
+        "matrix_rank-str",
         "MultiPoly-float-coefficient",
         "MultiPoly-str-coefficient",
         "MultiPoly.scale",
@@ -468,16 +473,19 @@ class TestRankAndRowSpace:
 
     def test_rowspace_incremental(self):
         space = RowSpace(3)
-        assert space.add([1, 0, 0])
-        assert not space.add([2, 0, 0])
-        assert space.add([Fraction(1, 3), 1, 0])
+        assert space.add({0: 1})
+        assert not space.add({0: 2})
+        assert space.add({0: 1, 1: 3})
         assert space.rank == 2
+        # a ragged row is caught at the rational edge, not in RowSpace
         with pytest.raises(ValueError):
-            space.add([1, 2])
+            matrix_rank([[1, 2], [1]])
 
     @settings(deadline=None, max_examples=80)
     @given(st.data())
     def test_dense_and_mapping_rows_agree(self, data):
+        # matrix_rank of rational rows against sympy, and one RowSpace fed
+        # the same rows as cleared dicts, columns in any order
         width = data.draw(st.integers(1, 7))
         entry = st.one_of(
             st.integers(-9, 9),
@@ -494,18 +502,40 @@ class TestRankAndRowSpace:
             a, b = data.draw(st.tuples(entry, entry))
             rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
         rows = data.draw(st.permutations(rows))
-        dense, sparse = RowSpace(width), RowSpace(width)
+        rank = sympy.Matrix(rows).rank()
+        assert matrix_rank(rows) == rank
+        space = RowSpace(width)
         for row in rows:
-            # the mapping lists its columns in any order, zeros or not
-            items = [(c, x) for c, x in enumerate(row) if x or data.draw(st.booleans())]
-            mapping = dict(data.draw(st.permutations(items)))
-            assert dense.add(row) == sparse.add(mapping)
-        assert dense.rank == sparse.rank == sympy.Matrix(rows).rank()
+            den = lcm(*[x.denominator for x in row])
+            items = [(c, int(x * den)) for c, x in enumerate(row) if x]
+            space.add(dict(data.draw(st.permutations(items))))
+        assert space.rank == rank
 
-    @pytest.mark.parametrize("row", [{3: 1}, {-1: 1}, {0: 1, 5: 2}])
-    def test_mapping_column_outside_width_rejected(self, row):
-        with pytest.raises(ValueError):
-            RowSpace(3).add(row)
+    def test_producers_hand_over_integer_dicts(self, monkeypatch):
+        # RowSpace.add checks nothing of its row, so every producer in the
+        # package must build the one format: a dict of nonzero ints with
+        # columns in 0..width-1
+        seen = []
+        add = RowSpace.add
+
+        def checked_add(space, row):
+            assert type(row) is dict
+            assert all(type(x) is int and x for x in row.values())
+            assert all(type(c) is int and 0 <= c < space.width for c in row)
+            seen.append(row)
+            return add(space, row)
+
+        monkeypatch.setattr(RowSpace, "add", checked_add)
+        assert filtration_betti(enumerate_fixed_subspaces(6, 3), WeightSystem.principal(6)).betti == (
+            1, 1, 2, 3, 3, 3, 3, 2, 1, 1,
+        )
+        action = build_torus_action(3)
+        images = [degree_k_part(t, 3) for t in enumerate_hilb_fixed_points(3)]
+        assert localization_rank_check(images, action.weight_system()) == (len(images), True)
+        assert graded_dimensions(ordinary_presentation(6, 3), 9) == [1, 1, 2, 3, 3, 3, 3, 2, 1, 1]
+        assert graded_dimensions(equivariant_presentation(5, 2), 6) == [1, 2, 4, 6, 8, 9, 10]
+        assert jordan_regularity_check(3) == (Partition((7, 3)), False)
+        assert len(seen) > 100
 
 
 def jordan_blocks(sizes):

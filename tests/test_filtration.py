@@ -570,4 +570,6 @@ class TestSharedSchurRankLoop:
         ws = WeightSystem.principal(4)
         with pytest.raises(BoxViolation, match="need at least one fixed point"):
             list(schur_rank_steps([], ws))
+        with pytest.raises(BoxViolation, match="need at least one fixed point"):
+            filtration_betti([], ws)
         assert localization_rank_check([], ws) == (0, True)
