@@ -14,6 +14,7 @@ from cohomix import (
     degree_k_part,
     enumerate_hilb_fixed_points,
     monomial_basis,
+    monomial_label,
 )
 
 k = 2
@@ -21,13 +22,13 @@ action = build_torus_action(k)
 print("torus: g = %d, exponents = %s" % (action.g, action.exponents))
 
 basis = monomial_basis(k)
-print("monomial basis of R_2:", " ".join(basis.label(m) for m in basis))
+print("monomial basis of R_2:", " ".join(map(monomial_label, basis)))
 print("monomial weights:", action.weight_system().weights)
 
 print("\nall %d fixed points and their degree-2 ideals:" % len(enumerate_hilb_fixed_points(k)))
 for triple in enumerate_hilb_fixed_points(k):
     image = degree_k_part(triple, k)
-    monos = " ".join(basis.label(basis[i - 1]) for i in image.indices)
+    monos = " ".join(monomial_label(basis[i - 1]) for i in image.indices)
     print("  %-8s -> indices %-14s = span{%s}" % (triple, image.indices, monos))
 
 # the worked example: two reduced points [1:0:0] and [0:1:0]

@@ -47,7 +47,6 @@ from .filtration import (
     select_schur_basis,
 )
 from .gotzmann import (
-    MonomialBasis,
     PartitionTriple,
     TorusAction,
     build_torus_action,
@@ -56,6 +55,7 @@ from .gotzmann import (
     hilb_minus_cell_dimension,
     jordan_regularity_check,
     monomial_basis,
+    monomial_label,
     nilpotent_matrix_on_Rk,
     tangent_weights,
 )
@@ -90,7 +90,6 @@ __all__ = [
     "InternalInvariantViolation",
     "InvalidDegree",
     "InvalidDimensions",
-    "MonomialBasis",
     "MultiPoly",
     "NOT_REGULAR",
     "NotNilpotent",
@@ -120,6 +119,7 @@ __all__ = [
     "matrix_rank",
     "minus_cell_dimension",
     "monomial_basis",
+    "monomial_label",
     "nilpotent_matrix_on_Rk",
     "ordinary_presentation",
     "partitions_in_box",

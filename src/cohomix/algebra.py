@@ -388,13 +388,6 @@ class RationalMatrix:
         self.ncols = ncols
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -406,9 +399,6 @@ class RationalMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries
         )
         return product
-
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -484,16 +474,6 @@ class IntegerPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, coeff, exponent):
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls([0] * exponent + [coeff])
-
     @property
     def degree(self):
         """Degree, with the zero polynomial at -1."""
@@ -501,9 +481,6 @@ class IntegerPolynomial:
 
     def is_zero(self):
         return not self.coeffs
-
-    def is_constant(self):
-        return len(self.coeffs) <= 1
 
     def coefficient(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0

@@ -56,7 +56,7 @@ def box_of(points):
     FixedSubspace raises TypeError."""
     if not points:
         raise BoxViolation("need at least one fixed point")
-    if not _is_subspace_list(points):
+    if not all(isinstance(pt, FixedSubspace) for pt in points):
         raise TypeError("the box needs FixedSubspace points")
     dims = {pt.dim for pt in points}
     ns = {pt.n for pt in points}
@@ -68,18 +68,13 @@ def box_of(points):
 
 
 class BettiTable:
-    """Betti numbers b_0..b_P with their cumulative ranks and the number
-    of fixed points they were read from."""
+    """Betti numbers b_0..b_P and the number of fixed points they were
+    read from."""
 
-    __slots__ = ("betti", "cumulative", "fixed_points")
+    __slots__ = ("betti", "fixed_points")
 
     def __init__(self, betti, fixed_points):
         self.betti = tuple(index(b) for b in betti)
-        acc, cum = 0, []
-        for b in self.betti:
-            acc += b
-            cum.append(acc)
-        self.cumulative = tuple(cum)
         self.fixed_points = index(fixed_points)
 
     def poincare_q(self):
@@ -110,10 +105,6 @@ def _is_triple_list(points):
     return bool(points) and all(isinstance(pt, PartitionTriple) for pt in points)
 
 
-def _is_subspace_list(points):
-    return all(isinstance(pt, FixedSubspace) for pt in points)
-
-
 def filtration_betti(points, ws=None, action=None):
     """Betti numbers of the variety carrying the given fixed points.  Each
     route reads only its own arguments and raises TypeError on the others.
@@ -133,20 +124,22 @@ def filtration_betti(points, ws=None, action=None):
     Gotzmann image of every fixed point of degree k, not only the given
     ones: other than k degree-k monomials outside, for any of them, raises
     InternalInvariantViolation.
+
+    Any other list goes to box_of, so no points raise BoxViolation and a
+    list that is not all FixedSubspace raises TypeError.
     """
     points = list(points)
     if _is_triple_list(points):
         if ws is not None:
             raise TypeError("partition triples take only an action, not ws")
         return _cell_betti(points, action)
-    if _is_subspace_list(points):
-        if action is not None:
-            raise TypeError("fixed subspaces take ws, not an action")
-        if ws is None:
-            raise ValueError("fixed subspaces need their ambient WeightSystem")
-        betti = [len(grew) for grew in schur_rank_steps(points, ws)]
-        return BettiTable(betti, len(points))
-    raise TypeError("points must be all FixedSubspace or all PartitionTriple")
+    box_of(points)
+    if action is not None:
+        raise TypeError("fixed subspaces take ws, not an action")
+    if ws is None:
+        raise ValueError("fixed subspaces need their ambient WeightSystem")
+    betti = [len(grew) for grew in schur_rank_steps(points, ws)]
+    return BettiTable(betti, len(points))
 
 
 def _cell_betti(triples, action):
@@ -194,38 +187,16 @@ def schur_rank_steps(points, ws, p_max=None):
         yield grew
 
 
-class SchurBasisSelection:
-    """Outcome of the greedy Schur-row selection: for each size p the
-    chosen partitions, plus a deficiency report against an expected Betti
-    sequence when one was supplied.  Behaves as a read-only map
-    p -> list of Partition."""
+class SchurBasisSelection(dict):
+    """Outcome of the greedy Schur-row selection: a dict p -> tuple of the
+    chosen partitions, in increasing p, and in `deficiencies` the report
+    against an expected Betti sequence when one was supplied."""
 
-    __slots__ = ("by_degree", "deficiencies")
+    __slots__ = ("deficiencies",)
 
     def __init__(self, by_degree, deficiencies):
-        self.by_degree = {p: tuple(mus) for p, mus in by_degree.items()}
+        super().__init__((p, tuple(by_degree[p])) for p in sorted(by_degree))
         self.deficiencies = dict(deficiencies)
-
-    def __getitem__(self, p):
-        return self.by_degree[p]
-
-    def __iter__(self):
-        return iter(sorted(self.by_degree))
-
-    def __len__(self):
-        return len(self.by_degree)
-
-    def items(self):
-        return sorted(self.by_degree.items())
-
-    def achieved(self, p):
-        return len(self.by_degree.get(p, ()))
-
-    def is_deficient(self):
-        return bool(self.deficiencies)
-
-    def __repr__(self):
-        return "SchurBasisSelection(%r)" % (self.by_degree,)
 
 
 def select_schur_basis(points, ws, p_max=None, expected_betti=None):

@@ -27,43 +27,27 @@ from .grassmann import FixedSubspace, WeightSystem
 _CHART_NAMES = ("X_0", "X_1", "X_2")
 
 
-class MonomialBasis:
-    """The ordered monomial basis of R_k, the degree-k forms in three
-    variables: exponent triples (a, b, c), a + b + c = k, sorted by
-    increasing a then increasing b.  For k = 2 that is X_2^2, X_2*X_1,
-    X_1^2, X_2*X_0, X_1*X_0, X_0^2."""
-
-    __slots__ = ("k", "monomials")
-
-    def __init__(self, k):
-        if k < 1:
-            raise InvalidDegree("k must be at least 1, got %d" % k)
-        self.k = k
-        self.monomials = tuple(
-            (a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)
-        )
-
-    def __len__(self):
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __getitem__(self, i):
-        return self.monomials[i]
-
-    def label(self, monomial):
-        """Human-readable product form, e.g. 'X_0*X_1' for (1, 1, 0)."""
-        factors = zip(_CHART_NAMES, monomial, strict=True)
-        return "*".join(_power_str(name, e) for name, e in factors if e) or "1"
-
-    def __repr__(self):
-        return "MonomialBasis(k=%d, %d monomials)" % (self.k, len(self.monomials))
-
-
 def monomial_basis(k):
-    """The basis of R_k in the standard order; length C(k+2, 2)."""
-    return MonomialBasis(k)
+    """The ordered monomial basis of R_k, the degree-k forms in three
+    variables: the C(k+2, 2) exponent triples (a, b, c), a + b + c = k,
+    sorted by increasing a then increasing b.
+
+    >>> monomial_basis(1)
+    ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    """
+    if k < 1:
+        raise InvalidDegree("k must be at least 1, got %d" % k)
+    return tuple((a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1))
+
+
+def monomial_label(monomial):
+    """Product form of an exponent triple of X_0, X_1, X_2.
+
+    >>> [monomial_label(m) for m in monomial_basis(2)]
+    ['X_2^2', 'X_1*X_2', 'X_1^2', 'X_0*X_2', 'X_0*X_1', 'X_0^2']
+    """
+    factors = zip(_CHART_NAMES, monomial, strict=True)
+    return "*".join(_power_str(name, e) for name, e in factors if e) or "1"
 
 
 class TorusAction:

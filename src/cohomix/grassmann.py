@@ -12,7 +12,6 @@ off one vector field, the Riccati equation on the chart [I; B] of the
 matrix N + (v/2)H: N the principal nilpotent, H the principal weights.
 """
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import index, mul
@@ -72,10 +71,6 @@ class FixedSubspace:
     @property
     def dim(self):
         return len(self.indices)
-
-    def complement(self):
-        inside = set(self.indices)
-        return tuple(j for j in range(1, self.n + 1) if j not in inside)
 
     def __eq__(self, other):
         if not isinstance(other, FixedSubspace):
@@ -252,12 +247,12 @@ class GradedPresentation:
 
     The relations are never reassigned after construction, so each nonzero
     relation's degree and its terms cleared to integers are prepared here,
-    once, for the Macaulay rank of graded_dimension.  There is no __eq__
-    or __hash__: a presentation is equal only to itself, so graded_dimension
-    reduces each presentation object once, whatever degrees it asks for.
+    once, for the Macaulay rank of graded_dimension, and `_reduced` keeps
+    the _eliminate_linear reduction that graded_dimension makes on first
+    use, whatever degrees it asks for.
     """
 
-    __slots__ = ("variables", "degrees", "relations", "_integer_relations")
+    __slots__ = ("variables", "degrees", "relations", "_integer_relations", "_reduced")
 
     def __init__(self, variables, degrees, relations):
         self.variables = tuple(variables)
@@ -282,6 +277,7 @@ class GradedPresentation:
             for rel in self.relations
             if not rel.is_zero()
         )
+        self._reduced = None
 
     def is_homogeneous(self):
         """Every relation concentrated in a single weighted degree."""
@@ -347,7 +343,6 @@ def _weighted_monomials(degrees, d, base):
     return [p + rest // last * power for p, rest in partial if rest % last == 0]
 
 
-@lru_cache(maxsize=128)
 def _eliminate_linear(presentation):
     """An isomorphic presentation without the variables that a relation
     defines linearly.
@@ -358,9 +353,7 @@ def _eliminate_linear(presentation):
     such relation, and in it the first such variable, goes first.  Degrees
     are positive, so x appears in no other term of its relation, and each
     step is a graded ring isomorphism.  Raises InvalidDegree for a
-    presentation that is not homogeneous.  The result does not depend on
-    the degree asked for, so it is cached per presentation object (a
-    GradedPresentation is its own key, by identity), not by value.
+    presentation that is not homogeneous.
 
     >>> pres = ordinary_presentation(4, 2)
     >>> reduced = _eliminate_linear(pres)
@@ -419,19 +412,21 @@ def graded_dimension(presentation, d):
     """Dimension of the degree-d piece of the presented graded ring.
 
     First eliminates every variable that a relation defines linearly (a
-    graded ring isomorphism, computed once per presentation object; see
-    _eliminate_linear), which takes Gr's k(n-k) generators down to k.
-    Then counts monomials of weighted degree d on what is left and
-    subtracts the rank of the span of (monomial x relation) products
-    landing in degree d.  Each product goes to the RowSpace as a sparse
-    {column: int} row, read off the integer-cleared terms that the reduced
-    presentation prepared when it was built, so the rank is exact.  Raises
-    InvalidDegree for d < 0 and, at every d, for a presentation that is
-    not homogeneous.
+    graded ring isomorphism, computed once per presentation object and
+    kept in its `_reduced` slot; see _eliminate_linear), which takes Gr's
+    k(n-k) generators down to k.  Then counts monomials of weighted
+    degree d on what is left and subtracts the rank of the span of
+    (monomial x relation) products landing in degree d.  Each product
+    goes to the RowSpace as a sparse {column: int} row, read off the
+    integer-cleared terms that the reduced presentation prepared when it
+    was built, so the rank is exact.  Raises InvalidDegree for d < 0 and,
+    at every d, for a presentation that is not homogeneous.
     """
     if d < 0:
         raise InvalidDegree("degree must be nonnegative, got %d" % d)
-    return _macaulay_dimension(_eliminate_linear(presentation), d)
+    if presentation._reduced is None:
+        presentation._reduced = _eliminate_linear(presentation)
+    return _macaulay_dimension(presentation._reduced, d)
 
 
 def graded_dimensions(presentation, top):

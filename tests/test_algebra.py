@@ -423,12 +423,12 @@ class TestRationalMatrix:
         assert m == same and hash(m) == hash(same)
         assert m != RationalMatrix([[1, Fraction(1, 2)], [0, 3]])
         assert m != m.entries
-        assert len({m, same, RationalMatrix.identity(2)}) == 2
+        assert len({m, same, RationalMatrix([[1, 0], [0, 1]])}) == 2
 
 
 class TestRankAndRowSpace:
     def test_rank_of_identity(self):
-        assert matrix_rank(RationalMatrix.identity(5)) == 5
+        assert matrix_rank(RationalMatrix([[int(i == j) for j in range(5)] for i in range(5)])) == 5
 
     def test_rank_with_dependent_rows(self):
         m = [[1, 2, 3], [2, 4, 6], [1, 0, 0]]
@@ -624,7 +624,7 @@ class TestCyclotomic:
         # q^d - 1 is the product of Phi_e over e | d, multiplied out by
         # IntegerPolynomial, not by the binomial kernel
         for d in range(1, 201):
-            product = IntegerPolynomial.one()
+            product = IntegerPolynomial([1])
             for e in range(1, d + 1):
                 if d % e == 0:
                     product = product * cyclotomic_polynomial(e)
@@ -639,7 +639,7 @@ class TestCyclotomic:
 
     def test_strip_gaussian_binomial_to_constant(self):
         ok, residual = strip_cyclotomic_factors(IntegerPolynomial([1, 1, 2, 1, 1]))
-        assert ok and residual.is_constant()
+        assert ok and residual.degree <= 0
 
     def test_strip_leaves_g3_untouched(self):
         g3 = IntegerPolynomial([1, 0, 2, 0, 5, 0, 6, 0, 5, 0, 2, 0, 1])
@@ -655,12 +655,12 @@ class TestCyclotomic:
     @given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6]), min_size=0, max_size=4), st.integers(0, 3))
     def test_strip_reconstruction(self, ds, shift):
         # a planted product of cyclotomics and a q-power strips completely
-        p = IntegerPolynomial.monomial(1, shift)
+        p = IntegerPolynomial([0] * shift + [1])
         for d in ds:
             p = p * cyclotomic_polynomial(d)
         ok, residual = strip_cyclotomic_factors(p)
         assert ok
-        assert residual.is_constant()
+        assert residual.degree <= 0
 
 
 def _at_minus_q(p):
@@ -685,7 +685,7 @@ def _degree_80_product(rng, plant):
     # degree 80; when planted, the last three degrees are a monic cubic
     # with |constant| >= 2, which has a root off the unit circle
     target = 77 if plant else 80
-    p = IntegerPolynomial.one()
+    p = IntegerPolynomial([1])
     while True:
         phi = cyclotomic_polynomial(rng.randint(3, 60))
         if p.degree + phi.degree > target:
@@ -703,7 +703,7 @@ class TestStripAgainstSympy:
     def check(self, p):
         ok, residual = strip_cyclotomic_factors(p)
         expected = _sympy_strip(p.coeffs)
-        assert (ok, residual) == (expected.is_constant(), expected), p
+        assert (ok, residual) == (expected.degree <= 0, expected), p
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_degree_80_products(self, seed):
@@ -769,9 +769,9 @@ class TestStripAgainstSympy:
             phi(60),
             phi(105),
             phi(1) * phi(1) * phi(2) * phi(6) * phi(6) * phi(6),
-            IntegerPolynomial.monomial(3, 4) * phi(12) * phi(105),
+            IntegerPolynomial([0, 0, 0, 0, 3]) * phi(12) * phi(105),
             quadratic * quadratic * phi(60) * phi(3) * phi(3),
-            IntegerPolynomial.monomial(-1, 2) * quadratic * phi(7) * phi(30) * phi(1),
+            IntegerPolynomial([0, 0, -1]) * quadratic * phi(7) * phi(30) * phi(1),
         ]
         for p in planted:
             self.check(p)
@@ -869,7 +869,7 @@ class TestBinomialQuotient:
         before = list(rr)
         got = algebra._binomial_quotient(rr, (), (e,))
         assert rr == before
-        binomial = IntegerPolynomial.monomial(1, e) - IntegerPolynomial.one()
+        binomial = IntegerPolynomial([-1] + [0] * (e - 1) + [1])
         try:
             expected = IntegerPolynomial(reversed(rr)).exact_divide(binomial)
         except NotPolynomial:
@@ -981,9 +981,6 @@ class TestIntegerPolynomial:
         for bad in (lambda: euler_phi(0), lambda: cyclotomic_polynomial(0)):
             with pytest.raises(ValueError, match="must be positive"):
                 bad()
-        with pytest.raises(ValueError, match="nonnegative"):
-            IntegerPolynomial.monomial(1, -1)
-        assert IntegerPolynomial.monomial(3, 2).coeffs == (0, 0, 3)
 
     def test_equality_and_hash_by_coefficients(self):
         p = IntegerPolynomial([1, 2, 0, 0])

@@ -5,7 +5,8 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cohomix"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cohomix"
 
 
 def unused_imports(source):
@@ -120,13 +121,15 @@ def module_definitions(source):
     return [node.name for node in ast.parse(source).body if isinstance(node, kinds)]
 
 
-def names_read(source):
+def names_read(source, attributes_only=False):
     """Every name the source reads, as an `ast.Name` or as the attribute
-    of an `ast.Attribute`."""
+    of an `ast.Attribute`; with `attributes_only`, only the latter, the
+    way a class member is read."""
     read = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            if not attributes_only:
+                read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
     return read
@@ -145,6 +148,7 @@ def test_reader_sees_definitions_and_reads():
     )
     assert module_definitions(source) == ["a", "b", "C", "e"]
     assert names_read(source) == {"b", "m", "g", "i"}
+    assert names_read(source, attributes_only=True) == {"g", "i"}
 
 
 def test_every_function_and_class_has_a_reader():
@@ -160,6 +164,57 @@ def test_every_function_and_class_has_a_reader():
         if (unread := [d for d in module_definitions(source) if d not in read])
     }
     assert orphans == {}
+
+
+def class_members(source):
+    """(class, member) pairs of the source's module-level classes, in
+    order of appearance: every method and property, and every name in
+    `__slots__`, that is not a dunder."""
+    members = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign) and getattr(item.targets[0], "id", None) == "__slots__":
+                names = ast.literal_eval(item.value)
+            else:
+                continue
+            members += [(node.name, n) for n in names if not (n[:2] == n[-2:] == "__")]
+    return members
+
+
+def test_reader_sees_class_members():
+    source = (
+        "def f(): pass\n"
+        "class C:\n"
+        "    __slots__ = ('a', '_b')\n"
+        "    x = 1\n"
+        "    def __init__(self): pass\n"
+        "    @property\n    def p(self): pass\n"
+        "    @classmethod\n    def q(cls): pass\n"
+        "class D(dict):\n    __slots__ = ('e',)\n    __rmul__ = __mul__ = None\n"
+    )
+    assert class_members(source) == [("C", "a"), ("C", "_b"), ("C", "p"), ("C", "q"), ("D", "e")]
+
+
+def test_every_class_member_has_a_reader():
+    # Tests do not count as readers, and members are matched by name only,
+    # so a name that several classes define counts as read for all of them.
+    # The one exception: IntegerPolynomial.exact_divide, the reference that
+    # tests/test_algebra.py checks the binomial kernel against.
+    readers = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    read = set().union(
+        *(names_read(p.read_text(encoding="utf-8"), attributes_only=True) for p in readers)
+    )
+    unread = [
+        "%s.%s" % (cls, name)
+        for p in sorted(SRC.glob("*.py"))
+        for cls, name in class_members(p.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert unread == ["IntegerPolynomial.exact_divide"]
 
 
 def _names_fraction(node):
