@@ -17,7 +17,6 @@ from .algebra import (
     Partition,
     RationalMatrix,
     cyclotomic_polynomial,
-    euler_phi,
     jordan_type,
     matrix_rank,
     partitions_in_box,
@@ -107,7 +106,6 @@ __all__ = [
     "enumerate_fixed_subspaces",
     "enumerate_hilb_fixed_points",
     "equivariant_presentation",
-    "euler_phi",
     "filtration_betti",
     "graded_dimension",
     "graded_dimensions",

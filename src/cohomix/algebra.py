@@ -18,7 +18,7 @@ from itertools import accumulate, combinations
 from math import gcd, lcm, prod
 from operator import add, index, neg, sub
 
-from .errors import NotNilpotent, NotPolynomial
+from .errors import NotNilpotent
 
 
 class Partition:
@@ -460,8 +460,8 @@ class IntegerPolynomial:
     The zero polynomial stores an empty tuple, so a nonzero leading
     coefficient is automatic.
 
-    >>> IntegerPolynomial([1, 1, 2, 1, 1]).degree
-    4
+    >>> IntegerPolynomial([1, 1, 2, 1, 1, 0]).coeffs
+    (1, 1, 2, 1, 1)
     >>> IntegerPolynomial([1, 1])(3)
     4
     """
@@ -473,11 +473,6 @@ class IntegerPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @property
-    def degree(self):
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
 
     def is_zero(self):
         return not self.coeffs
@@ -538,36 +533,6 @@ class IntegerPolynomial:
 
     __rmul__ = __mul__
 
-    def exact_divide(self, other):
-        """Quotient self / other when the division is exact over the
-        integers; the divisor need not be monic.  Raises NotPolynomial for
-        an inexact division or a divisor of larger degree, and
-        ZeroDivisionError for the zero divisor.  Long division, top down,
-        on a copy of the coefficients: each quotient coefficient overwrites
-        the entry it comes from, and only the divisor's nonzero lower terms
-        are subtracted below it, so what is left under the quotient is the
-        remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return IntegerPolynomial()
-        m = other.degree
-        if m > self.degree:
-            raise NotPolynomial("degree %d does not divide degree %d" % (m, self.degree))
-        lead = other.coeffs[m]
-        lower = [(i - m, b) for i, b in enumerate(other.coeffs[:m]) if b]
-        rem = list(self.coeffs)
-        for top in range(len(rem) - 1, m - 1, -1):
-            f, r = divmod(rem[top], lead)
-            if r:
-                raise NotPolynomial("quotient is not an integer polynomial")
-            rem[top] = f
-            for offset, b in lower:
-                rem[top + offset] -= f * b
-        if any(rem[:m]):
-            raise NotPolynomial("quotient is not an integer polynomial")
-        return IntegerPolynomial(rem[m:])
-
     def interleave_zero(self):
         """Substitute q = t^2: spread coefficients onto even exponents."""
         out = [0] * (2 * len(self.coeffs) - 1)
@@ -582,20 +547,6 @@ class IntegerPolynomial:
 
     def __repr__(self):
         return "IntegerPolynomial(%r)" % (self.coeffs,)
-
-
-def euler_phi(n):
-    """Euler's totient.
-
-    >>> [euler_phi(d) for d in (1, 2, 3, 4, 12)]
-    [1, 1, 2, 2, 4]
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = n
-    for p in _prime_divisors(n):
-        result -= result // p
-    return result
 
 
 def _prime_divisors(n):

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -334,3 +335,91 @@ class TestDeterminism:
         _code, out, _err = run_cli(["hilb", "betti", "--k", "1", "--format", "json"])
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
+
+
+# The t-polynomial of Gr(10, 5), [10, 5]_q at q = t^2: degree 50 like the
+# benchmark's b2 check inputs, and a product of cyclotomics, so INCONCLUSIVE
+T_GR_10_5 = (
+    "1,0,1,0,2,0,3,0,5,0,7,0,9,0,11,0,14,0,16,0,18,0,19,0,20,0,"
+    "20,0,19,0,18,0,16,0,14,0,11,0,9,0,7,0,5,0,3,0,2,0,1,0,1"
+)
+
+# sha256 of stdout, text (the default) then json, for every subcommand at
+# the sizes of the benchmark's cli workload.  A change that alters a byte
+# of it updates the digest here and says what changed and why in
+# CHANGES.md.
+STDOUT_SHA256 = {
+    "grass presentation --n 6 --k 3 --equivariant": (
+        "a9cd39d1b36e8a6e82ba299986abdc39e3dd8df7d240e5593fa5120e6391470b",
+        "b641e754c6c0379ba090be3175eb7f06ccddee90c8e64e1508ed649cc7011c65",
+    ),
+    "grass poincare --n 12 --k 5 --method cells": (
+        "a20117ebc257d28e1bd55c1e8357b9ad0f983bb9a316fd6e7d123413ddaa7358",
+        "3216559721100f260c2bc3938b078b43e2de5f3afbabfcf5e2cc0d8273cb715c",
+    ),
+    "grass poincare --n 12 --k 5 --method regular-sequence": (
+        "a20117ebc257d28e1bd55c1e8357b9ad0f983bb9a316fd6e7d123413ddaa7358",
+        "a7d52191edd4e5f209921c7d30fdd227c51cbf2e6b7c80393d652e53f5035799",
+    ),
+    "hilb fixed-points --k 8": (
+        "138bdc489564f711c10f50b02d765c7dc080ccedb913c8015cee46ee0ce08bc8",
+        "f76e42bbc853d9d5238f1220eaffe558539ad158a5f323c9638c9d2d33cea9cc",
+    ),
+    "hilb embed --k 6 --triple 2,1;1;1,1": (
+        "2115c695b655725e341f68b910ae1c2d314cbb345f105d511bc30fa6d0573a4d",
+        "02d8f39b26bf07f223dbc83dd3f9c96d2a76127d6ffa62be0dc37244615c5584",
+    ),
+    "hilb betti --k 3": (
+        "b1c52346f729220c4dfd07209951d7498fbdf761efee0d3fbda84cfc1e66fd1f",
+        "d34dfed2121a828687483b0d8ffdaeeb0a29beb6b2fdd3edad69ac0bdd391d05",
+    ),
+    "hilb schur-basis --k 3": (
+        "2f81b37b88d83d03bc9eb0ec3037c2581ac13380122bae8be7ef7b5f8e75990d",
+        "8d2960983a4e640c067e2b80440ee6523fe56960815db7c4a66183eba5dbbd1c",
+    ),
+    "hilb poincare --k 8": (
+        "73c9e5d3050f9988e61a77f888ef2f343c80b9b7b025f9e2011f52849b1dc6fe",
+        "32df89328905b6620d8c8cafa5e57a8a21b1a0f4cdca96c812fd5d71c520734d",
+    ),
+    "b2 check --poincare=1,0,2,0,5,0,6,0,5,0,2,0,1": (
+        "cba0fbfa2769ab6bfffc7def4773a512df8d640da503638f8a78954a388d7f29",
+        "a7e973b5c6b586faa7c54f1c03aa523fa6a082f174286978a9e5ce751df7fb5c",
+    ),
+    "b2 check --poincare=" + T_GR_10_5: (
+        "7aba665076e98d0937499081a49d508b1454b8637d55294c65fedc60a7c11674",
+        "71cdf408be8721989dad013d3f68d819eeef766e7b420f4990aa3e7214ca642e",
+    ),
+    "b2 jordan --k 4": (
+        "cf2ad120d75abba82763f3097e8ba773e3b6fe7df8594254ec9959dd334be98f",
+        "bd8b303d8946c51797c76107d72961ae7218e047eabea9ecacbe0acb689ddbd8",
+    ),
+    "eq localization --k 3": (
+        "fdd0875841dc783e6605eb92be218b073d72a64d2d37b987e5a2658b7822d844",
+        "9cca594cdf90e3f2729d9f8bd68f9269b8a6ce48e59c1926b647688a1603ad11",
+    ),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedStdout:
+    def test_every_subcommand_pinned(self):
+        pinned = {tuple(command.split()[:2]) for command in STDOUT_SHA256}
+        assert pinned == set(COMMANDS)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "command", STDOUT_SHA256, ids=lambda c: c.replace(T_GR_10_5, "T_GR_10_5")
+    )
+    def test_stdout_digest(self, command, fmt, capsys):
+        argv = command.split() + (["--format", "json"] if fmt == "json" else [])
+        assert main(argv) == 0
+        assert _sha256(capsys.readouterr().out) == STDOUT_SHA256[command][fmt == "json"]
+
+    def test_module_entry_point_prints_the_same_bytes(self):
+        # the entry point of every cli benchmark child, in its own interpreter
+        code, out, _err = run_cli(["b2", "jordan", "--k", "4"])
+        assert code == 0
+        assert _sha256(out) == STDOUT_SHA256["b2 jordan --k 4"][0]

@@ -535,7 +535,7 @@ class TestRegularityVerdict:
         p = IntegerPolynomial([1, 2] + [0] * 298 + [1])
         assert b2_regularity_verdict(p) == NOT_REGULAR
         ok, residual = strip_cyclotomic_factors(p)
-        assert not ok and residual.degree == 299
+        assert not ok and len(residual.coeffs) - 1 == 299
         assert residual * IntegerPolynomial([1, 1]) == p
 
     def test_grassmannian_poincare_inconclusive(self):

@@ -201,9 +201,8 @@ def test_reader_sees_class_members():
 
 def test_every_class_member_has_a_reader():
     # Tests do not count as readers, and members are matched by name only,
-    # so a name that several classes define counts as read for all of them.
-    # The one exception: IntegerPolynomial.exact_divide, the reference that
-    # tests/test_algebra.py checks the binomial kernel against.
+    # so a name that several classes define counts as read for all of them
+    # (test_member_names_shared_by_classes_are_pinned lists those).
     readers = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     read = set().union(
         *(names_read(p.read_text(encoding="utf-8"), attributes_only=True) for p in readers)
@@ -214,7 +213,27 @@ def test_every_class_member_has_a_reader():
         for cls, name in class_members(p.read_text(encoding="utf-8"))
         if name not in read
     ]
-    assert unread == ["IntegerPolynomial.exact_divide"]
+    assert unread == []
+
+
+def test_member_names_shared_by_classes_are_pinned():
+    # The member rule cannot tell apart the classes that define one name:
+    # a reader of either counts for both.  Each pair below was checked by
+    # hand to have a reader of its own; a new shared name fails here until
+    # it is checked the same way and listed.
+    owners = {}
+    for p in sorted(SRC.glob("*.py")):
+        for cls, name in class_members(p.read_text(encoding="utf-8")):
+            owners.setdefault(name, []).append(cls)
+    shared = {name: sorted(classes) for name, classes in owners.items() if len(classes) > 1}
+    assert shared == {
+        "is_zero": ["IntegerPolynomial", "MultiPoly"],
+        "n": ["FixedSubspace", "WeightSystem"],
+        "parse": ["Partition", "PartitionTriple"],
+        "parts": ["Partition", "PartitionTriple"],
+        "size": ["Partition", "PartitionTriple"],
+        "variables": ["GradedPresentation", "MultiPoly"],
+    }
 
 
 def _names_fraction(node):
