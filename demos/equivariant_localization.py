@@ -6,7 +6,10 @@ For a circle action with isolated fixed points, a homogeneous equivariant
 class of degree d is one number s per fixed point: it restricts there to
 s x v^d.  Schur classes restrict to (numeric Schur value) x v^|mu|, and
 the evaluation matrix having full rank is the localization isomorphism
-made concrete.
+made concrete.  On Grassmannian fixed points that rank is the number of
+distinct points, a theorem that localization_rank_check returns without
+evaluating a Schur class; filtration_betti finds the same total by exact
+rank jumps of the evaluation matrix.
 """
 
 from cohomix import (
@@ -15,6 +18,7 @@ from cohomix import (
     degree_k_part,
     enumerate_fixed_subspaces,
     enumerate_hilb_fixed_points,
+    filtration_betti,
     localization_rank_check,
     schur_evaluate,
 )
@@ -51,3 +55,4 @@ print("rank on the 15 ambient points: %d (full: %s)" % (rank, full))
 rank, full = localization_rank_check(hilb, ws)
 print("rank on the 9 embedded points: %d (full: %s)" % (rank, full))
 assert full
+assert filtration_betti(hilb, ws).total() == rank

@@ -18,9 +18,10 @@ point handed in:
   filtration_betti of any list of triples, however short, pays for the
   whole table.
 
-Betti numbers, the greedy Schur basis and the localization rank all read
-the one Schur-rank loop, schur_rank_steps, which stops evaluating at the
-row that fills the rank.
+Betti numbers and the greedy Schur basis read the one Schur-rank loop,
+schur_rank_steps, which stops evaluating at the row that fills the rank:
+the number of distinct points, by the interpolation theorem of
+equivariant.localization_rank_check, which therefore runs no scan.
 
 On the Hilbert scheme the pure Schur rows of size p need not span the
 degree-p graded piece (already for k = 2 there is a single partition of
@@ -157,7 +158,8 @@ def schur_rank_steps(points, ws, p_max=None):
     """For p = 0..p_max (default: the area of box_of(points)), the box
     partitions of size p, scanned in descending lexicographic order, whose
     evaluation rows grow the rank of one row space.  Evaluation stops at
-    the row that fills the rank, as no later row can grow it; the
+    the row that brings the rank to the number of distinct points, as no
+    later row can grow it (equivariant.localization_rank_check); the
     remaining sizes yield [].
 
     >>> from cohomix.grassmann import WeightSystem, enumerate_fixed_subspaces
@@ -174,15 +176,16 @@ def schur_rank_steps(points, ws, p_max=None):
     if p_max < 0:
         raise InvalidDegree("p_max must be nonnegative")
     weight_sets = [ws.at(pt.indices) for pt in points]
+    full = len(set(points))
     space = RowSpace(len(points))
     for p in range(p_max + 1):
         grew = []
-        if space.rank < len(points):
+        if space.rank < full:
             for mu in partitions_in_box(box[0], box[1], p):
                 row = {c: x for c, wset in enumerate(weight_sets) if (x := schur_evaluate(mu, wset))}
                 if space.add(row):
                     grew.append(mu)
-                    if space.rank == len(points):
+                    if space.rank == full:
                         break
         yield grew
 

@@ -166,13 +166,13 @@ def test_criterion_7_localization():
         assert table.total() == len(triples), k
         ws = build_torus_action(k).weight_system()
         points = [degree_k_part(t, k) for t in triples]
-        rank, full = localization_rank_check(points, ws)
-        assert full and rank == len(points), k
+        assert filtration_betti(points, ws).total() == len(points), k
+        assert localization_rank_check(points, ws) == (len(points), True), k
     for n, k in ((4, 2), (6, 2)):
         ws = WeightSystem.principal(n)
         points = enumerate_fixed_subspaces(n, k)
-        rank, full = localization_rank_check(points, ws)
-        assert full and rank == len(points), (n, k)
+        assert filtration_betti(points, ws).total() == len(points), (n, k)
+        assert localization_rank_check(points, ws) == (len(points), True), (n, k)
     _report(7, "Betti sums equal point counts; localization rank full everywhere")
 
 

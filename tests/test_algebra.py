@@ -25,9 +25,8 @@ from cohomix.algebra import (
     schur_evaluate,
     strip_cyclotomic_factors,
 )
-from cohomix.equivariant import localization_rank_check
 from cohomix.errors import NotNilpotent
-from cohomix.filtration import BettiTable, filtration_betti
+from cohomix.filtration import BettiTable, filtration_betti, select_schur_basis
 from cohomix.gotzmann import (
     build_torus_action,
     degree_k_part,
@@ -530,7 +529,8 @@ class TestRankAndRowSpace:
         )
         action = build_torus_action(3)
         images = [degree_k_part(t, 3) for t in enumerate_hilb_fixed_points(3)]
-        assert localization_rank_check(images, action.weight_system()) == (len(images), True)
+        selection = select_schur_basis(images, action.weight_system(), p_max=6)
+        assert [len(selection[p]) for p in range(7)] == [1, 1, 2, 3, 4, 5, 5]
         assert graded_dimensions(ordinary_presentation(6, 3), 9) == [1, 1, 2, 3, 3, 3, 3, 2, 1, 1]
         assert graded_dimensions(equivariant_presentation(5, 2), 6) == [1, 2, 4, 6, 8, 9, 10]
         assert jordan_regularity_check(3) == (Partition((7, 3)), False)

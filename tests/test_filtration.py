@@ -120,17 +120,20 @@ class TestGrassmannianRoute:
         assert len(calls) == 36 == len(set(calls))
 
     def test_early_exit_stops_schur_evaluation(self, monkeypatch):
-        # Two points reach full rank at size 1, after () and (1,): four
-        # calls, and none for the sizes after.
+        # Two distinct points reach full rank at size 1, after () and (1,):
+        # one call per point and partition, and none for the sizes after.
+        # A repeated point does not hold the scan to the length of the list.
         calls = []
         real = filtration.schur_evaluate
         monkeypatch.setattr(
             filtration, "schur_evaluate", lambda mu, points: calls.append(mu) or real(mu, points)
         )
-        points = enumerate_fixed_subspaces(4, 2)[:2]
-        table = filtration_betti(points, WeightSystem.principal(4))
-        assert table.betti == (1, 1, 0, 0, 0)
-        assert [mu.parts for mu in calls] == [(), (), (1,), (1,)]
+        pts = enumerate_fixed_subspaces(4, 2)
+        for points in (pts[:2], pts[:2] + pts[:1]):
+            calls.clear()
+            table = filtration_betti(points, WeightSystem.principal(4))
+            assert table.betti == (1, 1, 0, 0, 0)
+            assert [mu.parts for mu in calls] == [()] * len(points) + [(1,)] * len(points)
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(1, 7), st.integers(-20, 20))
@@ -546,8 +549,9 @@ class TestRegularityVerdict:
 
 
 class TestSharedSchurRankLoop:
-    # filtration_betti, select_schur_basis and localization_rank_check all
-    # read the same scan, so their answers must agree with each other
+    # filtration_betti and select_schur_basis read the same scan, so their
+    # answers must agree with each other, and its total with the distinct
+    # point count that localization_rank_check returns without a scan
     def cases(self):
         yield enumerate_fixed_subspaces(6, 3), WeightSystem.principal(6), 9
         for k in (2, 3):
