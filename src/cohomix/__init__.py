@@ -2,13 +2,13 @@
 points in the plane.
 
 Everything is exact, with zero tolerance and no floating point, on one
-integer kernel (fractions.Fraction only at the API edge, for rational
-inputs and results): fixed-point enumeration, attracting-cell dimensions,
-presentation of the cohomology ring by vector-field relations, the
-Gotzmann embedding of Hilb_k(P^2) into a Grassmannian of forms, Betti
-numbers through the fixed-point filtration, equivariant localization, and
-two obstructions to regularity of group actions (cyclotomic roots,
-nilpotent Jordan type).
+integer kernel (fractions.Fraction only at two edges, matrix rows and
+polynomial coefficients): fixed-point enumeration, attracting-cell
+dimensions, presentation of the cohomology ring by vector-field
+relations, the Gotzmann embedding of Hilb_k(P^2) into a Grassmannian of
+forms, Betti numbers through the fixed-point filtration, equivariant
+localization, and two obstructions to regularity of group actions
+(cyclotomic roots, nilpotent Jordan type).
 """
 
 from .algebra import (

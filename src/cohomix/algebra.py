@@ -3,12 +3,14 @@
 Partitions, Schur polynomial evaluation, fraction-free rank computation,
 Jordan types of nilpotent matrices, cyclotomic factor stripping, and two
 small polynomial containers.  The kernel is integer: Schur values are
-small integer determinants, and RowSpace reduces sparse integer rows,
-each a dict of its nonzero entries built where the row is born.
-fractions.Fraction appears only at the API edge, for rational points and
-matrix_rank rows, which are scaled to integers once on the way in.
+small integer determinants at integer points, and RowSpace reduces
+sparse integer rows, each a dict of its nonzero entries built where the
+row is born.  fractions.Fraction enters at two edges only: matrix rows,
+for matrix_rank and RationalMatrix, and MultiPoly coefficients and
+scalars; matrix_rank scales its rows to integers once on the way in.
 Nothing in this package touches floating point: a float point, matrix
-entry, or polynomial coefficient, value or scalar, raises TypeError.
+entry, or polynomial coefficient, value or scalar, raises TypeError, and
+so does a Fraction Schur point or IntegerPolynomial value.
 """
 
 from fractions import Fraction
@@ -156,6 +158,7 @@ def _fraction(c):
 def _clear_denominators(values):
     # (D, [D * x for x in values]) with D the lcm of the denominators, for
     # int or Fraction values; anything else, a float included, is a TypeError.
+    # For the rows of matrix_rank and the relations of GradedPresentation.
     try:
         dens = [x.denominator for x in values]
     except AttributeError:
@@ -167,32 +170,31 @@ def _clear_denominators(values):
 
 @lru_cache(maxsize=4096, typed=True)
 def _complete_homogeneous(top, *points):
-    # (D, h_0..h_top at D * points), the sums padded with len(points) zeros
-    # on each side.  The one-variable-at-a-time recurrence keeps this
+    # h_0..h_top at the integer points, padded with len(points) zeros on
+    # each side.  The one-variable-at-a-time recurrence keeps this
     # O(len(points) * top) integer operations.  Cached results are shared
     # between calls, hence the tuple.  Each point is an argument of its own,
-    # so the cache is keyed by its type too and a float always misses.
-    den, ints = _clear_denominators(points)
+    # so the cache is keyed by its type too: a float or a Fraction always
+    # misses, and operator.index refuses it.
     h = [1] + [0] * top
-    for x in ints:
+    for x in map(index, points):
         for m in range(1, top + 1):
             h[m] += x * h[m - 1]
     pad = [0] * len(points)
-    return den, tuple(pad + h + pad)
+    return tuple(pad + h + pad)
 
 
 @lru_cache(maxsize=4096, typed=True)
 def _elementary(*points):
-    # (D, e_0..e_len(points) at D * points), padded as above: the same
+    # e_0..e_len(points) at the integer points, padded as above: the same
     # recurrence, run downwards so that each e_(m-1) is read before it
     # takes in x.
-    den, ints = _clear_denominators(points)
-    e = [1] + [0] * len(ints)
-    for n, x in enumerate(ints, 1):
+    e = [1] + [0] * len(points)
+    for n, x in enumerate(map(index, points), 1):
         for m in range(n, 0, -1):
             e[m] += x * e[m - 1]
     pad = [0] * len(points)
-    return den, tuple(pad + e + pad)
+    return tuple(pad + e + pad)
 
 
 @lru_cache(maxsize=256)
@@ -226,29 +228,27 @@ def _determinant(rows):
 
 
 def schur_evaluate(mu, points):
-    """Value of the Schur polynomial s_mu at int or Fraction points.
+    """Value of the Schur polynomial s_mu at integer points, as an int.
 
     mu is a Partition or a weakly decreasing sequence of nonnegative parts;
     trailing zero parts are dropped, and any other sequence raises
     ValueError.  More parts than points gives zero; the empty partition
-    gives one.  The value is an int when the points are integers.  Rational
-    points are scaled by the lcm D of their denominators, and homogeneity
-    gives s_mu(points) = s_mu(D * points) / D^|mu| as a Fraction.  A point
-    that is neither raises TypeError, whatever the cache holds.
+    gives one.  A point that is not an integer, a Fraction or a float,
+    raises TypeError, whatever the cache holds.
 
     Each call is one lookup in a bounded cache, keyed by the points and
-    their types as given, plus one small determinant.  A miss scales the
-    points to integers, computes their complete homogeneous or elementary
-    sums and pads them with zeros, so evaluating every partition of a box
-    at the same point does that work once.  The determinant has size
-    min(len(mu), mu_1).  Up to size 3 its entries are read by index from
-    the cached sums and expanded by cofactors; from size 4 on it goes to
-    Bareiss elimination.  When mu_1 >= len(mu) it is Jacobi-Trudi in the
-    complete homogeneous sums, det(h_(mu_i - i + j)); otherwise it is the
-    dual Jacobi-Trudi (Naegelsbach-Kostka) identity in the elementary sums
-    on the conjugate partition mu', det(e_(mu'_i - i + j)), with e_d = 0
-    past the number of points.  Neither divides by differences of points,
-    so repeated points are legal.
+    their types as given, plus one small determinant.  A miss computes the
+    complete homogeneous or elementary sums of the points and pads them
+    with zeros, so evaluating every partition of a box at the same point
+    does that work once.  The determinant has size min(len(mu), mu_1).  Up
+    to size 3 its entries are read by index from the cached sums and
+    expanded by cofactors; from size 4 on it goes to Bareiss elimination.
+    When mu_1 >= len(mu) it is Jacobi-Trudi in the complete homogeneous
+    sums, det(h_(mu_i - i + j)); otherwise it is the dual Jacobi-Trudi
+    (Naegelsbach-Kostka) identity in the elementary sums on the conjugate
+    partition mu', det(e_(mu'_i - i + j)), with e_d = 0 past the number of
+    points.  Neither divides by differences of points, so repeated points
+    are legal.
 
     >>> schur_evaluate((1,), (6, 12, 18, 30))
     66
@@ -260,9 +260,12 @@ def schur_evaluate(mu, points):
     9
     >>> schur_evaluate((1, 1, 1), (2, 3, 5))
     30
+    >>> schur_evaluate((2, 1), (-1, 2, 3))
+    10
     >>> from fractions import Fraction
     >>> schur_evaluate((2,), (Fraction(1, 2), 1))
-    Fraction(7, 4)
+    Traceback (most recent call last):
+    TypeError: 'Fraction' object cannot be interpreted as an integer
     """
     if isinstance(mu, Partition):
         parts = mu.parts
@@ -273,34 +276,33 @@ def schur_evaluate(mu, points):
         parts = Partition(parts).parts
     n = len(points)
     if not parts or len(parts) > n:
-        _clear_denominators(points)  # the type check that a cache miss makes
+        for x in points:  # the type check that a cache miss makes
+            index(x)
         return 0 if parts else 1
     if parts[0] >= len(parts):
         rows = parts
-        den, seq = _complete_homogeneous(parts[0] + len(parts) - 1, *points)
+        seq = _complete_homogeneous(parts[0] + len(parts) - 1, *points)
     else:
         rows = _conjugate(parts)
-        den, seq = _elementary(*points)
+        seq = _elementary(*points)
     # Entry (i, j) is seq[n + rows[i] - i + j]: the n zeros on either side
     # of the cached sums stand in for h_d and e_d at d < 0 and for e_d
     # past n, as the size is at most len(parts) <= n.
     size = len(rows)
     if size == 1:
-        value = seq[n + rows[0]]
-    elif size == 2:
+        return seq[n + rows[0]]
+    if size == 2:
         a, b = n + rows[0], n + rows[1] - 1
-        value = seq[a] * seq[b + 1] - seq[a + 1] * seq[b]
-    elif size == 3:
+        return seq[a] * seq[b + 1] - seq[a + 1] * seq[b]
+    if size == 3:
         a, b, c = n + rows[0], n + rows[1] - 1, n + rows[2] - 2
         b0, b1, b2, c0, c1, c2 = seq[b], seq[b + 1], seq[b + 2], seq[c], seq[c + 1], seq[c + 2]
-        value = (
+        return (
             seq[a] * (b1 * c2 - b2 * c1)
             - seq[a + 1] * (b0 * c2 - b2 * c0)
             + seq[a + 2] * (b0 * c1 - b1 * c0)
         )
-    else:
-        value = _determinant([seq[n + part - i : n + part - i + size] for i, part in enumerate(rows)])
-    return value if den == 1 else Fraction(value, den ** sum(parts))
+    return _determinant([seq[n + part - i : n + part - i + size] for i, part in enumerate(rows)])
 
 
 class RowSpace:
@@ -484,10 +486,9 @@ class IntegerPolynomial:
         return list(self.coeffs) if self.coeffs else [0]
 
     def __call__(self, x):
-        """The value at an int or a Fraction, of the same type; any other
-        argument, a float included, raises TypeError."""
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError("expected an int or Fraction, got %s" % type(x).__name__)
+        """The value at an int; any other argument, a Fraction or a float,
+        raises TypeError."""
+        x = index(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -795,7 +796,7 @@ class MultiPoly:
         self._check_same_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.variables, out)
 
     def __neg__(self):
@@ -814,7 +815,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(self.variables, out)
 
     __rmul__ = __mul__

@@ -89,11 +89,15 @@ def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
 
     Checks, in order: (2) g^lam1 > c*g^lam2 for 0 <= c <= k; then (1)
     g^lam0 > a*g^lam1 + b*g^lam2 for all a + b = k.  A violated one raises
-    ConditionViolated naming it with the offending numbers.  The induced
-    weights on degree-k monomials are then pairwise distinct: (2) at c = 1
-    gives g^lam1 > g^lam2 > 0, so by (1) a higher X_0-exponent always
-    weighs more, and at equal X_0-exponents two weights differ by a
-    nonzero multiple of g^lam1 - g^lam2.
+    ConditionViolated naming it with the offending numbers.  Each is one
+    comparison, at its extreme case.  Since g^lam2 > 0, c*g^lam2 grows
+    with c, so (2) holds exactly when g^lam1 > k*g^lam2, at c = k.  Given
+    (2), g^lam1 > k*g^lam2 >= g^lam2, so a*g^lam1 + (k - a)*g^lam2 =
+    k*g^lam2 + a*(g^lam1 - g^lam2) grows with a, and (1) holds exactly when
+    g^lam0 > k*g^lam1, at a = k.  The induced weights on degree-k
+    monomials are then pairwise distinct: g^lam1 > g^lam2 > 0, so by (1) a
+    higher X_0-exponent always weighs more, and at equal X_0-exponents two
+    weights differ by a nonzero multiple of g^lam1 - g^lam2.
 
     The default g = k+1 with exponents (3, 2, 1) always passes: digits of a
     base-g expansion never exceed k < g.
@@ -110,19 +114,16 @@ def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
             "exponents must be positive, got (%d, %d, %d)" % (lam0, lam1, lam2)
         )
     wa, wb, wc = g ** lam0, g ** lam1, g ** lam2
-    for c in range(k + 1):
-        if not wb > c * wc:
-            raise ConditionViolated(
-                "condition (2) fails: g^%d > %d*g^%d is false (%d > %d*%d)"
-                % (lam1, c, lam2, wb, c, wc)
-            )
-    for a in range(k + 1):
-        b = k - a
-        if not wa > a * wb + b * wc:
-            raise ConditionViolated(
-                "condition (1) fails: g^%d > %d*g^%d + %d*g^%d is false (%d > %d)"
-                % (lam0, a, lam1, b, lam2, wa, a * wb + b * wc)
-            )
+    if not wb > k * wc:
+        raise ConditionViolated(
+            "condition (2) fails: g^%d > %d*g^%d is false (%d > %d*%d)"
+            % (lam1, k, lam2, wb, k, wc)
+        )
+    if not wa > k * wb:
+        raise ConditionViolated(
+            "condition (1) fails: g^%d > %d*g^%d is false (%d > %d*%d)"
+            % (lam0, k, lam1, wa, k, wb)
+        )
     return TorusAction(k, g, (lam0, lam1, lam2))
 
 
@@ -131,20 +132,16 @@ class PartitionTriple:
     point of the plane, total size k.  The text form joins the three
     partitions with ';', e.g. '1;1;' for ((1), (1), empty)."""
 
-    __slots__ = ("mu0", "mu1", "mu2")
+    __slots__ = ("parts",)
 
     def __init__(self, mu0, mu1, mu2):
-        self.mu0 = mu0 if isinstance(mu0, Partition) else Partition(mu0)
-        self.mu1 = mu1 if isinstance(mu1, Partition) else Partition(mu1)
-        self.mu2 = mu2 if isinstance(mu2, Partition) else Partition(mu2)
+        self.parts = tuple(
+            mu if isinstance(mu, Partition) else Partition(mu) for mu in (mu0, mu1, mu2)
+        )
 
     @property
     def size(self):
-        return self.mu0.size + self.mu1.size + self.mu2.size
-
-    @property
-    def parts(self):
-        return (self.mu0, self.mu1, self.mu2)
+        return sum(mu.size for mu in self.parts)
 
     def __eq__(self, other):
         if not isinstance(other, PartitionTriple):
@@ -155,11 +152,7 @@ class PartitionTriple:
         return hash(self.parts)
 
     def __repr__(self):
-        return "PartitionTriple(%r, %r, %r)" % (
-            self.mu0.parts,
-            self.mu1.parts,
-            self.mu2.parts,
-        )
+        return "PartitionTriple(%r, %r, %r)" % tuple(mu.parts for mu in self.parts)
 
     def __str__(self):
         return ";".join(str(mu) for mu in self.parts)

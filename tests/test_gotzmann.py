@@ -37,9 +37,9 @@ def reference_tangent_weights(triple, action):
     # its box
     wa, wb, wc = action.coordinate_weights
     charts = (
-        (triple.mu0, wb - wa, wc - wa),
-        (triple.mu1, wa - wb, wc - wb),
-        (triple.mu2, wa - wc, wb - wc),
+        (triple.parts[0], wb - wa, wc - wa),
+        (triple.parts[1], wa - wb, wc - wb),
+        (triple.parts[2], wa - wc, wb - wc),
     )
     weights = []
     for mu, phi_u, phi_w in charts:
@@ -83,9 +83,9 @@ def reference_negative_count(triple, action):
     # the conjugate partition; None on a zero weight
     wa, wb, wc = action.coordinate_weights
     charts = (
-        (triple.mu0, wb - wa, wc - wa),
-        (triple.mu1, wa - wb, wc - wb),
-        (triple.mu2, wa - wc, wb - wc),
+        (triple.parts[0], wb - wa, wc - wa),
+        (triple.parts[1], wa - wb, wc - wb),
+        (triple.parts[2], wa - wc, wb - wc),
     )
     negative = 0
     for mu, phi_u, phi_w in charts:
@@ -156,7 +156,7 @@ class TestTorusAction:
         assert "condition (2)" in str(exc.value)
 
     def test_condition_one_failure(self):
-        # (2) holds (16 > 3*4) but (1) fails (16 > 16 + 8 is false)
+        # (2) holds (16 > 3*4) but (1) fails (16 > 3*16 is false)
         with pytest.raises(ConditionViolated) as exc:
             build_torus_action(3, 4, 2, 2, 1)
         assert "condition (1)" in str(exc.value)
@@ -189,6 +189,33 @@ class TestTorusAction:
             assert len(set(weights)) == len(weights)
             built += 1
         assert built == 543
+
+    def test_one_comparison_per_condition_as_the_loops(self):
+        # each condition checked at its extreme case accepts and rejects
+        # exactly as the loops over every c and every a + b = k did, and
+        # names the same failure
+        def loops(k, g, lam0, lam1, lam2):
+            if g < 2:
+                return "need g > 1"
+            if min(lam0, lam1, lam2) < 1:
+                return "exponents must be positive"
+            wa, wb, wc = g ** lam0, g ** lam1, g ** lam2
+            if any(not wb > c * wc for c in range(k + 1)):
+                return "condition (2) fails"
+            if any(not wa > a * wb + (k - a) * wc for a in range(k + 1)):
+                return "condition (1) fails"
+            return None
+
+        cases = list(itertools.product(range(1, 12), range(1, 14), *[range(7)] * 3))
+        assert len(cases) == 49049
+        for k, g, *lams in cases:
+            expected = loops(k, g, *lams)
+            try:
+                build_torus_action(k, g, *lams)
+            except ConditionViolated as exc:
+                assert expected and str(exc).startswith(expected), (k, g, lams, str(exc))
+            else:
+                assert expected is None, (k, g, lams, expected)
 
     def test_rejects_small_g(self):
         with pytest.raises(ConditionViolated):

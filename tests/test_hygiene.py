@@ -243,12 +243,11 @@ def _names_fraction(node):
 
 
 def ungated_fractions(source, gate=None):
-    """Line numbers where the source makes a Fraction of one value outside
-    the module-level function named `gate`: a call `Fraction(x)` whose one
-    argument is not an int literal, or `Fraction` handed to another call
-    as the callable to apply, as in `map(Fraction, row)`.  `Fraction(0)`
-    and the two-argument `Fraction(value, den)` are not counted, nor are
-    `isinstance` and `issubclass`, which only test a type."""
+    """Line numbers, one per call, where the source makes a Fraction outside
+    the module-level function named `gate`: every call `Fraction(...)`,
+    whatever its arguments, and every call that is handed `Fraction` as the
+    callable to apply, as in `map(Fraction, row)`.  `isinstance` and
+    `issubclass` are not counted, as they only test a type."""
     tree = ast.parse(source)
     skipped = set()
     for node in tree.body:
@@ -260,10 +259,7 @@ def ungated_fractions(source, gate=None):
             continue
         args = node.args + [k.value for k in node.keywords]
         if _names_fraction(node.func):
-            if len(args) == 1 and not (
-                isinstance(args[0], ast.Constant) and type(args[0].value) is int
-            ):
-                lines.append(node.lineno)
+            lines.append(node.lineno)
         elif getattr(node.func, "id", None) not in ("isinstance", "issubclass"):
             if any(map(_names_fraction, args)):
                 lines.append(node.lineno)
@@ -283,13 +279,13 @@ def test_reader_sees_every_ungated_fraction():
         "f = sorted(row, key=Fraction)\n"
         "g = Fraction(0.5)\n"
     )
-    assert ungated_fractions(source, gate="_fraction") == [5, 7, 8, 10, 11]
-    assert ungated_fractions(source) == [4, 5, 7, 8, 10, 11]
+    assert ungated_fractions(source, gate="_fraction") == [5, 6, 6, 7, 8, 10, 11]
+    assert ungated_fractions(source) == [4, 5, 6, 6, 7, 8, 10, 11]
 
 
 def test_one_gate_makes_every_rational_coefficient():
-    # algebra._fraction is the one place where a coefficient, value or
-    # scalar becomes a Fraction, so a float or a str cannot slip in
+    # algebra._fraction is the one place where anything becomes a Fraction,
+    # so a float or a str cannot slip in
     modules = sorted(SRC.glob("*.py"))
     assert modules
     ungated = {
