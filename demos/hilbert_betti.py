@@ -10,7 +10,6 @@ histogram of cell dimensions is the list of Betti numbers.
 from cohomix import (
     build_torus_action,
     enumerate_hilb_fixed_points,
-    filtration_betti,
     hilb_betti,
     hilb_minus_cell_dimension,
     poincare_of_hilb,
@@ -26,13 +25,13 @@ for triple in enumerate_hilb_fixed_points(2):
     d = hilb_minus_cell_dimension(triple, action)
     print("  %-10s  %-30s  %d" % (triple, signs, d))
 
-table = filtration_betti(enumerate_hilb_fixed_points(2))
+# their histogram, read off per-chart tables without listing the points
+table = hilb_betti(2)
 print("k=2 Betti numbers:", list(table.betti))
 assert table.betti == (1, 2, 3, 2, 1)
 
-# the same count for the whole fixed set, read off per-chart tables
-# without listing the fixed points; the total always counts them and
-# the sequence is always palindromic
+# the same count for each k up to 4; the total always counts the fixed
+# points and the sequence is always palindromic
 for k in range(1, 5):
     t = hilb_betti(k)
     print("k=%d: betti %s  total %d  palindromic %s"

@@ -118,6 +118,7 @@ def partitions_in_box(max_parts, max_part, size):
     >>> partitions_in_box(3, 3, 0)
     [Partition(())]
     """
+    max_parts, max_part, size = map(index, (max_parts, max_part, size))
     if max_parts < 0 or max_part < 0 or size < 0:
         raise ValueError("arguments must be nonnegative")
     out = []

@@ -1,22 +1,17 @@
-"""Betti numbers from fixed-point data.
+"""Betti numbers from fixed-point data, by two routes.
 
-Two realizations of the same fixed-point filtration, chosen by the kind of
-point handed in:
+* filtration_betti, on Grassmannian fixed subspaces: the function-theoretic
+  route.  Schur polynomials evaluated at the tangent weights of the fixed
+  points filter the function space on the fixed locus by partition size,
+  and the rank jumps of the evaluation matrix are the Betti numbers
+  (Carrell's basis theorem).
 
-* Grassmannian fixed subspaces: the function-theoretic route.  Schur
-  polynomials evaluated at the tangent weights of the fixed points filter
-  the function space on the fixed locus by partition size, and the rank
-  jumps of the evaluation matrix are the Betti numbers (Carrell's basis
-  theorem).
-
-* Hilbert-scheme partition triples: the cell route.  Each fixed point
-  carries an attracting cell whose dimension is the number of negative
-  tangent weights, and the cell dimensions count Betti numbers directly.
-  A cell dimension is a sum of three chart counts, read from one table,
-  gotzmann.chart_tables, that checks every Gotzmann image of degree k:
-  hilb_betti convolves its counts and never builds a triple, and
-  filtration_betti of any list of triples, however short, pays for the
-  whole table.
+* hilb_betti, on Hilb_k(P^2): the cell route.  Each fixed point carries an
+  attracting cell whose dimension is the number of negative tangent
+  weights, and the cell dimensions count Betti numbers directly.  A cell
+  dimension is a sum of three chart counts, read from one table,
+  gotzmann.chart_tables, that checks every Gotzmann image of degree k;
+  hilb_betti convolves its counts and never builds a triple.
 
 Betti numbers and the greedy Schur basis read the one Schur-rank loop,
 schur_rank_steps, which stops evaluating at the row that fills the rank:
@@ -40,12 +35,7 @@ from .algebra import (
     strip_cyclotomic_factors,
 )
 from .errors import BoxViolation, InvalidDegree
-from .gotzmann import (
-    PartitionTriple,
-    _check_degree,
-    build_torus_action,
-    chart_tables,
-)
+from .gotzmann import build_torus_action, chart_tables
 from .grassmann import FixedSubspace
 
 NOT_REGULAR = "NOT_REGULAR"
@@ -102,56 +92,18 @@ class BettiTable:
         return "BettiTable(betti=%r, fixed_points=%d)" % (self.betti, self.fixed_points)
 
 
-def _is_triple_list(points):
-    return bool(points) and all(isinstance(pt, PartitionTriple) for pt in points)
+def filtration_betti(points, ws):
+    """Betti numbers of the Grassmannian carrying the given fixed
+    subspaces, with their ambient WeightSystem ws: r_p is the rank of the
+    evaluation matrix over the box partitions of size at most p, and
+    b_p = r_p - r_{p-1}, for p = 0 up to the box area k(n-k).
 
-
-def filtration_betti(points, ws=None, action=None):
-    """Betti numbers of the variety carrying the given fixed points.  Each
-    route reads only its own arguments and raises TypeError on the others.
-
-    Grassmannian fixed subspaces, with their ambient WeightSystem ws: r_p
-    is the rank of the evaluation matrix over the box partitions of size
-    at most p, and b_p = r_p - r_{p-1}, for p = 0 up to the box area
-    k(n-k).
-
-    Hilbert-scheme partition triples of total size k: b_p, for p = 0..2k,
-    counts the given fixed points whose attracting cell has dimension p,
-    computed from the tangent weights of the torus action (default:
-    build_torus_action(k)).  An action for another degree, or triples of
-    mixed total size, raise InvalidDegree.  The counts are read from
-    gotzmann.chart_tables, which walks every (chart, diagram) with at most
-    k boxes once per call, whatever the number of triples, and checks the
-    Gotzmann image of every fixed point of degree k, not only the given
-    ones: other than k degree-k monomials outside, for any of them, raises
-    InternalInvariantViolation.
-
-    Any other list goes to box_of, so no points raise BoxViolation and a
-    list that is not all FixedSubspace raises TypeError.
+    The points go to box_of, so no points raise BoxViolation and a list
+    that is not all FixedSubspace raises TypeError.  The Betti numbers of
+    Hilb_k(P^2) are hilb_betti(k, action).
     """
     points = list(points)
-    if _is_triple_list(points):
-        if ws is not None:
-            raise TypeError("partition triples take only an action, not ws")
-        return _cell_betti(points, action)
-    box_of(points)
-    if action is not None:
-        raise TypeError("fixed subspaces take ws, not an action")
-    if ws is None:
-        raise ValueError("fixed subspaces need their ambient WeightSystem")
-    betti = [len(grew) for grew in schur_rank_steps(points, ws)]
-    return BettiTable(betti, len(points))
-
-
-def _cell_betti(triples, action):
-    action = action or build_torus_action(triples[0].size)
-    for triple in triples:
-        _check_degree(triple, action)
-    tables = chart_tables(action)
-    betti = [0] * (2 * action.k + 1)
-    for triple in triples:
-        betti[sum(table[mu.parts] for table, mu in zip(tables, triple.parts))] += 1
-    return BettiTable(betti, len(triples))
+    return BettiTable([len(grew) for grew in schur_rank_steps(points, ws)], len(points))
 
 
 def schur_rank_steps(points, ws, p_max=None):
@@ -229,10 +181,10 @@ def select_schur_basis(points, ws, p_max=None, expected_betti=None):
 
 
 def hilb_betti(k, action=None):
-    """Cell-route Betti table of Hilb_k(P^2), the same as filtration_betti
-    of all its fixed points, under the torus action (default:
-    build_torus_action(k)), but with no triple built.  k < 1, or an action
-    for another degree, raises InvalidDegree.
+    """Cell-route Betti table of Hilb_k(P^2): b_p counts the fixed points
+    whose attracting cell has dimension p under the torus action (default:
+    build_torus_action(k)), with no triple built.  k < 1, or an action for
+    another degree, raises InvalidDegree.
 
     With H_c,s(q) the sum of q^count over chart c's diagrams of size s in
     gotzmann.chart_tables, which checks every Gotzmann image, the cell

@@ -245,14 +245,6 @@ def _chart_weights(action):
     return ((wb - wa, wc - wa), (wa - wb, wc - wb), (wa - wc, wb - wc))
 
 
-def _check_degree(triple, action):
-    if triple.size != action.k:
-        raise InvalidDegree(
-            "torus action built for k=%d, %s has total size %d"
-            % (action.k, triple, triple.size)
-        )
-
-
 def _chart_tangent_weights(mu, phi_u, phi_w):
     # The two tangent weights of every box of mu at a chart with local
     # weights (phi_u, phi_w), row by row, as tangent_weights spells out.
@@ -287,7 +279,11 @@ def tangent_weights(triple, action):
     fixed points are isolated.  An action built for another k than the
     triple's total size raises InvalidDegree.
     """
-    _check_degree(triple, action)
+    if triple.size != action.k:
+        raise InvalidDegree(
+            "torus action built for k=%d, %s has total size %d"
+            % (action.k, triple, triple.size)
+        )
     weights = tuple(
         w
         for mu, phis in zip(triple.parts, _chart_weights(action))

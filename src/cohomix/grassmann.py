@@ -60,6 +60,9 @@ class FixedSubspace:
     __slots__ = ("indices", "n")
 
     def __init__(self, indices, n):
+        n = index(n)
+        if n < 0:
+            raise InvalidDimensions("need n >= 0, got n=%d" % n)
         idx = tuple(map(index, indices))
         if not all(map(int.__lt__, idx, idx[1:])):
             raise ValueError("indices must be strictly increasing: %r" % (idx,))
@@ -171,6 +174,7 @@ def poincare_from_regular_sequence(degrees):
 
 def w_degree(i, j, n, k):
     """Cohomological degree of the generator w_{i,j}: (n-k) + j - i."""
+    i, j, n, k = map(index, (i, j, n, k))
     if not 0 < k < n:
         raise InvalidDimensions("need 0 < k < n, got n=%d k=%d" % (n, k))
     if not 1 <= i <= n - k:

@@ -23,6 +23,7 @@ from cohomix.filtration import (
     NOT_REGULAR,
     b2_regularity_verdict,
     filtration_betti,
+    hilb_betti,
 )
 from cohomix.gotzmann import (
     build_torus_action,
@@ -137,7 +138,7 @@ def test_criterion_5_gotzmann_embedding():
 
 
 def test_criterion_6_hilb_betti_numbers():
-    """The fixed-point filtration gives Betti numbers (1,1,1), (1,2,3,2,1),
+    """The cell route gives Betti numbers (1,1,1), (1,2,3,2,1),
     (1,2,5,6,5,2,1) for k = 1, 2, 3, with k = 3 inside 60 seconds."""
     expected = {
         1: (1, 1, 1),
@@ -145,10 +146,10 @@ def test_criterion_6_hilb_betti_numbers():
         3: (1, 2, 5, 6, 5, 2, 1),
     }
     for k in (1, 2):
-        table = filtration_betti(enumerate_hilb_fixed_points(k))
+        table = hilb_betti(k)
         assert table.betti == expected[k], k
     start = time.monotonic()
-    table3 = filtration_betti(enumerate_hilb_fixed_points(3))
+    table3 = hilb_betti(3)
     elapsed = time.monotonic() - start
     assert table3.betti == expected[3]
     assert table3.poincare_t().coeffs == G3_T_COEFFS
@@ -162,8 +163,7 @@ def test_criterion_7_localization():
     and on the full Grassmannian fixed sets for (4,2) and (6,2)."""
     for k in (1, 2, 3):
         triples = enumerate_hilb_fixed_points(k)
-        table = filtration_betti(triples)
-        assert table.total() == len(triples), k
+        assert hilb_betti(k).total() == len(triples), k
         ws = build_torus_action(k).weight_system()
         points = [degree_k_part(t, k) for t in triples]
         assert filtration_betti(points, ws).total() == len(points), k
@@ -227,7 +227,7 @@ def test_criterion_10_property_suites():
         table = filtration_betti(enumerate_fixed_subspaces(n, k), ws)
         assert table.is_palindromic(), (n, k)
     for k in range(1, 5):
-        table = filtration_betti(enumerate_hilb_fixed_points(k))
+        table = hilb_betti(k)
         assert table.is_palindromic(), k
         assert table.total() == len(enumerate_hilb_fixed_points(k))
     # homogeneity of every relation over a grid of shapes

@@ -42,6 +42,7 @@ from cohomix.grassmann import (
     graded_dimensions,
     ordinary_presentation,
     specialize_v,
+    w_degree,
 )
 
 from oracles import (
@@ -317,7 +318,6 @@ class TestSchurPartitionInput:
         lambda: BettiTable([1, 2, 1], 4.9),
         lambda: RationalMatrix([[0.1, 1]]),
         lambda: schur_evaluate((1,), (1.5, 2)),
-        lambda: (schur_evaluate((1,), (Fraction(3, 2), 2)), schur_evaluate((1,), (1.5, 2))),
         lambda: (schur_evaluate((1, 1), (2, 3)), schur_evaluate((1, 1), (2.0, 3))),
         lambda: schur_evaluate((), (1.5,)),
         lambda: schur_evaluate((1, 1), (1.5,)),
@@ -333,6 +333,13 @@ class TestSchurPartitionInput:
         lambda: IntegerPolynomial([1, 1]) * 0.5,
         lambda: IntegerPolynomial([1, 1])(0.5),
         lambda: MultiPoly(("x",), {(1,): 1}) * 0.5,
+        lambda: FixedSubspace((1, 2), 2.5),
+        lambda: FixedSubspace((), "x"),
+        lambda: partitions_in_box(Fraction(5, 2), 1, 2),
+        lambda: partitions_in_box(1, 2.5, 3),
+        lambda: partitions_in_box(3, 3, 0.0),
+        lambda: w_degree(1.0, 1, 3, 1),
+        lambda: w_degree(1, 1, Fraction(3), 1),
     ],
     ids=[
         "WeightSystem",
@@ -348,7 +355,6 @@ class TestSchurPartitionInput:
         "BettiTable-fixed-points",
         "RationalMatrix",
         "schur_evaluate",
-        "schur_evaluate-after-equal-Fraction",
         "schur_evaluate-after-equal-int",
         "schur_evaluate-empty-partition",
         "schur_evaluate-more-parts-than-points",
@@ -364,6 +370,13 @@ class TestSchurPartitionInput:
         "IntegerPolynomial-scalar",
         "IntegerPolynomial-value",
         "MultiPoly-scalar",
+        "FixedSubspace-n",
+        "FixedSubspace-n-str",
+        "partitions_in_box-max-parts",
+        "partitions_in_box-max-part",
+        "partitions_in_box-size",
+        "w_degree",
+        "w_degree-whole-Fraction",
     ],
 )
 def test_non_integer_input_rejected_not_truncated(build):

@@ -146,27 +146,29 @@ class TestGrassmannianRoute:
 
 class TestHilbRoute:
     def test_betti_k1(self):
-        table = filtration_betti(enumerate_hilb_fixed_points(1))
+        table = hilb_betti(1)
         assert table.betti == (1, 1, 1)
 
     def test_betti_k2(self):
-        table = filtration_betti(enumerate_hilb_fixed_points(2))
+        table = hilb_betti(2)
         assert table.betti == (1, 2, 3, 2, 1)
 
     def test_betti_k3(self):
-        table = filtration_betti(enumerate_hilb_fixed_points(3))
+        table = hilb_betti(3)
         assert table.betti == (1, 2, 5, 6, 5, 2, 1)
 
     def test_against_goettsche_product(self):
+        # under another generic action than the default one, which
+        # TestFullSetRoute holds against the same product
         for k in range(1, 11):
-            table = filtration_betti(enumerate_hilb_fixed_points(k))
+            table = hilb_betti(k, build_torus_action(k, k + 3, 4, 2, 1))
             assert list(table.betti) == goettsche_betti(k, 2 * k)
 
     def test_palindromic_and_total(self):
         for k in range(1, 5):
-            table = filtration_betti(enumerate_hilb_fixed_points(k))
+            table = hilb_betti(k)
             assert table.is_palindromic()
-            assert table.total() == table.fixed_points
+            assert table.total() == table.fixed_points == len(enumerate_hilb_fixed_points(k))
 
     def test_restriction_monotonicity_of_rank_filtration(self):
         # dropping columns (restricting the fixed set) can only shrink the
@@ -184,7 +186,7 @@ class TestHilbRoute:
         # k=2 Hilbert scheme is 2, larger than the ambient Grassmannian's 1,
         # which is why the pure evaluation filtration cannot compute it
         points, ws = hilb_points(2)
-        hilb = filtration_betti(enumerate_hilb_fixed_points(2))
+        hilb = hilb_betti(2)
         ambient = filtration_betti(enumerate_fixed_subspaces(6, 2), ws)
         assert hilb.betti[1] == 2
         assert ambient.betti[1] == 1
@@ -197,9 +199,9 @@ class TestHilbRoute:
         assert table.betti == (1, 1, 2, 2, 2, 1, 0, 0, 0)
 
     def test_mixed_points_rejected(self):
-        points, _ = hilb_points(2)
-        with pytest.raises(TypeError):
-            filtration_betti(points + enumerate_hilb_fixed_points(2))
+        points, ws = hilb_points(2)
+        with pytest.raises(TypeError, match="the box needs FixedSubspace points"):
+            filtration_betti(points + enumerate_hilb_fixed_points(2), ws)
         with pytest.raises(BoxViolation):
             filtration_betti(
                 enumerate_fixed_subspaces(4, 2) + enumerate_fixed_subspaces(5, 2),
@@ -207,22 +209,18 @@ class TestHilbRoute:
             )
 
     def test_arguments_of_the_other_route_rejected(self):
+        # triples belong to hilb_betti: they meet box_of, with or without ws
         triples = enumerate_hilb_fixed_points(2)
-        subspaces = enumerate_fixed_subspaces(4, 2)
-        ws = WeightSystem.principal(4)
-        with pytest.raises(TypeError):
-            filtration_betti(triples, ws)
-        with pytest.raises(TypeError):
-            filtration_betti(subspaces, ws, action=build_torus_action(2))
-        with pytest.raises(ValueError):
-            filtration_betti(subspaces)
+        for ws in (WeightSystem.principal(4), None):
+            with pytest.raises(TypeError, match="the box needs FixedSubspace points"):
+                filtration_betti(triples, ws)
 
     def test_action_for_another_degree_rejected(self):
         triples = enumerate_hilb_fixed_points(4)
         for j in (1, 2, 3, 5):
             action = build_torus_action(j)
             with pytest.raises(InvalidDegree):
-                filtration_betti(triples, action=action)
+                hilb_betti(4, action)
             with pytest.raises(InvalidDegree):
                 poincare_of_hilb(4, action)
             for t in triples:
@@ -230,44 +228,6 @@ class TestHilbRoute:
                     gotzmann.hilb_minus_cell_dimension(t, action)
                 with pytest.raises(InvalidDegree):
                     gotzmann.tangent_weights(t, action)
-
-    def test_each_chart_counted_once_per_call(self, monkeypatch):
-        # the 1479 triples of k = 9 share 291 (chart, diagram) pairs: one
-        # Betti table walks each pair's tangent weights and outside
-        # positions once, and the next table walks them afresh, as no
-        # chart data outlives its call
-        walked = {"_chart_tangent_weights": [], "_chart_positions": []}
-        for name, calls in walked.items():
-            real = getattr(gotzmann, name)
-
-            def counting(*args, real=real, calls=calls):
-                calls.append(args[0])
-                return real(*args)
-
-            monkeypatch.setattr(gotzmann, name, counting)
-        triples = enumerate_hilb_fixed_points(9)
-        pairs = {(chart, mu) for t in triples for chart, mu in enumerate(t.parts)}
-        assert (len(triples), len(pairs)) == (1479, 291)
-        for _ in range(2):
-            for calls in walked.values():
-                calls.clear()
-            table = filtration_betti(triples)
-            assert list(table.betti) == goettsche_betti(9, 18)
-            assert {name: len(calls) for name, calls in walked.items()} == {
-                "_chart_tangent_weights": 291,
-                "_chart_positions": 291,
-            }
-
-    def test_mixed_total_size_rejected(self):
-        # the first triple fixes k; a triple of another size meets an
-        # action built for that k, whether passed in or built by default
-        mixed = enumerate_hilb_fixed_points(2) + enumerate_hilb_fixed_points(3)
-        for triples in (mixed, mixed[::-1]):
-            k = triples[0].size
-            with pytest.raises(InvalidDegree):
-                filtration_betti(triples)
-            with pytest.raises(InvalidDegree):
-                filtration_betti(triples, action=build_torus_action(k))
 
     def test_every_gotzmann_image_checked(self, monkeypatch):
         # a chart that loses one outside monomial leaves k - 1 of them for
@@ -277,15 +237,13 @@ class TestHilbRoute:
             gotzmann, "_chart_positions", lambda *args: real(*args)[:-1]
         )
         with pytest.raises(InternalInvariantViolation):
-            filtration_betti(enumerate_hilb_fixed_points(3))
-        with pytest.raises(InternalInvariantViolation):
             poincare_of_hilb(3)
 
 
 class TestFullSetRoute:
     def test_routes_agree(self):
-        # both routes read one chart table, so each is held against the
-        # per-triple cell dimensions instead of against the other
+        # the cell route reads one chart table for the whole fixed set, so
+        # it is held against the per-triple cell dimensions
         for k in range(1, 11):
             triples = enumerate_hilb_fixed_points(k)
             for g in (k + 1, k + 2, k + 3):
@@ -293,9 +251,9 @@ class TestFullSetRoute:
                 expected = [0] * (2 * k + 1)
                 for t in triples:
                     expected[gotzmann.hilb_minus_cell_dimension(t, action)] += 1
-                for table in (hilb_betti(k, action), filtration_betti(triples, action=action)):
-                    assert table.betti == tuple(expected), (k, g)
-                    assert table.fixed_points == len(triples)
+                table = hilb_betti(k, action)
+                assert table.betti == tuple(expected), (k, g)
+                assert table.fixed_points == len(triples)
 
     def test_against_goettsche_product(self):
         for k in range(1, 21):
@@ -368,8 +326,6 @@ class TestFullSetRoute:
                         positions = gotzmann._chart_positions(chart, mu.parts, k)
                         assert len(set(positions)) == s
         for k in (2, 3, 5):
-            with pytest.raises(InternalInvariantViolation):
-                filtration_betti(enumerate_hilb_fixed_points(k))
             with pytest.raises(InternalInvariantViolation) as caught:
                 poincare_of_hilb(k)
             # the message names a triple with boxes at both charts, whose
@@ -401,8 +357,6 @@ class TestFullSetRoute:
             return real(chart, parts, k)
 
         monkeypatch.setattr(gotzmann, "_chart_positions", stray_positions)
-        with pytest.raises(InternalInvariantViolation):
-            filtration_betti(enumerate_hilb_fixed_points(k))
         with pytest.raises(InternalInvariantViolation) as caught:
             poincare_of_hilb(k)
         triple = PartitionTriple.parse(str(caught.value).split(":")[0])
@@ -450,7 +404,7 @@ class TestSelectSchurBasis:
 
     def test_hilb_deficiency_reported(self):
         points, ws = hilb_points(2)
-        expected = filtration_betti(enumerate_hilb_fixed_points(2)).betti
+        expected = hilb_betti(2).betti
         sel = select_schur_basis(points, ws, p_max=4, expected_betti=expected)
         assert sel.deficiencies[1] == (1, 2)
         assert sel.deficiencies[2] == (2, 3)
@@ -573,9 +527,6 @@ class TestSharedSchurRankLoop:
         ws = WeightSystem.principal(4)
         with pytest.raises(BoxViolation, match="need at least one fixed point"):
             list(schur_rank_steps([], ws))
-        # box_of is the one check of a Grassmannian point list, so no points
-        # are reported before a missing WeightSystem or a stray action
-        for kwargs in ({"ws": ws}, {}, {"action": build_torus_action(2)}):
-            with pytest.raises(BoxViolation, match="need at least one fixed point"):
-                filtration_betti([], **kwargs)
+        with pytest.raises(BoxViolation, match="need at least one fixed point"):
+            filtration_betti([], ws)
         assert localization_rank_check([], ws) == (0, True)

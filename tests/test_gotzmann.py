@@ -13,7 +13,7 @@ from cohomix.errors import (
     InternalInvariantViolation,
     InvalidDegree,
 )
-from cohomix.filtration import filtration_betti, poincare_of_hilb
+from cohomix.filtration import hilb_betti, poincare_of_hilb
 from cohomix.gotzmann import (
     PartitionTriple,
     TorusAction,
@@ -396,19 +396,9 @@ class TestTangentWeights:
             triples = enumerate_hilb_fixed_points(k)
             for action in (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1)):
                 expected = count_histogram(triples, action, k)
-                table = filtration_betti(triples, action=action)
+                table = hilb_betti(k, action)
                 assert table.betti == expected
                 assert table.fixed_points == len(triples)
-
-    def test_a_subset_counts_only_its_own_triples(self):
-        # every other fixed point of k = 6: the table covers every chart,
-        # but only the given triples are counted
-        k = 6
-        triples = enumerate_hilb_fixed_points(k)[::2]
-        for action in (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1)):
-            table = filtration_betti(triples, action=action)
-            assert table.betti == count_histogram(triples, action, k)
-            assert table.fixed_points == len(triples) == 111
 
     def test_interleaved_actions_and_degrees_answer_independently(self):
         # no call keeps chart data for the next one: alternating two actions

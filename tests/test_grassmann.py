@@ -107,6 +107,12 @@ class TestFixedSubspaces:
             with pytest.raises(ValueError):
                 FixedSubspace(indices, 4)
 
+    def test_rejects_negative_n(self):
+        # n = 0 stays legal: enumerate_fixed_subspaces(0, 0) builds it
+        assert FixedSubspace((), 0).dim == 0
+        with pytest.raises(InvalidDimensions):
+            FixedSubspace((), -1)
+
     def test_rejects_indices_out_of_range(self):
         for indices in ((0, 2), (1, 5)):
             with pytest.raises(IndexOutOfRange):

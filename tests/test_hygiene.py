@@ -334,3 +334,122 @@ def test_every_error_class_is_raised():
     defined = module_definitions((SRC / "errors.py").read_text(encoding="utf-8"))
     assert defined
     assert [name for name in defined if name not in raised] == []
+
+
+def defaulted_parameters(source, names):
+    """(callee, parameter, position) for every parameter with a default of
+    the module-level functions in `names` and of the `__init__` of the
+    classes in `names`, in order of appearance.  The callee is the name a
+    call uses; the position is the parameter's index among a call's
+    positional arguments (`self` not counted), None for keyword-only."""
+    found = []
+    for node in ast.parse(source).body:
+        if getattr(node, "name", None) not in names:
+            continue
+        if isinstance(node, ast.ClassDef):
+            inits = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            if not inits:
+                continue
+            args, skip = inits[0].args, 1
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args, skip = node.args, 0
+        else:
+            continue
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found += [(node.name, a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+        found += [
+            (node.name, a.arg, None)
+            for a, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return found
+
+
+def parameters_set(source):
+    """(callee, parameter or position) for what each call in the source
+    sets: the callee is the called name or attribute, as the member rule
+    matches members; a positional argument sets its index and a keyword
+    argument its name.  A starred argument sets its index and every later
+    one, and a `**` mapping sets every name, as neither can be read."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        for i, arg in enumerate(node.args):
+            found.add((callee, ("*", i) if isinstance(arg, ast.Starred) else i))
+        found.update((callee, k.arg if k.arg else "**") for k in node.keywords)
+    return found
+
+
+def is_set(setters, callee, name, position):
+    """Whether some call read by parameters_set sets the parameter."""
+    if (callee, name) in setters or (callee, "**") in setters:
+        return True
+    if position is None:
+        return False
+    return (callee, position) in setters or any(
+        (callee, ("*", i)) in setters for i in range(position + 1)
+    )
+
+
+def test_reader_sees_defaults_and_their_setters():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e): pass\n"
+        "def g(x=0): pass\n"
+        "def _h(y=0): pass\n"
+        "class C:\n    def __init__(self, u, v=1): pass\n    def m(self, w=1): pass\n"
+        "class D:\n    pass\n"
+        "f(1, 2, e=3)\n"
+        "m.g(*xs)\n"
+        "C(0, **kw)\n"
+    )
+    names = {"f", "g", "C", "D"}
+    assert defaulted_parameters(source, names) == [
+        ("f", "b", 1),
+        ("f", "c", 2),
+        ("f", "d", None),
+        ("g", "x", 0),
+        ("C", "v", 1),
+    ]
+    setters = parameters_set(source)
+    assert setters == {("f", 0), ("f", 1), ("f", "e"), ("g", ("*", 0)), ("C", 0), ("C", "**")}
+    assert [is_set(setters, *p) for p in defaulted_parameters(source, names)] == [
+        True,
+        False,
+        False,
+        True,
+        True,
+    ]
+
+
+def test_every_defaulted_parameter_has_a_setter():
+    # A default that no call in the package, the demos or the benchmark
+    # ever overrides is a parameter that only tests set.  Tests do not count
+    # as setters, and callees match by name only.  The one exception kept
+    # on purpose: build_torus_action's exponents, the paper's lambda_i,
+    # which a caller may choose but none does.  A new one fails here until
+    # it gets a setter or is listed.
+    import cohomix
+
+    setters = set().union(
+        *(
+            parameters_set(p.read_text(encoding="utf-8"))
+            for p in [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+        )
+    )
+    unset = [
+        "%s.%s" % (callee, name)
+        for p in sorted(SRC.glob("*.py"))
+        for callee, name, position in defaulted_parameters(
+            p.read_text(encoding="utf-8"), set(cohomix.__all__)
+        )
+        if not is_set(setters, callee, name, position)
+    ]
+    assert unset == [
+        "build_torus_action.lam0",
+        "build_torus_action.lam1",
+        "build_torus_action.lam2",
+    ]
