@@ -2,8 +2,8 @@
 points in the plane.
 
 Everything is exact, with zero tolerance and no floating point, on one
-integer kernel (fractions.Fraction only at two edges, matrix rows and
-polynomial coefficients): fixed-point enumeration, attracting-cell
+integer kernel (fractions.Fraction only at one edge, matrix rows;
+polynomial coefficients are ints): fixed-point enumeration, attracting-cell
 dimensions, presentation of the cohomology ring by vector-field
 relations, the Gotzmann embedding of Hilb_k(P^2) into a Grassmannian of
 forms, Betti numbers through the fixed-point filtration, equivariant

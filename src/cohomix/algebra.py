@@ -5,12 +5,12 @@ Jordan types of nilpotent matrices, cyclotomic factor stripping, and two
 small polynomial containers.  The kernel is integer: Schur values are
 small integer determinants at integer points, and RowSpace reduces
 sparse integer rows, each a dict of its nonzero entries built where the
-row is born.  fractions.Fraction enters at two edges only: matrix rows,
-for matrix_rank and RationalMatrix, and MultiPoly coefficients and
-scalars; matrix_rank scales its rows to integers once on the way in.
-Nothing in this package touches floating point: a float point, matrix
-entry, or polynomial coefficient, value or scalar, raises TypeError, and
-so does a Fraction Schur point or IntegerPolynomial value.
+row is born.  fractions.Fraction enters at one edge only: matrix rows,
+for matrix_rank and RationalMatrix; matrix_rank scales its rows to
+integers once on the way in.  Nothing in this package touches floating
+point: a float point, matrix entry, or polynomial coefficient, value or
+scalar raises TypeError, and so does a Fraction Schur point, polynomial
+coefficient, value or scalar.
 """
 
 from fractions import Fraction
@@ -148,25 +148,12 @@ def partitions_in_box(max_parts, max_part, size):
 
 
 def _fraction(c):
-    # The one gate for a rational coefficient, value or scalar: an int or
-    # a Fraction comes back as a Fraction; anything else, a float, a str
-    # or a Decimal included, raises TypeError.
+    # The one gate for a RationalMatrix entry: an int or a Fraction comes
+    # back as a Fraction; anything else, a float, a str or a Decimal
+    # included, raises TypeError.
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
     raise TypeError("expected an int or Fraction, got %s" % type(c).__name__)
-
-
-def _clear_denominators(values):
-    # (D, [D * x for x in values]) with D the lcm of the denominators, for
-    # int or Fraction values; anything else, a float included, is a TypeError.
-    # For the rows of matrix_rank and the relations of GradedPresentation.
-    try:
-        dens = [x.denominator for x in values]
-    except AttributeError:
-        bad = next(x for x in values if not hasattr(x, "denominator"))
-        raise TypeError("expected int or Fraction entries, got %s" % type(bad).__name__) from None
-    den = lcm(*dens)
-    return den, [x.numerator * (den // d) for x, d in zip(values, dens)]
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -417,8 +404,9 @@ class RationalMatrix:
 
 def matrix_rank(matrix):
     """Exact rank of a RationalMatrix or an iterable of int or Fraction rows,
-    each cleared to integers for a RowSpace: 0 for no rows, TypeError for a
-    float or str entry and ValueError for a row of another width."""
+    each scaled by the lcm of its denominators to integers for a RowSpace:
+    0 for no rows, TypeError for a float or str entry and ValueError for a
+    row of another width."""
     rows = matrix.entries if isinstance(matrix, RationalMatrix) else [list(r) for r in matrix]
     if not rows:
         return 0
@@ -426,7 +414,14 @@ def matrix_rank(matrix):
     for row in rows:
         if len(row) != space.width:
             raise ValueError("row width %d, expected %d" % (len(row), space.width))
-        space.add({c: x for c, x in enumerate(_clear_denominators(row)[1]) if x})
+        try:
+            dens = [x.denominator for x in row]
+        except AttributeError:
+            bad = type(next(x for x in row if not hasattr(x, "denominator")))
+            raise TypeError("expected int or Fraction entries, got %s" % bad.__name__) from None
+        den = lcm(*dens)
+        row = [x.numerator * (den // d) for x, d in zip(row, dens)]
+        space.add({c: x for c, x in enumerate(row) if x})
     return space.rank
 
 
@@ -733,13 +728,6 @@ def strip_cyclotomic_factors(poly):
     return len(rr) <= 1, IntegerPolynomial(reversed(rr))
 
 
-def coefficient_str(c):
-    """An int or Fraction coefficient as 'n' or 'n/d'."""
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def _power_str(var, e):
     # 'x' or 'x^e'
     return var if e == 1 else "%s^%d" % (var, e)
@@ -749,18 +737,18 @@ def _terms_str(pairs, var):
     # (exponent, coefficient) pairs in the order given, zero coefficients
     # skipped, as 'c', 'x', '-x^e' or 'c*x^e' joined by ' + '; '0' for none
     return " + ".join(
-        coefficient_str(c) if e == 0
-        else ("" if c == 1 else "-" if c == -1 else coefficient_str(c) + "*") + _power_str(var, e)
+        str(c) if e == 0
+        else ("" if c == 1 else "-" if c == -1 else str(c) + "*") + _power_str(var, e)
         for e, c in pairs
         if c
     ) or "0"
 
 
 class MultiPoly:
-    """Polynomial with Fraction coefficients over a fixed ordered tuple of
-    distinct named variables.  Terms map exponent tuples to nonzero
-    coefficients.  A coefficient or scalar is an int or a Fraction; any
-    other, a float or a str, raises TypeError.
+    """Polynomial with integer coefficients over a fixed ordered tuple of
+    distinct named variables.  Terms, a dict, map exponent tuples to
+    nonzero coefficients, each read through operator.index like a scalar,
+    so a Fraction, a float or a str raises TypeError.
 
     `terms` is never mutated after construction: every operation builds a
     new MultiPoly.  Equality and the hash are by value.
@@ -773,13 +761,15 @@ class MultiPoly:
         nv = len(self.variables)
         if len(set(self.variables)) != nv:
             raise ValueError("repeated variable name in %r" % (self.variables,))
+        if terms is not None and not isinstance(terms, dict):
+            raise TypeError("terms must be a dict, got %s" % type(terms).__name__)
         clean = {}
         for exps, c in (terms or {}).items():
-            c = _fraction(c)
+            c = index(c)
             if c == 0:
                 continue
             exps = tuple(map(index, exps))
-            if len(exps) != nv or any(e < 0 for e in exps):
+            if len(exps) != nv or min(exps, default=0) < 0:
                 raise ValueError("bad exponent vector %r" % (exps,))
             clean[exps] = c
         self.terms = clean
@@ -822,7 +812,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _fraction(c)
+        c = index(c)
         return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -834,8 +824,9 @@ class MultiPoly:
         return hash((self.variables, frozenset(self.terms.items())))
 
     def substitute(self, name, value):
-        """Replace one variable by a rational constant, or by a MultiPoly
-        over the other variables in their order, and drop it.
+        """Replace one variable by an integer, or by a MultiPoly over the
+        other variables in their order, and drop it.  A name that is not
+        a variable raises ValueError.
 
         >>> p = MultiPoly(("x", "y"), {(2, 0): 1, (0, 1): 3})
         >>> p.substitute("y", 2).canonical_str()
@@ -843,6 +834,8 @@ class MultiPoly:
         >>> p.substitute("x", MultiPoly(("y",), {(1,): 1})).canonical_str()
         '1*y^2 + 3*y'
         """
+        if name not in self.variables:
+            raise ValueError("no variable %r in %r" % (name, self.variables))
         idx = self.variables.index(name)
         rest = self.variables[:idx] + self.variables[idx + 1 :]
         if not isinstance(value, MultiPoly):
@@ -859,12 +852,8 @@ class MultiPoly:
     def homogeneous_degree(self, degrees):
         """The common weighted degree of the terms, or None when mixed.
         The zero polynomial reports 0."""
-        if not self.terms:
-            return 0
-        found = {sum(e * d for e, d in zip(exps, degrees)) for exps in self.terms}
-        if len(found) == 1:
-            return found.pop()
-        return None
+        found = {sum(e * d for e, d in zip(exps, degrees)) for exps in self.terms} or {0}
+        return found.pop() if len(found) == 1 else None
 
     def canonical_str(self):
         """Deterministic rendering: descending graded lexicographic term
@@ -872,7 +861,7 @@ class MultiPoly:
         keys = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
         return " + ".join(
             "*".join(
-                [coefficient_str(self.terms[exps])]
+                [str(self.terms[exps])]
                 + [_power_str(name, e) for name, e in zip(self.variables, exps) if e]
             )
             for exps in keys

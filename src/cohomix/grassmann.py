@@ -13,10 +13,10 @@ matrix N + (v/2)H: N the principal nilpotent, H the principal weights.
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from operator import index, mul
 
-from .algebra import IntegerPolynomial, MultiPoly, RowSpace, _binomial_quotient, _clear_denominators
+from .algebra import IntegerPolynomial, MultiPoly, RowSpace, _binomial_quotient
 from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions, NotPolynomial
 
 
@@ -246,17 +246,17 @@ def _riccati_field(n, k, equivariant):
 
 class GradedPresentation:
     """A graded ring presentation: ordered distinct variables, their
-    degrees, and the tuple of relations.  Every degree is positive, so each
-    graded piece is finite-dimensional.
+    positive degrees, so each graded piece is finite-dimensional, and the
+    tuple of relations, integer MultiPolys over those variables.
 
-    The relations are never reassigned after construction, so each nonzero
-    relation's degree and its terms cleared to integers are prepared here,
-    once, for the Macaulay rank of graded_dimension, and `_reduced` keeps
-    the _eliminate_linear reduction that graded_dimension makes on first
-    use, whatever degrees it asks for.
+    The relations are never reassigned after construction, so their
+    weighted degrees are read here, once, for is_homogeneous,
+    relation_degrees and the Macaulay rank of graded_dimension, and
+    `_reduced` keeps the _eliminate_linear reduction that graded_dimension
+    makes on first use, whatever degrees it asks for.
     """
 
-    __slots__ = ("variables", "degrees", "relations", "_integer_relations", "_reduced")
+    __slots__ = ("variables", "degrees", "relations", "_relation_degrees", "_reduced")
 
     def __init__(self, variables, degrees, relations):
         self.variables = tuple(variables)
@@ -269,26 +269,20 @@ class GradedPresentation:
             raise InvalidDegree("variable degrees must be positive: %r" % (self.degrees,))
         self.relations = tuple(relations)
         for rel in self.relations:
+            if not isinstance(rel, MultiPoly):
+                raise TypeError("relations must be MultiPoly, got %s" % type(rel).__name__)
             if rel.variables != self.variables:
                 raise ValueError("relation over the wrong variable tuple")
-        # (degree, ((exponents, integer coefficient), ...)) per nonzero
-        # relation, each scaled by the lcm of its denominators
-        self._integer_relations = tuple(
-            (
-                rel.homogeneous_degree(self.degrees),
-                tuple(zip(rel.terms, _clear_denominators(list(rel.terms.values()))[1])),
-            )
-            for rel in self.relations
-            if not rel.is_zero()
-        )
+        self._relation_degrees = tuple(r.homogeneous_degree(self.degrees) for r in self.relations)
         self._reduced = None
 
     def is_homogeneous(self):
         """Every relation concentrated in a single weighted degree."""
-        return all(rd is not None for rd, _ in self._integer_relations)
+        return None not in self._relation_degrees
 
     def relation_degrees(self):
-        return tuple(rel.homogeneous_degree(self.degrees) for rel in self.relations)
+        """Each relation's weighted degree, None when mixed, 0 when zero."""
+        return self._relation_degrees
 
     def __repr__(self):
         return "GradedPresentation(%d variables, %d relations)" % (
@@ -319,9 +313,9 @@ def equivariant_presentation(n, k):
 
 
 def specialize_v(presentation, value=0):
-    """Set v to a rational constant in an equivariant presentation and drop
-    the variable.  At v = 0 every relation becomes -2 times its ordinary
-    counterpart."""
+    """Set v to an integer in an equivariant presentation and drop the
+    variable; a Fraction or float value raises TypeError.  At v = 0 every
+    relation becomes -2 times its ordinary counterpart."""
     if not presentation.variables or presentation.variables[-1] != "v":
         raise ValueError("presentation has no trailing equivariant variable v")
     variables = presentation.variables[:-1]
@@ -347,17 +341,25 @@ def _weighted_monomials(degrees, d, base):
     return [p + rest // last * power for p, rest in partial if rest % last == 0]
 
 
-def _eliminate_linear(presentation):
-    """An isomorphic presentation without the variables that a relation
-    defines linearly.
+def _primitive(rel):
+    # A nonzero relation divided by the positive gcd of its coefficients
+    g = gcd(*rel.terms.values())
+    return rel if g == 1 else MultiPoly(rel.variables, {e: b // g for e, b in rel.terms.items()})
 
-    While some relation has a term c*x, x a single variable to the first
-    power, substitute x = -(rest)/c into the other relations with
-    MultiPoly.substitute, which drops x, and drop that relation; the first
+
+def _eliminate_linear(presentation):
+    """An isomorphic presentation, over the rationals, without the
+    variables that a relation defines linearly; nothing is divided but
+    exactly.
+
+    Every relation is made _primitive.  While some relation has a term
+    c*x, x a single variable to the first power, drop it and x; the first
     such relation, and in it the first such variable, goes first.  Degrees
-    are positive, so x appears in no other term of its relation, and each
-    step is a graded ring isomorphism.  Raises InvalidDegree for a
-    presentation that is not homogeneous.
+    are positive, so x appears in no other term of that relation.  Each
+    other relation, with A its top power of x, has its x^a terms scaled by
+    c^(A-a), then x = -(rest) substituted by MultiPoly.substitute, which
+    drops x: c^A times it at x = -(rest)/c, made _primitive again.  Raises
+    InvalidDegree for a presentation that is not homogeneous.
 
     >>> pres = ordinary_presentation(4, 2)
     >>> reduced = _eliminate_linear(pres)
@@ -369,7 +371,7 @@ def _eliminate_linear(presentation):
     if not presentation.is_homogeneous():
         raise InvalidDegree("presentation is not homogeneous")
     variables, degrees = presentation.variables, presentation.degrees
-    rels = [rel for rel in presentation.relations if not rel.is_zero()]
+    rels = [_primitive(rel) for rel in presentation.relations if not rel.is_zero()]
     while True:
         for pos, rel in enumerate(rels):
             linear = [e for e in rel.terms if sum(e) == 1]
@@ -384,11 +386,17 @@ def _eliminate_linear(presentation):
         name = variables[x]
         variables = variables[:x] + variables[x + 1 :]
         degrees = degrees[:x] + degrees[x + 1 :]
-        value = MultiPoly(
-            variables,
-            {e[:x] + e[x + 1 :]: -b / c for e, b in rel.terms.items() if e != unit},
-        )
-        rels = [r for r in (r.substitute(name, value) for r in rels) if not r.is_zero()]
+        rest = {e[:x] + e[x + 1 :]: -b for e, b in rel.terms.items() if e != unit}
+        value = MultiPoly(variables, rest)
+        reduced = []
+        for r in rels:
+            if c != 1:
+                top = max(e[x] for e in r.terms)
+                r = MultiPoly(r.variables, {e: b * c ** (top - e[x]) for e, b in r.terms.items()})
+            r = r.substitute(name, value)
+            if not r.is_zero():
+                reduced.append(_primitive(r))
+        rels = reduced
     return GradedPresentation(variables, degrees, rels)
 
 
@@ -403,10 +411,10 @@ def _macaulay_dimension(presentation, d):
     powers = [(d + 1) ** i for i in range(len(degrees))]
     column = {m: pos for pos, m in enumerate(monomials)}
     space = RowSpace(len(monomials))
-    for rd, terms in presentation._integer_relations:
+    for rd, rel in zip(presentation._relation_degrees, presentation.relations):
         if rd > d:
             continue
-        terms = [(sum(map(mul, e, powers)), c) for e, c in terms]
+        terms = [(sum(map(mul, e, powers)), c) for e, c in rel.terms.items()]
         for shift in _weighted_monomials(degrees, d - rd, d + 1):
             space.add({column[t + shift]: c for t, c in terms})
     return len(monomials) - space.rank
@@ -422,8 +430,8 @@ def graded_dimension(presentation, d):
     degree d on what is left and subtracts the rank of the span of
     (monomial x relation) products landing in degree d.  Each product
     goes to the RowSpace as a sparse {column: int} row, read off the
-    integer-cleared terms that the reduced presentation prepared when it
-    was built, so the rank is exact.  Raises InvalidDegree for d < 0 and,
+    reduced presentation's integer relations at the degrees it read when
+    it was built, so the rank is exact.  Raises InvalidDegree for d < 0 and,
     at every d, for a presentation that is not homogeneous.
     """
     if d < 0:

@@ -328,6 +328,9 @@ class TestSchurPartitionInput:
         lambda: MultiPoly(("x",), {(1,): 0.1}),
         lambda: MultiPoly(("x",), {(1,): "1/3"}),
         lambda: MultiPoly(("x",), {(1,): 1}).scale(0.5),
+        lambda: MultiPoly(("x",), {(1,): Fraction(1, 2)}),
+        lambda: MultiPoly(("x",), {(1,): 1}).scale(Fraction(2)),
+        lambda: specialize_v(equivariant_presentation(4, 2), Fraction(1, 2)),
         lambda: RationalMatrix([["1/2"]]),
         lambda: specialize_v(equivariant_presentation(4, 2), 0.1),
         lambda: IntegerPolynomial([1, 1]) * 0.5,
@@ -365,6 +368,9 @@ class TestSchurPartitionInput:
         "MultiPoly-float-coefficient",
         "MultiPoly-str-coefficient",
         "MultiPoly.scale",
+        "MultiPoly-Fraction-coefficient",
+        "MultiPoly.scale-whole-Fraction",
+        "specialize_v-Fraction",
         "RationalMatrix-str",
         "specialize_v",
         "IntegerPolynomial-scalar",
@@ -384,6 +390,22 @@ def test_non_integer_input_rejected_not_truncated(build):
     # silently rounding toward zero; a rational slot given a float raises
     # instead of reading its binary expansion
     with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: GradedPresentation(("x",), (1,), [{"a": 1}]), "dict"),
+        (lambda: GradedPresentation(("x",), (1,), ["x"]), "str"),
+        (lambda: MultiPoly(("x",), [((1,), 1)]), "list"),
+    ],
+    ids=["GradedPresentation-dict-relation", "GradedPresentation-str-relation", "MultiPoly-list-terms"],
+)
+def test_container_of_the_wrong_type_named(build, name):
+    # a relation that is not a MultiPoly, or terms that are not a dict, is a
+    # TypeError naming the type given, not an AttributeError from inside
+    with pytest.raises(TypeError, match=r"got %s\b" % name):
         build()
 
 
@@ -959,26 +981,29 @@ class TestMultiPoly:
     def test_canonical_str_order_and_coefficients(self):
         p = MultiPoly(
             ("x", "y"),
-            {(1, 1): Fraction(-1), (0, 1): Fraction(1, 2), (2, 0): 3},
+            {(1, 1): -1, (0, 1): -12, (2, 0): 3, (0, 0): 5},
         )
-        assert p.canonical_str() == "3*x^2 + -1*x*y + 1/2*y"
+        assert p.canonical_str() == "3*x^2 + -1*x*y + -12*y + 5"
 
     def test_substitute(self):
         p = MultiPoly(("x", "v"), {(1, 1): 2, (1, 0): -1})
         q = p.substitute("v", 0)
         assert q.variables == ("x",)
-        assert q.terms == {(1,): Fraction(-1)}
+        assert q.terms == {(1,): -1}
+        # a name that is not a variable is named, with the variables
+        with pytest.raises(ValueError, match=r"'y' in \('x', 'v'\)"):
+            p.substitute("y", 1)
 
     def test_substitute_polynomial(self):
-        # x = y - 2/3*z in 1/2*x^2*y + 3*x*z - y^2, expanded by hand
-        p = MultiPoly(("x", "y", "z"), {(2, 1, 0): Fraction(1, 2), (1, 0, 1): 3, (0, 2, 0): -1})
-        value = MultiPoly(("y", "z"), {(1, 0): 1, (0, 1): Fraction(-2, 3)})
+        # x = y - 2*z in 2*x^2*y + 3*x*z - y^2, expanded by hand
+        p = MultiPoly(("x", "y", "z"), {(2, 1, 0): 2, (1, 0, 1): 3, (0, 2, 0): -1})
+        value = MultiPoly(("y", "z"), {(1, 0): 1, (0, 1): -2})
         assert p.substitute("x", value) == MultiPoly(("y", "z"), {
-            (3, 0): Fraction(1, 2),
-            (2, 1): Fraction(-2, 3),
-            (1, 2): Fraction(2, 9),
+            (3, 0): 2,
+            (2, 1): -8,
+            (1, 2): 8,
             (1, 1): 3,
-            (0, 2): -2,
+            (0, 2): -6,
             (2, 0): -1,
         })
         # a value must live over the remaining variables, in order
@@ -998,7 +1023,7 @@ class TestMultiPoly:
         assert p.homogeneous_degree((1, 1)) is None
 
     def test_hash_by_value_and_stable(self):
-        terms = {(2, 0): 3, (1, 1): Fraction(-1, 2), (0, 3): 1}
+        terms = {(2, 0): 3, (1, 1): -2, (0, 3): 1}
         p = MultiPoly(("x", "y"), terms)
         q = MultiPoly(("x", "y"), dict(reversed(list(terms.items()))))
         assert p == q and hash(p) == hash(q)
@@ -1007,7 +1032,7 @@ class TestMultiPoly:
 
     def test_arithmetic(self):
         x = MultiPoly(("x",), {(1,): 1})
-        assert (x * x - x).terms == {(2,): Fraction(1), (1,): Fraction(-1)}
+        assert (x * x - x).terms == {(2,): 1, (1,): -1}
         assert (x - x).is_zero()
         # a polynomial over other variables is still a ValueError
         with pytest.raises(ValueError, match="different variables"):

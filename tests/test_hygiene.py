@@ -300,6 +300,41 @@ def test_one_gate_makes_every_rational_coefficient():
     assert ungated == {}
 
 
+def true_divisions(source):
+    """Line numbers, one per operator, of the source's true divisions:
+    every `/` and every `/=`; `//` is not counted."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+
+
+def test_reader_sees_every_true_division():
+    source = (
+        "a = b / c\n"
+        "a /= 2\n"
+        "d = b // c\n"
+        "d //= 2\n"
+        "e = -x / (y / z)\n"
+        "f = '1/2'\n"
+    )
+    assert true_divisions(source) == [1, 2, 5, 5]
+
+
+def test_no_true_division():
+    # every exact quotient in the package is //, so no value turns into a
+    # float, or a Fraction, by being divided
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {
+        p.name: lines
+        for p in modules
+        if (lines := true_divisions(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
 def raised_names(source):
     """Names of the exceptions the source raises, called or not, by name
     or as an attribute; a bare `raise` names none."""
