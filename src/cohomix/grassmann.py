@@ -402,20 +402,33 @@ def _eliminate_linear(presentation):
 
 def _macaulay_dimension(presentation, d):
     # Monomials of weighted degree d, minus the rank of the span of the
-    # (monomial x relation) products landing in degree d.  A monomial is
-    # coded as a mixed-radix int in base d + 1: no exponent of a monomial
-    # of degree at most d exceeds d, so a product that lands in degree d
-    # has the sum of its factors' codes.
-    degrees = presentation.degrees
+    # (monomial x relation) products landing in degree d; with no relation
+    # of degree at most d, the count alone, and no row space.  A monomial
+    # is coded as a mixed-radix int in base d + 1: no exponent of a
+    # monomial of degree at most d exceeds d, so a product that lands in
+    # degree d has the sum of its factors' codes.
+    #
+    # Columns follow the lex order of monomials, a monomial order, so a
+    # product's leading column is its relation's lex-first term times the
+    # shift.  The relations are walked from last to first, and each one's
+    # shifts too, so its rows come in descending leading column, and a row
+    # whose leading column is still free is stored with no reduction step.
+    # In ascending order the rank is the same but the reduced rows fill in
+    # and their integers grow: at degree 16 of
+    # equivariant_presentation(8, 4), 258-bit entries and 94 nonzeros a
+    # row, against 62 bits and 34 nonzeros in this order.
+    degrees, rds = presentation.degrees, presentation._relation_degrees
     monomials = _weighted_monomials(degrees, d, d + 1)
+    if min(rds, default=d + 1) > d:
+        return len(monomials)
     powers = [(d + 1) ** i for i in range(len(degrees))]
     column = {m: pos for pos, m in enumerate(monomials)}
     space = RowSpace(len(monomials))
-    for rd, rel in zip(presentation._relation_degrees, presentation.relations):
+    for rd, rel in zip(reversed(rds), reversed(presentation.relations)):
         if rd > d:
             continue
         terms = [(sum(map(mul, e, powers)), c) for e, c in rel.terms.items()]
-        for shift in _weighted_monomials(degrees, d - rd, d + 1):
+        for shift in reversed(_weighted_monomials(degrees, d - rd, d + 1)):
             space.add({column[t + shift]: c for t, c in terms})
     return len(monomials) - space.rank
 
@@ -428,12 +441,18 @@ def graded_dimension(presentation, d):
     kept in its `_reduced` slot; see _eliminate_linear), which takes Gr's
     k(n-k) generators down to k.  Then counts monomials of weighted
     degree d on what is left and subtracts the rank of the span of
-    (monomial x relation) products landing in degree d.  Each product
-    goes to the RowSpace as a sparse {column: int} row, read off the
-    reduced presentation's integer relations at the degrees it read when
-    it was built, so the rank is exact.  Raises InvalidDegree for d < 0 and,
-    at every d, for a presentation that is not homogeneous.
+    (monomial x relation) products landing in degree d, or returns the
+    count alone when no relation has degree at most d.  Each product goes
+    to the RowSpace as a sparse {column: int} row, read off the reduced
+    presentation's integer relations at the degrees it read when it was
+    built, so the rank is exact.  The rows are offered last relation
+    first, each relation's in descending leading monomial, which keeps
+    the stored integers small (see _macaulay_dimension).  d is read
+    through operator.index, so a Fraction or float raises TypeError.
+    Raises InvalidDegree for d < 0 and, at every d, for a presentation
+    that is not homogeneous.
     """
+    d = index(d)
     if d < 0:
         raise InvalidDegree("degree must be nonnegative, got %d" % d)
     if presentation._reduced is None:
@@ -442,5 +461,6 @@ def graded_dimension(presentation, d):
 
 
 def graded_dimensions(presentation, top):
-    """Dimensions of the degree-0..top pieces as a list."""
-    return [graded_dimension(presentation, d) for d in range(top + 1)]
+    """Dimensions of the degree-0..top pieces as a list; top is read
+    through operator.index, like d in graded_dimension."""
+    return [graded_dimension(presentation, d) for d in range(index(top) + 1)]

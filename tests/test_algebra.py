@@ -39,6 +39,7 @@ from cohomix.grassmann import (
     WeightSystem,
     enumerate_fixed_subspaces,
     equivariant_presentation,
+    graded_dimension,
     graded_dimensions,
     ordinary_presentation,
     specialize_v,
@@ -343,6 +344,9 @@ class TestSchurPartitionInput:
         lambda: partitions_in_box(3, 3, 0.0),
         lambda: w_degree(1.0, 1, 3, 1),
         lambda: w_degree(1, 1, Fraction(3), 1),
+        lambda: graded_dimension(ordinary_presentation(4, 2), Fraction(5, 2)),
+        lambda: graded_dimension(ordinary_presentation(4, 2), 2.0),
+        lambda: graded_dimensions(ordinary_presentation(4, 2), Fraction(2)),
     ],
     ids=[
         "WeightSystem",
@@ -383,6 +387,9 @@ class TestSchurPartitionInput:
         "partitions_in_box-size",
         "w_degree",
         "w_degree-whole-Fraction",
+        "graded_dimension-Fraction",
+        "graded_dimension-float",
+        "graded_dimensions-Fraction",
     ],
 )
 def test_non_integer_input_rejected_not_truncated(build):
