@@ -6,9 +6,10 @@ integer kernel (fractions.Fraction only at one edge, matrix rows;
 polynomial coefficients are ints): fixed-point enumeration, attracting-cell
 dimensions, presentation of the cohomology ring by vector-field
 relations, the Gotzmann embedding of Hilb_k(P^2) into a Grassmannian of
-forms, Betti numbers through the fixed-point filtration, equivariant
-localization, and two obstructions to regularity of group actions
-(cyclotomic roots, nilpotent Jordan type).
+forms, Betti numbers from the fixed-point filtration of a Grassmannian and
+the attracting cells of Hilb_k(P^2), equivariant localization, and two
+obstructions to regularity of group actions (cyclotomic roots, nilpotent
+Jordan type).
 """
 
 from .algebra import (
@@ -16,7 +17,6 @@ from .algebra import (
     MultiPoly,
     Partition,
     RationalMatrix,
-    cyclotomic_polynomial,
     jordan_type,
     matrix_rank,
     partitions_in_box,
@@ -68,7 +68,6 @@ from .grassmann import (
     graded_dimensions,
     minus_cell_dimension,
     ordinary_presentation,
-    plus_cell_dimension,
     poincare_from_cells,
     poincare_from_regular_sequence,
     specialize_v,
@@ -101,7 +100,6 @@ __all__ = [
     "WeightSystem",
     "b2_regularity_verdict",
     "build_torus_action",
-    "cyclotomic_polynomial",
     "degree_k_part",
     "enumerate_fixed_subspaces",
     "enumerate_hilb_fixed_points",
@@ -121,7 +119,6 @@ __all__ = [
     "nilpotent_matrix_on_Rk",
     "ordinary_presentation",
     "partitions_in_box",
-    "plus_cell_dimension",
     "poincare_from_cells",
     "poincare_from_regular_sequence",
     "poincare_of_hilb",

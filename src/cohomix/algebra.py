@@ -609,21 +609,6 @@ def _cyclotomic_binomials(d):
     return tuple(num), tuple(den), value
 
 
-def cyclotomic_polynomial(d):
-    """The d-th cyclotomic polynomial, multiplied out of its Moebius
-    product of binomials q^e - 1 (see _cyclotomic_binomials).
-
-    >>> cyclotomic_polynomial(1).coeffs
-    (-1, 1)
-    >>> cyclotomic_polynomial(6).coeffs
-    (1, -1, 1)
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    num, den, _ = _cyclotomic_binomials(d)
-    return IntegerPolynomial(reversed(_binomial_quotient([1], num, den)))
-
-
 @lru_cache(maxsize=64)
 def _cyclotomic_candidates(bound):
     """(d, phi(d)) for every d with phi(d) <= bound, d ascending: the

@@ -230,9 +230,7 @@ def build_parser():
         hilb, "embed", _cmd_hilb_embed, "Gotzmann image of one fixed point",
         _K, ("--triple", {"required": True, "help": "e.g. \"1;1;\" for ((1),(1),())"}),
     )
-    _add_command(
-        hilb, "betti", _cmd_hilb_betti, "Betti numbers from the fixed-point filtration", _K
-    )
+    _add_command(hilb, "betti", _cmd_hilb_betti, "Betti numbers from the attracting cells", _K)
     _add_command(
         hilb, "schur-basis", _cmd_hilb_schur_basis,
         "rank jumps of pure Schur rows on the Gotzmann images, level by level; "

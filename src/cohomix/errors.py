@@ -28,11 +28,15 @@ class ConditionViolated(ValueError):
 
 
 class InvalidDegree(ValueError):
-    """A graded degree where none exists (negative)."""
+    """A degree or size that does not fit: a negative degree or p_max, k < 1,
+    a triple or torus action of another size than k, a presentation that is
+    not homogeneous or has a nonpositive variable degree, or a basis order
+    of nilpotent_matrix_on_Rk that is not a permutation of R_k's monomials."""
 
 
 class BoxViolation(ValueError):
-    """A partition does not fit in the required box."""
+    """Raised by box_of on no fixed points, or on points of different
+    Grassmannians."""
 
 
 class InternalInvariantViolation(RuntimeError):

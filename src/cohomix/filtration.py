@@ -186,8 +186,8 @@ def hilb_betti(k, action=None):
     build_torus_action(k)), with no triple built.  k < 1, or an action for
     another degree, raises InvalidDegree.
 
-    With H_c,s(q) the sum of q^count over chart c's diagrams of size s in
-    gotzmann.chart_tables, which checks every Gotzmann image, the cell
+    gotzmann.chart_tables, which checks every Gotzmann image, gives H_c,s(q),
+    the sum of q^count over chart c's diagrams of size s.  The cell
     polynomial is the sum over s0 + s1 + s2 = k of H_0,s0 * H_1,s1 *
     H_2,s2: first G_s = sum H_0,s0 * H_1,s-s0, then sum G_s * H_2,k-s.
 
@@ -199,14 +199,7 @@ def hilb_betti(k, action=None):
     action = action or build_torus_action(k)
     if action.k != k:
         raise InvalidDegree("torus action built for k=%d, expected k=%d" % (action.k, k))
-    charts = []
-    for table in chart_tables(action):
-        # counts[s][c]: the chart's diagrams of size s with count c
-        counts = [[0] * (2 * s + 1) for s in range(k + 1)]
-        for parts, count in table.items():
-            counts[sum(parts)][count] += 1
-        charts.append([IntegerPolynomial(c) for c in counts])
-    h0, h1, h2 = charts
+    h0, h1, h2 = chart_tables(action)
     poly = IntegerPolynomial()
     for s in range(k + 1):
         g = sum((h0[s0] * h1[s - s0] for s0 in range(s + 1)), IntegerPolynomial())

@@ -16,7 +16,8 @@ regular group action would force.
 from math import comb
 from operator import index
 
-from .algebra import Partition, RationalMatrix, _conjugate, _power_str, jordan_type, partitions_in_box
+from .algebra import IntegerPolynomial, Partition, RationalMatrix, _conjugate, _power_str
+from .algebra import jordan_type, partitions_in_box
 from .errors import (
     ConditionViolated,
     InternalInvariantViolation,
@@ -55,30 +56,23 @@ class TorusAction:
     exponents arranged so the induced weights on degree-k monomials are
     pairwise distinct and generic enough to isolate the fixed points.
 
-    Constructed through build_torus_action, which validates the two
-    genericity inequalities.
+    Constructed through build_torus_action, which checks the two
+    genericity inequalities on coordinate_weights, the g^lambda_i.
     """
 
-    __slots__ = ("k", "g", "exponents")
+    __slots__ = ("k", "g", "exponents", "coordinate_weights")
 
     def __init__(self, k, g, exponents):
         self.k = k
         self.g = g
         self.exponents = tuple(exponents)
-
-    @property
-    def coordinate_weights(self):
-        """(g^lambda_0, g^lambda_1, g^lambda_2)."""
-        return tuple(self.g ** e for e in self.exponents)
-
-    def monomial_weight(self, monomial):
-        a, b, c = monomial
-        wa, wb, wc = self.coordinate_weights
-        return a * wa + b * wb + c * wc
+        self.coordinate_weights = tuple(g ** e for e in self.exponents)
 
     def weight_system(self):
-        """Induced WeightSystem on the monomial basis of R_k."""
-        return WeightSystem(tuple(self.monomial_weight(m) for m in monomial_basis(self.k)))
+        """Induced WeightSystem on the monomial basis of R_k: X_0^a X_1^b
+        X_2^c weighs a*g^lambda_0 + b*g^lambda_1 + c*g^lambda_2."""
+        wa, wb, wc = self.coordinate_weights
+        return WeightSystem(tuple(a * wa + b * wb + c * wc for a, b, c in monomial_basis(self.k)))
 
     def __repr__(self):
         return "TorusAction(k=%d, g=%d, exponents=%r)" % (self.k, self.g, self.exponents)
@@ -113,7 +107,8 @@ def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
         raise ConditionViolated(
             "exponents must be positive, got (%d, %d, %d)" % (lam0, lam1, lam2)
         )
-    wa, wb, wc = g ** lam0, g ** lam1, g ** lam2
+    action = TorusAction(k, g, (lam0, lam1, lam2))
+    wa, wb, wc = action.coordinate_weights
     if not wb > k * wc:
         raise ConditionViolated(
             "condition (2) fails: g^%d > %d*g^%d is false (%d > %d*%d)"
@@ -124,7 +119,7 @@ def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
             "condition (1) fails: g^%d > %d*g^%d is false (%d > %d*%d)"
             % (lam0, k, lam1, wa, k, wb)
         )
-    return TorusAction(k, g, (lam0, lam1, lam2))
+    return action
 
 
 class PartitionTriple:
@@ -198,9 +193,9 @@ def _chart_positions(chart, parts, k):
     return positions
 
 
-def outside_positions(triple, k):
+def outside_positions(triple):
     """The ascending 1-based positions in monomial_basis(k) of the degree-k
-    monomials outside the ideal of a fixed point of total size k.
+    monomials outside the ideal of a fixed point, k its total size.
 
     X_0^a X_1^b X_2^c lies outside exactly when (b, c) is a box of mu0,
     (a, c) a box of mu1 or (a, b) a box of mu2, so the positions are a
@@ -208,9 +203,10 @@ def outside_positions(triple, k):
     of all C(k+2, 2) monomials.  Since k bounds the regularity there are
     exactly k of them; any other count trips InternalInvariantViolation.
 
-    >>> outside_positions(PartitionTriple.parse("1;1;"), 2)
+    >>> outside_positions(PartitionTriple.parse("1;1;"))
     (3, 6)
     """
+    k = triple.size
     found = set()
     for chart, mu in enumerate(triple.parts):
         found.update(_chart_positions(chart, mu.parts, k))
@@ -234,7 +230,7 @@ def degree_k_part(triple, k):
     if k < 1:
         raise InvalidDegree("k must be at least 1, got %d" % k)
     n = comb(k + 2, 2)
-    outside = set(outside_positions(triple, k))
+    outside = set(outside_positions(triple))
     return FixedSubspace(tuple(i for i in range(1, n + 1) if i not in outside), n)
 
 
@@ -325,11 +321,12 @@ def _check_charts_disjoint(k, masks):
 
 
 def chart_tables(action):
-    """The negative tangent-weight count of every diagram with at most
-    k = action.k boxes at each coordinate point: one dict per chart, keyed
-    by the diagram's parts.  A fixed point's cell dimension is the sum of
-    its three charts' counts.  Each (chart, diagram) is walked once per
-    call, and nothing is kept between calls.
+    """Per chart, the count polynomials H_0..H_k of the diagrams with at
+    most k = action.k boxes at that coordinate point: q^c in H_s counts
+    the diagrams of size s with c negative tangent weights.  A fixed
+    point's cell dimension is the sum of its three charts' counts.  Each
+    (chart, diagram) is walked once per call, and nothing is kept between
+    calls.
 
     Every Gotzmann image of degree k is checked on the way.  A triple's
     image has exactly k monomials outside when each chart's diagram puts
@@ -340,16 +337,17 @@ def chart_tables(action):
     failed check or a zero weight raises InternalInvariantViolation
     naming a triple that meets it.
 
-    >>> chart_tables(build_torus_action(1))
-    ({(): 0, (1,): 0}, {(): 0, (1,): 1}, {(): 0, (1,): 2})
+    >>> [[h.coeffs for h in chart] for chart in chart_tables(build_torus_action(1))]
+    [[(1,), (1,)], [(1,), (0, 1)], [(1,), (0, 0, 1)]]
     """
     k = action.k
     of_size = [partitions_in_box(s, s, s) for s in range(k + 1)]
     tables, masks = [], []
     for chart, phis in enumerate(_chart_weights(action)):
-        # masks[chart][s] pairs each diagram of size s with its outside
-        # positions as a bit mask
-        table, by_size = {}, [[] for _ in of_size]
+        # counts[s][c]: the chart's diagrams of size s with count c;
+        # masks[chart][s] pairs each of them with its outside positions
+        # as a bit mask
+        counts, by_size = [[0] * (2 * s + 1) for s in range(k + 1)], [[] for _ in of_size]
         for s, diagrams in enumerate(of_size):
             for mu in diagrams:
                 count = 0
@@ -366,9 +364,9 @@ def chart_tables(action):
                         "%s: chart %s puts %d distinct degree-%d monomials outside, expected %d"
                         % (_witness(k, {chart: mu}), _CHART_NAMES[chart], distinct, k, s)
                     )
-                table[mu.parts] = count
+                counts[s][count] += 1
                 by_size[s].append((mu, mask))
-        tables.append(table)
+        tables.append(tuple(map(IntegerPolynomial, counts)))
         masks.append(by_size)
     _check_charts_disjoint(k, masks)
     return tuple(tables)
@@ -379,7 +377,7 @@ def hilb_minus_cell_dimension(triple, action):
     in under t -> 0, after the Gotzmann image is checked as
     outside_positions does."""
     negative = sum(w < 0 for w in tangent_weights(triple, action))
-    outside_positions(triple, action.k)
+    outside_positions(triple)
     return negative
 
 

@@ -124,13 +124,6 @@ def minus_cell_dimension(point, ws):
     return sum(map(rank.__getitem__, point.indices)) - comb(point.dim, 2)
 
 
-def plus_cell_dimension(point, ws):
-    """Dimension of the cell flowing in under t -> infinity: the pairs
-    (i in I, j not in I) with a_j > a_i.  The weights are distinct, so every
-    pair not counted by minus_cell_dimension is counted here."""
-    return point.dim * (point.n - point.dim) - minus_cell_dimension(point, ws)
-
-
 def poincare_from_cells(ws, k):
     """Poincare polynomial in q of Gr(n-k, V), n = ws.n, as the cell
     generating function sum over fixed points of q^minus_cell_dimension,

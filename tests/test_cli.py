@@ -194,6 +194,15 @@ class TestHilb:
         assert main(["hilb", "schur-basis", "--k", "2"]) == 0
         assert "p=4: (2,2) (2,1,1)" in capsys.readouterr().out.splitlines()
 
+    def test_betti_help_names_the_cell_route(self, capsys):
+        # hilb betti counts attracting cells (hilb_betti); the fixed-point
+        # filtration is the Grassmannian route
+        with pytest.raises(SystemExit):
+            main(["hilb", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "betti Betti numbers from the attracting cells" in out
+        assert "filtration" not in out
+
     def test_schur_basis_json(self, capsys):
         assert main(["hilb", "schur-basis", "--k", "2", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -334,7 +334,7 @@ class TestFullSetRoute:
             assert triple.size == k
             assert triple.parts[a].size and triple.parts[b].size
             with pytest.raises(InternalInvariantViolation):
-                outside_positions(triple, k)
+                outside_positions(triple)
         # k = 1 has no triple with boxes at two points
         assert hilb_betti(1).betti == (1, 1, 1)
 
@@ -373,7 +373,7 @@ class TestFullSetRoute:
             triple = PartitionTriple.parse(str(caught.value).split(":")[0])
             assert triple.size == k
             with pytest.raises(InternalInvariantViolation):
-                outside_positions(triple, k)
+                outside_positions(triple)
 
 
 class TestBettiTable:

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cohomix import gotzmann
-from cohomix.algebra import jordan_type
+from cohomix.algebra import IntegerPolynomial, jordan_type, partitions_in_box
 from cohomix.errors import (
     ConditionViolated,
     InternalInvariantViolation,
@@ -149,6 +149,22 @@ class TestTorusAction:
     def test_worked_weights(self):
         action = build_torus_action(2, 3, 3, 2, 1)
         assert action.weight_system().weights == (6, 12, 18, 30, 36, 54)
+        assert action.coordinate_weights == (27, 9, 3)
+        assert TorusAction(3, 5, (1, 2, 3)).coordinate_weights == (5, 25, 125)
+
+    def test_weight_system_is_linear_in_the_exponents(self):
+        # X_0^a X_1^b X_2^c weighs a*w0 + b*w1 + c*w2 with w_i = g^lambda_i,
+        # under the default exponents and under others
+        for k in range(1, 7):
+            actions = (
+                build_torus_action(k),
+                build_torus_action(k, k + 3, 4, 2, 1),
+                TorusAction(k, k + 1, (1, 2, 3)),
+            )
+            for action in actions:
+                w0, w1, w2 = (action.g ** e for e in action.exponents)
+                expected = tuple(a * w0 + b * w1 + c * w2 for a, b, c in monomial_basis(k))
+                assert action.weight_system().weights == expected
 
     def test_condition_two_failure(self):
         with pytest.raises(ConditionViolated) as exc:
@@ -313,18 +329,20 @@ class TestDegreeKPart:
             everything = set(range(1, len(monomial_basis(k)) + 1))
             for t in enumerate_hilb_fixed_points(k):
                 expected = tuple(sorted(everything - set(reference_padded_scan(t, k))))
-                assert outside_positions(t, k) == expected
+                assert outside_positions(t) == expected
 
     def test_outside_positions_wrong_count_raises(self, monkeypatch):
-        # a triple of size k - 1 leaves only k - 1 monomials outside
+        # a chart entry that loses its position leaves k - 1 monomials
+        # outside, and one that gains a position leaves k + 1
+        real = gotzmann._chart_positions
+        monkeypatch.setattr(gotzmann, "_chart_positions", lambda *args: real(*args)[:-1])
         with pytest.raises(InternalInvariantViolation):
-            outside_positions(PartitionTriple.parse("1;;"), 2)
-        # a corrupted chart entry is caught the same way
+            outside_positions(PartitionTriple.parse("1;;"))
         monkeypatch.setattr(
             gotzmann, "_chart_positions", lambda chart, parts, k: (1, 2) if parts else ()
         )
         with pytest.raises(InternalInvariantViolation):
-            outside_positions(PartitionTriple.parse("1;;"), 1)
+            outside_positions(PartitionTriple.parse("1;;"))
 
     def test_weights_consistent_with_ambient(self):
         # the action's weights at the image indices are the monomial weights
@@ -333,11 +351,12 @@ class TestDegreeKPart:
         action = build_torus_action(k)
         ws = action.weight_system()
         basis = monomial_basis(k)
+        w0, w1, w2 = action.g ** 3, action.g ** 2, action.g
         for t in enumerate_hilb_fixed_points(k):
             image = degree_k_part(t, k)
             got = ws.at(image.indices)
             expected = tuple(
-                action.monomial_weight(basis[i - 1]) for i in image.indices
+                a * w0 + b * w1 + c * w2 for a, b, c in (basis[i - 1] for i in image.indices)
             )
             assert got == expected
 
@@ -413,7 +432,7 @@ class TestTangentWeights:
             for t, k in ((t3, 3), (t4, 4)):
                 everything = set(range(1, len(monomial_basis(k)) + 1))
                 expected = tuple(sorted(everything - set(reference_padded_scan(t, k))))
-                assert outside_positions(t, k) == expected
+                assert outside_positions(t) == expected
 
     def test_gotzmann_image_checked_per_triple(self, monkeypatch):
         # a chart that loses an outside monomial leaves k - 1 of them
@@ -423,6 +442,23 @@ class TestTangentWeights:
         for t in enumerate_hilb_fixed_points(3):
             with pytest.raises(InternalInvariantViolation):
                 hilb_minus_cell_dimension(t, action)
+
+    def test_chart_tables_count_every_diagram_once(self):
+        # H_c,s at q = 1 is the number of partitions of s, and q^c in it
+        # counts the diagrams of size s whose triple, alone at chart c, has
+        # c negative weights
+        for k in range(1, 8):
+            for action in (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1)):
+                for chart, table in enumerate(gotzmann.chart_tables(action)):
+                    assert len(table) == k + 1
+                    for s, h in enumerate(table):
+                        assert h(1) == partitions_count(s)
+                        expected = [0] * (2 * s + 1)
+                        for mu in partitions_in_box(s, s, s):
+                            parts = [(), (), ()]
+                            parts[chart] = mu
+                            expected[reference_negative_count(PartitionTriple(*parts), action)] += 1
+                        assert h == IntegerPolynomial(expected)
 
     def test_chart_zero_weight_signalled(self):
         triple = PartitionTriple.parse("2;;1")

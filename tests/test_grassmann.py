@@ -30,7 +30,6 @@ from cohomix.grassmann import (
     graded_dimensions,
     minus_cell_dimension,
     ordinary_presentation,
-    plus_cell_dimension,
     poincare_from_cells,
     poincare_from_regular_sequence,
     specialize_v,
@@ -132,28 +131,33 @@ class TestCellDimensions:
         assert minus_cell_dimension(largest, ws) == 4
 
     def test_plus_minus_duality(self):
+        # the cells flowing in under t -> 0 and t -> infinity, the latter
+        # the minus cell under the negated weights, fill the dimension
         ws = WeightSystem.principal(6)
+        flipped = WeightSystem([-a for a in ws.weights])
         for pt in enumerate_fixed_subspaces(6, 2):
-            assert minus_cell_dimension(pt, ws) + plus_cell_dimension(pt, ws) == 8
+            assert minus_cell_dimension(pt, ws) + minus_cell_dimension(pt, flipped) == 8
 
     def test_plus_is_minus_of_negated_weights(self):
-        # an independent route: the plus cell under ws is the minus cell
-        # under the negated weights
+        # an independent route: the plus cell under ws, the pairs the minus
+        # cell leaves out, is the minus cell under the negated weights
         for ws in (WeightSystem.principal(6), WeightSystem((5, -2, 9, 0, 3, 11))):
             flipped = WeightSystem([-a for a in ws.weights])
             for pt in enumerate_fixed_subspaces(6, 3):
-                assert plus_cell_dimension(pt, ws) == minus_cell_dimension(pt, flipped)
+                plus = pt.dim * (pt.n - pt.dim) - minus_cell_dimension(pt, ws)
+                assert plus == minus_cell_dimension(pt, flipped)
 
 
     def test_rank_sum_matches_pair_count(self):
         weights = random.Random(7).sample(range(-40, 40), 9)
         assert min(weights) < 0 < max(weights)
         ws = WeightSystem(weights)
+        flipped = WeightSystem([-a for a in weights])
         cells = [0] * 21
         for pt in enumerate_fixed_subspaces(9, 4):
             d = reference_minus_cells(pt, weights)
             assert minus_cell_dimension(pt, ws) == d
-            assert plus_cell_dimension(pt, ws) == 20 - d
+            assert pt.dim * (pt.n - pt.dim) - d == minus_cell_dimension(pt, flipped) == 20 - d
             cells[d] += 1
         assert poincare_from_cells(ws, 4).coefficient_list() == cells
 
