@@ -62,8 +62,8 @@ def _cmd_grass_presentation(args):
         "relations": relations,
     }
     lines = [
-        "variables: " + " ".join(pres.variables),
-        "degrees: " + " ".join(str(d) for d in pres.degrees),
+        " ".join(("variables:",) + pres.variables),
+        " ".join(["degrees:"] + [str(d) for d in pres.degrees]),
     ]
     for var, rel in zip(pres.variables, relations):
         lines.append("relation %s: %s" % (var, rel))

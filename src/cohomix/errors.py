@@ -40,4 +40,4 @@ class BoxViolation(ValueError):
 
 
 class InternalInvariantViolation(RuntimeError):
-    """An internal cross-check failed; indicates a bug, not bad input."""
+    """An internal cross-check failed (a zero tangent weight, say): a bug, not bad input."""

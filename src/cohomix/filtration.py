@@ -194,8 +194,6 @@ def hilb_betti(k, action=None):
     >>> hilb_betti(2)
     BettiTable(betti=(1, 2, 3, 2, 1), fixed_points=9)
     """
-    if k < 1:
-        raise InvalidDegree("k must be at least 1, got %d" % k)
     action = action or build_torus_action(k)
     if action.k != k:
         raise InvalidDegree("torus action built for k=%d, expected k=%d" % (action.k, k))

@@ -52,21 +52,47 @@ def monomial_label(monomial):
 
 
 class TorusAction:
-    """A one-parameter torus acting by X_i -> t^(g^lambda_i) X_i, with the
-    exponents arranged so the induced weights on degree-k monomials are
-    pairwise distinct and generic enough to isolate the fixed points.
+    """A one-parameter torus acting by X_i -> t^(g^lambda_i) X_i on R_k.
 
-    Constructed through build_torus_action, which checks the two
-    genericity inequalities on coordinate_weights, the g^lambda_i.
+    k, g and the exponents are read through operator.index and checked
+    here, in order: k >= 1 (else InvalidDegree), g > 1, positive
+    exponents, (2) g^lam1 > c*g^lam2 for 0 <= c <= k, and (1) g^lam0 >
+    a*g^lam1 + b*g^lam2 for all a + b = k; a failure raises
+    ConditionViolated naming it with the offending numbers.  Each
+    condition is one comparison, at its extreme case.  Since g^lam2 > 0,
+    c*g^lam2 grows with c, so (2) holds exactly when g^lam1 > k*g^lam2, at
+    c = k.  Given (2), g^lam1 > k*g^lam2 >= g^lam2, so a*g^lam1 +
+    (k - a)*g^lam2 = k*g^lam2 + a*(g^lam1 - g^lam2) grows with a, and (1)
+    holds exactly when g^lam0 > k*g^lam1, at a = k.  The induced weights
+    on degree-k monomials are then pairwise distinct: g^lam1 > g^lam2 > 0,
+    so by (1) a higher X_0-exponent always weighs more, and at equal
+    X_0-exponents two weights differ by a nonzero multiple of g^lam1 -
+    g^lam2.  No tangent weight is zero, so a zero one is a bug: each is
+    m*D + e*E, m and e integers not both 0, D = g^lam0 - g^lam1 >
+    (k-1)*g^lam1 by (1), 0 < E = g^lam1 - g^lam2 < g^lam1, and |e| <= k-1
+    where m and e differ in sign, so then |e*E| < |m*D|.
     """
 
     __slots__ = ("k", "g", "exponents", "coordinate_weights")
 
     def __init__(self, k, g, exponents):
-        self.k = k
-        self.g = g
-        self.exponents = tuple(exponents)
-        self.coordinate_weights = tuple(g ** e for e in self.exponents)
+        k = index(k)
+        if k < 1:
+            raise InvalidDegree("k must be at least 1, got %d" % k)
+        g, (lam0, lam1, lam2) = index(g), map(index, exponents)
+        lams = (lam0, lam1, lam2)
+        if g < 2:
+            raise ConditionViolated("need g > 1, got g=%d" % g)
+        if min(lams) < 1:
+            raise ConditionViolated("exponents must be positive, got %r" % (lams,))
+        weights = tuple(g ** lam for lam in lams)
+        for condition, i in ((2, 1), (1, 0)):  # weights[i] > k * weights[i + 1]
+            if not weights[i] > k * weights[i + 1]:
+                raise ConditionViolated(
+                    "condition (%d) fails: g^%d > %d*g^%d is false (%d > %d*%d)"
+                    % (condition, lams[i], k, lams[i + 1], weights[i], k, weights[i + 1])
+                )
+        self.k, self.g, self.exponents, self.coordinate_weights = k, g, lams, weights
 
     def weight_system(self):
         """Induced WeightSystem on the monomial basis of R_k: X_0^a X_1^b
@@ -79,47 +105,10 @@ class TorusAction:
 
 
 def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
-    """Validate and build the torus action for degree k.
-
-    Checks, in order: (2) g^lam1 > c*g^lam2 for 0 <= c <= k; then (1)
-    g^lam0 > a*g^lam1 + b*g^lam2 for all a + b = k.  A violated one raises
-    ConditionViolated naming it with the offending numbers.  Each is one
-    comparison, at its extreme case.  Since g^lam2 > 0, c*g^lam2 grows
-    with c, so (2) holds exactly when g^lam1 > k*g^lam2, at c = k.  Given
-    (2), g^lam1 > k*g^lam2 >= g^lam2, so a*g^lam1 + (k - a)*g^lam2 =
-    k*g^lam2 + a*(g^lam1 - g^lam2) grows with a, and (1) holds exactly when
-    g^lam0 > k*g^lam1, at a = k.  The induced weights on degree-k
-    monomials are then pairwise distinct: g^lam1 > g^lam2 > 0, so by (1) a
-    higher X_0-exponent always weighs more, and at equal X_0-exponents two
-    weights differ by a nonzero multiple of g^lam1 - g^lam2.
-
-    The default g = k+1 with exponents (3, 2, 1) always passes: digits of a
-    base-g expansion never exceed k < g.
-    """
-    if k < 1:
-        raise InvalidDegree("k must be at least 1, got %d" % k)
-    if g is None:
-        g = k + 1
-    g, lam0, lam1, lam2 = map(index, (g, lam0, lam1, lam2))
-    if g < 2:
-        raise ConditionViolated("need g > 1, got g=%d" % g)
-    if min(lam0, lam1, lam2) < 1:
-        raise ConditionViolated(
-            "exponents must be positive, got (%d, %d, %d)" % (lam0, lam1, lam2)
-        )
-    action = TorusAction(k, g, (lam0, lam1, lam2))
-    wa, wb, wc = action.coordinate_weights
-    if not wb > k * wc:
-        raise ConditionViolated(
-            "condition (2) fails: g^%d > %d*g^%d is false (%d > %d*%d)"
-            % (lam1, k, lam2, wb, k, wc)
-        )
-    if not wa > k * wb:
-        raise ConditionViolated(
-            "condition (1) fails: g^%d > %d*g^%d is false (%d > %d*%d)"
-            % (lam0, k, lam1, wa, k, wb)
-        )
-    return action
+    """TorusAction(k, g, (lam0, lam1, lam2)), which makes every check.  The
+    default g = k+1 with exponents (3, 2, 1) always passes: digits of a
+    base-g expansion never exceed k < g."""
+    return TorusAction(k, k + 1 if g is None else g, (lam0, lam1, lam2))
 
 
 class PartitionTriple:
@@ -271,8 +260,9 @@ def tangent_weights(triple, action):
 
     Boxes come row by row, mu0 then mu1 then mu2.  The leg of box (r, c),
     the number of boxes below it, is conj[c] - r - 1, where conj is the
-    conjugate partition.  All weights are nonzero for a valid action, so
-    fixed points are isolated.  An action built for another k than the
+    conjugate partition.  No weight of a TorusAction is zero (see there),
+    so fixed points are isolated, and a zero one, a bug, raises
+    InternalInvariantViolation.  An action built for another k than the
     triple's total size raises InvalidDegree.
     """
     if triple.size != action.k:
@@ -334,8 +324,8 @@ def chart_tables(action):
     (chart a, mu) and (chart b, nu) share a triple exactly when
     |mu| + |nu| <= k, so each (chart a, mu) is checked against the union
     of chart b's positions over diagrams of size at most k - |mu|.  A
-    failed check or a zero weight raises InternalInvariantViolation
-    naming a triple that meets it.
+    failed check or a zero weight (a bug: see TorusAction) raises
+    InternalInvariantViolation naming a triple that meets it.
 
     >>> [[h.coeffs for h in chart] for chart in chart_tables(build_torus_action(1))]
     [[(1,), (1,)], [(1,), (0, 1)], [(1,), (0, 0, 1)]]

@@ -90,17 +90,25 @@ class FixedSubspace:
         return "(%s)" % ", ".join(str(i) for i in self.indices)
 
 
+def _shape(n, k):
+    # The one rule for Gr(n-k, V), dim V = n, at every entry point: n and k
+    # read through operator.index, n >= 1 and 0 <= k <= n.
+    n, k = index(n), index(k)
+    if n < 1 or not 0 <= k <= n:
+        raise InvalidDimensions("need n >= 1 and 0 <= k <= n, got n=%d k=%d" % (n, k))
+    return n, k
+
+
 def enumerate_fixed_subspaces(n, k):
     """All fixed points of Gr(n-k, V), dim V = n, in lexicographic order of
-    index sets.  k = 0 and k = n are legal degenerate cases with a single
-    fixed point (the whole space resp. the origin)."""
+    index sets, for n >= 1 and 0 <= k <= n (else InvalidDimensions); k = 0
+    and k = n have one (the whole space resp. the origin)."""
     return [FixedSubspace(c, n) for c in _index_sets(n, k)]
 
 
 def _index_sets(n, k):
     # The (n-k)-subsets of 1..n, lexicographic, as tuples.
-    if not 0 <= k <= n:
-        raise InvalidDimensions("need 0 <= k <= n, got n=%d k=%d" % (n, k))
+    n, k = _shape(n, k)
     return combinations(range(1, n + 1), n - k)
 
 
@@ -167,9 +175,8 @@ def poincare_from_regular_sequence(degrees):
 
 def w_degree(i, j, n, k):
     """Cohomological degree of the generator w_{i,j}: (n-k) + j - i."""
-    i, j, n, k = map(index, (i, j, n, k))
-    if not 0 < k < n:
-        raise InvalidDimensions("need 0 < k < n, got n=%d k=%d" % (n, k))
+    n, k = _shape(n, k)
+    i, j = index(i), index(j)
     if not 1 <= i <= n - k:
         raise IndexOutOfRange("i=%d outside 1..%d" % (i, n - k))
     if not 1 <= j <= k:
@@ -179,9 +186,8 @@ def w_degree(i, j, n, k):
 
 def generator_variables(n, k):
     """The ordered variable tuple ('w_1_1', ..., 'w_{n-k}_k'), i ascending
-    then j ascending."""
-    if not 0 < k < n:
-        raise InvalidDimensions("need 0 < k < n, got n=%d k=%d" % (n, k))
+    then j ascending; the same n, k as generator_degrees."""
+    n, k = _shape(n, k)
     return tuple(
         "w_%d_%d" % (i, j) for i in range(1, n - k + 1) for j in range(1, k + 1)
     )
@@ -191,8 +197,7 @@ def generator_degrees(n, k):
     """The w_degree of every generator w_{i,j}, in generator_variables
     order.  Empty for the one-point Grassmannians k = 0 and k = n; any
     n < 1 or k outside 0..n raises InvalidDimensions."""
-    if n < 1 or not 0 <= k <= n:
-        raise InvalidDimensions("need n >= 1 and 0 <= k <= n, got n=%d k=%d" % (n, k))
+    n, k = _shape(n, k)
     return tuple(
         w_degree(i, j, n, k) for i in range(1, n - k + 1) for j in range(1, k + 1)
     )
@@ -288,7 +293,8 @@ def ordinary_presentation(n, k):
     """Presentation of the cohomology of Gr(n-k, V): generators w_{i,j} of
     degree (n-k) + j - i, and at each the relation of the field of N (see
     _riccati_field), - w_{i-1,j} - w_{i,1} * w_{n-k,j} + w_{i,j+1}, whose
-    first term is absent at i = 1 and last at j = k."""
+    first term is absent at i = 1 and last at j = k.  n >= 1 and
+    0 <= k <= n (else InvalidDimensions); k = 0 or n has no generators."""
     variables = generator_variables(n, k)
     relations = [MultiPoly(variables, terms) for terms in _riccati_field(n, k, False)]
     return GradedPresentation(variables, generator_degrees(n, k), relations)
@@ -299,7 +305,8 @@ def equivariant_presentation(n, k):
     appended last, and the relations of the field -(2N + vH) (see
     _riccati_field).  -vH adds a multiple of v * w_{i,j}: the relation at
     w_{i,j} is 2 * ((n-k) - (i-j)) * v * w_{i,j} - 2 * (ordinary relation),
-    of degree (n-k) + j - i + 1, and -2 times the ordinary one at v = 0."""
+    of degree (n-k) + j - i + 1, and -2 times the ordinary one at v = 0.
+    Same n, k as ordinary_presentation; k = 0 or n has v alone."""
     variables = generator_variables(n, k) + ("v",)
     relations = [MultiPoly(variables, terms) for terms in _riccati_field(n, k, True)]
     return GradedPresentation(variables, generator_degrees(n, k) + (1,), relations)
@@ -454,6 +461,9 @@ def graded_dimension(presentation, d):
 
 
 def graded_dimensions(presentation, top):
-    """Dimensions of the degree-0..top pieces as a list; top is read
-    through operator.index, like d in graded_dimension."""
-    return [graded_dimension(presentation, d) for d in range(index(top) + 1)]
+    """Dimensions of the degree-0..top pieces as a list; top is read like
+    d in graded_dimension, so a negative one raises InvalidDegree."""
+    top = index(top)
+    if top < 0:
+        raise InvalidDegree("degree must be nonnegative, got %d" % top)
+    return [graded_dimension(presentation, d) for d in range(top + 1)]

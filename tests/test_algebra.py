@@ -27,6 +27,7 @@ from cohomix.algebra import (
 from cohomix.errors import NotNilpotent
 from cohomix.filtration import BettiTable, filtration_betti, select_schur_basis
 from cohomix.gotzmann import (
+    TorusAction,
     build_torus_action,
     degree_k_part,
     enumerate_hilb_fixed_points,
@@ -38,6 +39,7 @@ from cohomix.grassmann import (
     WeightSystem,
     enumerate_fixed_subspaces,
     equivariant_presentation,
+    generator_variables,
     graded_dimension,
     graded_dimensions,
     ordinary_presentation,
@@ -346,6 +348,9 @@ class TestSchurPartitionInput:
         lambda: graded_dimension(ordinary_presentation(4, 2), Fraction(5, 2)),
         lambda: graded_dimension(ordinary_presentation(4, 2), 2.0),
         lambda: graded_dimensions(ordinary_presentation(4, 2), Fraction(2)),
+        lambda: TorusAction(Fraction(2), 3, (3, 2, 1)),
+        lambda: TorusAction(2, 3, (3.0, 2, 1)),
+        lambda: generator_variables(4, Fraction(2)),
     ],
     ids=[
         "WeightSystem",
@@ -389,6 +394,9 @@ class TestSchurPartitionInput:
         "graded_dimension-Fraction",
         "graded_dimension-float",
         "graded_dimensions-Fraction",
+        "TorusAction-k",
+        "TorusAction-exponent",
+        "generator_variables-whole-Fraction",
     ],
 )
 def test_non_integer_input_rejected_not_truncated(build):

@@ -80,6 +80,20 @@ class TestGrass:
         code, _out, err = run_cli(["grass", "presentation", "--n", "2", "--k", "5"])
         assert code == 2
         assert "error" in err
+        for n, k in ((0, 0), (4, -1)):
+            assert main(["grass", "presentation", "--n", str(n), "--k", str(k)]) == 2
+
+    def test_presentation_of_a_point(self, capsys):
+        # Gr(4, 4) (k = 0) is a point, as grass poincare already said: no
+        # generator and no relation, in both formats; the equivariant ring
+        # of the point Gr(0, 4) (k = 4) is v alone
+        assert main(["grass", "presentation", "--n", "4", "--k", "0"]) == 0
+        assert capsys.readouterr().out == "variables:\ndegrees:\n"
+        assert main(["grass", "presentation", "--n", "4", "--k", "0", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"variables": [], "degrees": [], "relations": []}
+        assert main(["grass", "presentation", "--n", "4", "--k", "4", "--equivariant"]) == 0
+        assert capsys.readouterr().out == "variables: v\ndegrees: 1\n"
 
 
 class TestHilb:

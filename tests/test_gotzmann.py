@@ -1,6 +1,7 @@
 """Hilbert-scheme fixed points, torus actions, embeddings, nilpotents."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -101,6 +102,17 @@ def reference_negative_count(triple, action):
     return negative
 
 
+def forge_coordinate_weights(monkeypatch, k, weights):
+    # fault injection: no TorusAction has a zero tangent weight, so every
+    # chart weight is read off the forged coordinate weights instead.
+    # Returns a valid action for k, and the forged weights for the
+    # reference formulas.
+    forged = SimpleNamespace(coordinate_weights=weights)
+    real = gotzmann._chart_weights
+    monkeypatch.setattr(gotzmann, "_chart_weights", lambda action: real(forged))
+    return build_torus_action(k), forged
+
+
 def count_histogram(triples, action, k):
     # b_p: how many of the triples have reference_negative_count p
     betti = [0] * (2 * k + 1)
@@ -150,7 +162,7 @@ class TestTorusAction:
         action = build_torus_action(2, 3, 3, 2, 1)
         assert action.weight_system().weights == (6, 12, 18, 30, 36, 54)
         assert action.coordinate_weights == (27, 9, 3)
-        assert TorusAction(3, 5, (1, 2, 3)).coordinate_weights == (5, 25, 125)
+        assert TorusAction(3, 5, (5, 3, 1)).coordinate_weights == (3125, 125, 5)
 
     def test_weight_system_is_linear_in_the_exponents(self):
         # X_0^a X_1^b X_2^c weighs a*w0 + b*w1 + c*w2 with w_i = g^lambda_i,
@@ -159,7 +171,7 @@ class TestTorusAction:
             actions = (
                 build_torus_action(k),
                 build_torus_action(k, k + 3, 4, 2, 1),
-                TorusAction(k, k + 1, (1, 2, 3)),
+                TorusAction(k, k + 2, (5, 3, 1)),
             )
             for action in actions:
                 w0, w1, w2 = (action.g ** e for e in action.exponents)
@@ -226,12 +238,25 @@ class TestTorusAction:
         assert len(cases) == 49049
         for k, g, *lams in cases:
             expected = loops(k, g, *lams)
-            try:
-                build_torus_action(k, g, *lams)
-            except ConditionViolated as exc:
-                assert expected and str(exc).startswith(expected), (k, g, lams, str(exc))
-            else:
-                assert expected is None, (k, g, lams, expected)
+            for build in (lambda: build_torus_action(k, g, *lams), lambda: TorusAction(k, g, lams)):
+                try:
+                    build()
+                except ConditionViolated as exc:
+                    assert expected and str(exc).startswith(expected), (k, g, lams, str(exc))
+                else:
+                    assert expected is None, (k, g, lams, expected)
+
+    def test_hand_built_action_checked_at_construction(self):
+        # a TorusAction built directly is refused where it is built, with
+        # the failure named, not later as a broken internal invariant
+        with pytest.raises(ConditionViolated, match=r"condition \(2\)"):
+            TorusAction(6, 5, (1, 2, 3))
+        with pytest.raises(ConditionViolated, match=r"condition \(2\)"):
+            TorusAction(2, 2, (1, 1, 1))
+        with pytest.raises(InvalidDegree, match="k must be at least 1"):
+            TorusAction(0, 2, (3, 2, 1))
+        with pytest.raises(TypeError):
+            TorusAction(2, 3.0, (3, 2, 1))
 
     def test_rejects_small_g(self):
         with pytest.raises(ConditionViolated):
@@ -422,7 +447,7 @@ class TestTangentWeights:
     def test_interleaved_actions_and_degrees_answer_independently(self):
         # no call keeps chart data for the next one: alternating two actions
         # of one k, or two values of k, gives each call its own answer
-        actions = (build_torus_action(3), TorusAction(3, 5, (1, 2, 3)))
+        actions = (build_torus_action(3), TorusAction(3, 5, (5, 3, 1)))
         for t in enumerate_hilb_fixed_points(3):
             for action in actions:
                 expected = reference_negative_count(t, action)
@@ -460,16 +485,16 @@ class TestTangentWeights:
                             expected[reference_negative_count(PartitionTriple(*parts), action)] += 1
                         assert h == IntegerPolynomial(expected)
 
-    def test_chart_zero_weight_signalled(self):
+    def test_chart_zero_weight_signalled(self, monkeypatch):
         triple = PartitionTriple.parse("2;;1")
-        action = TorusAction(3, 2, (2, 1, 1))
-        assert reference_negative_count(triple, action) is None
+        action, forged = forge_coordinate_weights(monkeypatch, 3, (4, 2, 2))
+        assert reference_negative_count(triple, forged) is None
         with pytest.raises(InternalInvariantViolation):
             hilb_minus_cell_dimension(triple, action)
 
-    def test_zero_weight_raises(self):
+    def test_zero_weight_raises(self, monkeypatch):
         # equal coordinate weights make every tangent weight zero
-        action = TorusAction(2, 2, (1, 1, 1))
+        action, _ = forge_coordinate_weights(monkeypatch, 2, (2, 2, 2))
         triple = PartitionTriple.parse("1;1;")
         with pytest.raises(InternalInvariantViolation):
             tangent_weights(triple, action)
@@ -478,12 +503,12 @@ class TestTangentWeights:
         with pytest.raises(InternalInvariantViolation):
             poincare_of_hilb(2, action)
 
-    def test_zero_weight_after_negative_raises(self):
+    def test_zero_weight_after_negative_raises(self, monkeypatch):
         # coordinate weights (4, 2, 2): the box at X_1 has weights (-2, 0),
         # so a count of negatives alone would answer 1
-        action = TorusAction(1, 2, (2, 1, 1))
+        action, forged = forge_coordinate_weights(monkeypatch, 1, (4, 2, 2))
         triple = PartitionTriple.parse(";1;")
-        assert reference_tangent_weights(triple, action) == (-2, 0)
+        assert reference_tangent_weights(triple, forged) == (-2, 0)
         with pytest.raises(InternalInvariantViolation):
             hilb_minus_cell_dimension(triple, action)
         with pytest.raises(InternalInvariantViolation):

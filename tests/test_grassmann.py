@@ -25,6 +25,7 @@ from cohomix.grassmann import (
     WeightSystem,
     enumerate_fixed_subspaces,
     equivariant_presentation,
+    generator_degrees,
     generator_variables,
     graded_dimension,
     graded_dimensions,
@@ -106,7 +107,8 @@ class TestFixedSubspaces:
                 FixedSubspace(indices, 4)
 
     def test_rejects_negative_n(self):
-        # n = 0 stays legal: enumerate_fixed_subspaces(0, 0) builds it
+        # n = 0 stays legal for a FixedSubspace, though no Grassmannian
+        # entry point builds one: they all need n >= 1
         assert FixedSubspace((), 0).dim == 0
         with pytest.raises(InvalidDimensions):
             FixedSubspace((), -1)
@@ -258,10 +260,55 @@ class TestWDegree:
             w_degree(0, 1, 4, 2)
         with pytest.raises(IndexOutOfRange):
             w_degree(1, 3, 4, 2)
-        with pytest.raises(InvalidDimensions):
+        # Gr(0, 2) is a point: the shape is legal, but it has no w_{1,1}
+        with pytest.raises(IndexOutOfRange):
             w_degree(1, 1, 2, 2)
+        assert generator_variables(2, 2) == ()
         with pytest.raises(InvalidDimensions):
-            generator_variables(2, 2)
+            w_degree(1, 1, 2, 3)
+
+
+# Every Grassmannian entry point, called at Gr(n-k, n)
+SHAPE_ENTRY_POINTS = {
+    "enumerate_fixed_subspaces": enumerate_fixed_subspaces,
+    "generator_variables": generator_variables,
+    "generator_degrees": generator_degrees,
+    "w_degree": lambda n, k: w_degree(1, 1, n, k),
+    "poincare_from_cells": lambda n, k: poincare_from_cells(WeightSystem.principal(n), k),
+    "ordinary_presentation": ordinary_presentation,
+    "equivariant_presentation": equivariant_presentation,
+}
+
+
+def _parts(pres):
+    return pres.variables, pres.degrees, pres.relations
+
+
+class TestShapeRule:
+    # one rule at every entry point: n >= 1 and 0 <= k <= n
+
+    @pytest.mark.parametrize("name", SHAPE_ENTRY_POINTS)
+    @pytest.mark.parametrize("n, k", [(0, 0), (3, -1), (3, 4)])
+    def test_outside_the_rule_raises(self, name, n, k):
+        with pytest.raises(InvalidDimensions):
+            SHAPE_ENTRY_POINTS[name](n, k)
+
+    @pytest.mark.parametrize("n, k", [(4, 0), (4, 4), (1, 0), (1, 1)])
+    def test_one_point_grassmannians(self, n, k):
+        # k = 0 (the whole space) and k = n (the origin): one fixed point,
+        # no generator, and the ring of a point
+        assert enumerate_fixed_subspaces(n, k) == [FixedSubspace(range(1, n - k + 1), n)]
+        assert generator_variables(n, k) == () == generator_degrees(n, k)
+        with pytest.raises(IndexOutOfRange):
+            w_degree(1, 1, n, k)
+        assert poincare_from_cells(WeightSystem.principal(n), k) == IntegerPolynomial([1])
+        ordinary = ordinary_presentation(n, k)
+        assert _parts(ordinary) == ((), (), ())
+        assert graded_dimensions(ordinary, 3) == [1, 0, 0, 0]
+        equivariant = equivariant_presentation(n, k)
+        assert _parts(equivariant) == (("v",), (1,), ())
+        assert graded_dimensions(equivariant, 3) == [1, 1, 1, 1]
+        assert _parts(specialize_v(equivariant)) == _parts(ordinary)
 
 
 def ordinary_relation(i, j, n, k):
@@ -410,6 +457,8 @@ class TestGradedDimension:
         assert graded_dimension(ordinary_presentation(4, 2), 0) == 1
         with pytest.raises(InvalidDegree):
             graded_dimension(ordinary_presentation(4, 2), -1)
+        with pytest.raises(InvalidDegree):
+            graded_dimensions(ordinary_presentation(4, 2), -1)
 
     def test_degree_with_no_monomial_is_zero(self):
         # x of degree 2 has no monomial in odd degree, where nothing lands
