@@ -420,8 +420,7 @@ def matrix_rank(matrix):
             bad = type(next(x for x in row if not hasattr(x, "denominator")))
             raise TypeError("expected int or Fraction entries, got %s" % bad.__name__) from None
         den = lcm(*dens)
-        row = [x.numerator * (den // d) for x, d in zip(row, dens)]
-        space.add({c: x for c, x in enumerate(row) if x})
+        space.add({c: x.numerator * (den // d) for c, (x, d) in enumerate(zip(row, dens)) if x})
     return space.rank
 
 

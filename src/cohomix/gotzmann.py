@@ -28,6 +28,15 @@ from .grassmann import FixedSubspace, WeightSystem
 _CHART_NAMES = ("X_0", "X_1", "X_2")
 
 
+def _degree(k):
+    # The one rule for k, the number of points of Hilb_k(P^2), at every
+    # entry point: k read through operator.index, k >= 1.
+    k = index(k)
+    if k < 1:
+        raise InvalidDegree("k must be at least 1, got %d" % k)
+    return k
+
+
 def monomial_basis(k):
     """The ordered monomial basis of R_k, the degree-k forms in three
     variables: the C(k+2, 2) exponent triples (a, b, c), a + b + c = k,
@@ -36,8 +45,7 @@ def monomial_basis(k):
     >>> monomial_basis(1)
     ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     """
-    if k < 1:
-        raise InvalidDegree("k must be at least 1, got %d" % k)
+    k = _degree(k)
     return tuple((a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1))
 
 
@@ -76,9 +84,7 @@ class TorusAction:
     __slots__ = ("k", "g", "exponents", "coordinate_weights")
 
     def __init__(self, k, g, exponents):
-        k = index(k)
-        if k < 1:
-            raise InvalidDegree("k must be at least 1, got %d" % k)
+        k = _degree(k)
         g, (lam0, lam1, lam2) = index(g), map(index, exponents)
         lams = (lam0, lam1, lam2)
         if g < 2:
@@ -104,11 +110,10 @@ class TorusAction:
         return "TorusAction(k=%d, g=%d, exponents=%r)" % (self.k, self.g, self.exponents)
 
 
-def build_torus_action(k, g=None, lam0=3, lam1=2, lam2=1):
-    """TorusAction(k, g, (lam0, lam1, lam2)), which makes every check.  The
-    default g = k+1 with exponents (3, 2, 1) always passes: digits of a
-    base-g expansion never exceed k < g."""
-    return TorusAction(k, k + 1 if g is None else g, (lam0, lam1, lam2))
+def build_torus_action(k, g=None):
+    """TorusAction(k, g, (3, 2, 1)), which makes every check.  The default
+    g = k+1 always passes: digits of a base-g expansion never exceed k < g."""
+    return TorusAction(k, k + 1 if g is None else g, (3, 2, 1))
 
 
 class PartitionTriple:
@@ -156,8 +161,7 @@ def enumerate_hilb_fixed_points(k):
     Hilb_k(P^2).  Deterministic order: size of mu0 ascending, then size of
     mu1 ascending, then each partition slot in descending lexicographic
     order."""
-    if k < 1:
-        raise InvalidDegree("k must be at least 1, got %d" % k)
+    k = _degree(k)
     of_size = [partitions_in_box(s, s, s) for s in range(k + 1)]
     return [
         PartitionTriple(mu0, mu1, mu2)
@@ -216,9 +220,7 @@ def degree_k_part(triple, k):
         raise InvalidDegree(
             "triple has total size %d, expected k=%d" % (triple.size, k)
         )
-    if k < 1:
-        raise InvalidDegree("k must be at least 1, got %d" % k)
-    n = comb(k + 2, 2)
+    n = comb(_degree(k) + 2, 2)
     outside = set(outside_positions(triple))
     return FixedSubspace(tuple(i for i in range(1, n + 1) if i not in outside), n)
 

@@ -314,7 +314,7 @@ class TestSchurPartitionInput:
         lambda: strip_cyclotomic_factors([1, 1.9, 1]),
         lambda: MultiPoly(("x",), {(1.7,): 1}),
         lambda: build_torus_action(2, 3.5),
-        lambda: build_torus_action(2, 3, 3, 2.0, 1),
+        lambda: TorusAction(2, 3, (3, 2.0, 1)),
         lambda: GradedPresentation(("x",), [1.5], []),
         lambda: BettiTable([1, 2.7, 1], 4),
         lambda: BettiTable([1, 2, 1], 4.9),

@@ -26,6 +26,7 @@ from cohomix.filtration import (
 )
 from cohomix.gotzmann import (
     PartitionTriple,
+    TorusAction,
     build_torus_action,
     degree_k_part,
     enumerate_hilb_fixed_points,
@@ -161,7 +162,7 @@ class TestHilbRoute:
         # under another generic action than the default one, which
         # TestFullSetRoute holds against the same product
         for k in range(1, 11):
-            table = hilb_betti(k, build_torus_action(k, k + 3, 4, 2, 1))
+            table = hilb_betti(k, TorusAction(k, k + 3, (4, 2, 1)))
             assert list(table.betti) == goettsche_betti(k, 2 * k)
 
     def test_palindromic_and_total(self):

@@ -1,6 +1,7 @@
 """Hilbert-scheme fixed points, torus actions, embeddings, nilpotents."""
 
 import itertools
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -149,17 +150,34 @@ class TestMonomialBasis:
             assert len(monomial_basis(k)) == (k + 2) * (k + 1) // 2
 
     def test_rejects_k0(self):
-        with pytest.raises(InvalidDegree):
-            monomial_basis(0)
-        with pytest.raises(InvalidDegree):
-            enumerate_hilb_fixed_points(0)
-        with pytest.raises(InvalidDegree):
-            build_torus_action(0)
+        # one rule for k at every Hilb_k(P^2) entry point: k < 1 raises
+        # InvalidDegree, and a float or Fraction k, even a whole one,
+        # raises TypeError
+        entry_points = (
+            monomial_basis,
+            enumerate_hilb_fixed_points,
+            lambda k: TorusAction(k, 5, (3, 2, 1)),
+            build_torus_action,
+            nilpotent_matrix_on_Rk,
+            jordan_regularity_check,
+        )
+        for enter in entry_points:
+            for k in (0, -1):
+                with pytest.raises(InvalidDegree, match="k must be at least 1"):
+                    enter(k)
+            for k in (2.0, Fraction(2)):
+                with pytest.raises(TypeError):
+                    enter(k)
+        # degree_k_part checks the triple's size first
+        with pytest.raises(InvalidDegree, match="k must be at least 1"):
+            degree_k_part(PartitionTriple.parse(";;"), 0)
+        with pytest.raises(TypeError):
+            degree_k_part(PartitionTriple.parse("1;1;"), 2.0)
 
 
 class TestTorusAction:
     def test_worked_weights(self):
-        action = build_torus_action(2, 3, 3, 2, 1)
+        action = TorusAction(2, 3, (3, 2, 1))
         assert action.weight_system().weights == (6, 12, 18, 30, 36, 54)
         assert action.coordinate_weights == (27, 9, 3)
         assert TorusAction(3, 5, (5, 3, 1)).coordinate_weights == (3125, 125, 5)
@@ -170,7 +188,7 @@ class TestTorusAction:
         for k in range(1, 7):
             actions = (
                 build_torus_action(k),
-                build_torus_action(k, k + 3, 4, 2, 1),
+                TorusAction(k, k + 3, (4, 2, 1)),
                 TorusAction(k, k + 2, (5, 3, 1)),
             )
             for action in actions:
@@ -180,19 +198,19 @@ class TestTorusAction:
 
     def test_condition_two_failure(self):
         with pytest.raises(ConditionViolated) as exc:
-            build_torus_action(2, 2, 3, 2, 1)
+            TorusAction(2, 2, (3, 2, 1))
         assert "condition (2)" in str(exc.value)
 
     def test_condition_one_failure(self):
         # (2) holds (16 > 3*4) but (1) fails (16 > 3*16 is false)
         with pytest.raises(ConditionViolated) as exc:
-            build_torus_action(3, 4, 2, 2, 1)
+            TorusAction(3, 4, (2, 2, 1))
         assert "condition (1)" in str(exc.value)
 
     def test_condition_two_checked_before_one(self):
         # k=2, g=2 violates both; the reported failure must be (2)
         with pytest.raises(ConditionViolated) as exc:
-            build_torus_action(2, 2, 3, 2, 1)
+            TorusAction(2, 2, (3, 2, 1))
         assert "condition (2)" in str(exc.value)
 
     def test_defaults_valid_through_k6(self):
@@ -210,7 +228,7 @@ class TestTorusAction:
             range(1, 9), range(2, 12), range(1, 6), range(1, 6), range(1, 6)
         ):
             try:
-                action = build_torus_action(k, g, *lams)
+                action = TorusAction(k, g, lams)
             except ConditionViolated:
                 continue
             weights = action.weight_system().weights
@@ -238,13 +256,12 @@ class TestTorusAction:
         assert len(cases) == 49049
         for k, g, *lams in cases:
             expected = loops(k, g, *lams)
-            for build in (lambda: build_torus_action(k, g, *lams), lambda: TorusAction(k, g, lams)):
-                try:
-                    build()
-                except ConditionViolated as exc:
-                    assert expected and str(exc).startswith(expected), (k, g, lams, str(exc))
-                else:
-                    assert expected is None, (k, g, lams, expected)
+            try:
+                TorusAction(k, g, lams)
+            except ConditionViolated as exc:
+                assert expected and str(exc).startswith(expected), (k, g, lams, str(exc))
+            else:
+                assert expected is None, (k, g, lams, expected)
 
     def test_hand_built_action_checked_at_construction(self):
         # a TorusAction built directly is refused where it is built, with
@@ -260,9 +277,9 @@ class TestTorusAction:
 
     def test_rejects_small_g(self):
         with pytest.raises(ConditionViolated):
-            build_torus_action(2, 1, 3, 2, 1)
+            TorusAction(2, 1, (3, 2, 1))
         with pytest.raises(ConditionViolated, match="exponents must be positive"):
-            build_torus_action(2, 3, 0, 2, 1)
+            TorusAction(2, 3, (0, 2, 1))
 
 
 class TestPartitionTriple:
@@ -416,7 +433,7 @@ class TestTangentWeights:
 
     def test_matches_row_scan_formula(self):
         for k in range(1, 8):
-            actions = (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1))
+            actions = (build_torus_action(k), TorusAction(k, k + 3, (4, 2, 1)))
             for action in actions:
                 for t in enumerate_hilb_fixed_points(k):
                     expected = reference_tangent_weights(t, action)
@@ -427,7 +444,7 @@ class TestTangentWeights:
 
     def test_chart_sum_matches_box_weight_count(self):
         for k in range(1, 9):
-            actions = (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1))
+            actions = (build_torus_action(k), TorusAction(k, k + 3, (4, 2, 1)))
             for action in actions:
                 for t in enumerate_hilb_fixed_points(k):
                     expected = reference_negative_count(t, action)
@@ -438,7 +455,7 @@ class TestTangentWeights:
         # the call's own action
         for k in range(1, 7):
             triples = enumerate_hilb_fixed_points(k)
-            for action in (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1)):
+            for action in (build_torus_action(k), TorusAction(k, k + 3, (4, 2, 1))):
                 expected = count_histogram(triples, action, k)
                 table = hilb_betti(k, action)
                 assert table.betti == expected
@@ -473,7 +490,7 @@ class TestTangentWeights:
         # counts the diagrams of size s whose triple, alone at chart c, has
         # c negative weights
         for k in range(1, 8):
-            for action in (build_torus_action(k), build_torus_action(k, k + 3, 4, 2, 1)):
+            for action in (build_torus_action(k), TorusAction(k, k + 3, (4, 2, 1))):
                 for chart, table in enumerate(gotzmann.chart_tables(action)):
                     assert len(table) == k + 1
                     for s, h in enumerate(table):
@@ -519,7 +536,7 @@ class TestTangentWeights:
     def test_histogram_independent_of_exponents(self, lams):
         k = 2
         try:
-            action = build_torus_action(k, k + 1, *lams)
+            action = TorusAction(k, k + 1, lams)
         except ConditionViolated:
             return
         dims = sorted(

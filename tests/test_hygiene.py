@@ -490,10 +490,8 @@ def test_reader_sees_defaults_and_their_setters():
 def test_every_defaulted_parameter_has_a_setter():
     # A default that no call in the package, the demos or the benchmark
     # ever overrides is a parameter that only tests set.  Tests do not count
-    # as setters, and callees match by name only.  The one exception kept
-    # on purpose: build_torus_action's exponents, the paper's lambda_i,
-    # which a caller may choose but none does.  A new one fails here until
-    # it gets a setter or is listed.
+    # as setters, and callees match by name only.  A new one fails here
+    # until it gets a setter or goes.
     import cohomix
 
     setters = set().union(
@@ -510,8 +508,4 @@ def test_every_defaulted_parameter_has_a_setter():
         )
         if not is_set(setters, callee, name, position)
     ]
-    assert unset == [
-        "build_torus_action.lam0",
-        "build_torus_action.lam1",
-        "build_torus_action.lam2",
-    ]
+    assert unset == []
