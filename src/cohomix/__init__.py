@@ -10,122 +10,90 @@ forms, Betti numbers from the fixed-point filtration of a Grassmannian and
 the attracting cells of Hilb_k(P^2), equivariant localization, and two
 obstructions to regularity of group actions (cyclotomic roots, nilpotent
 Jordan type).
+
+`import cohomix` loads none of its modules.  A public name, or a module
+such as `cohomix.algebra`, is imported on first access (PEP 562) and then
+kept in the package namespace, so a command or script compiles only the
+modules it uses.
 """
 
-from .algebra import (
-    IntegerPolynomial,
-    MultiPoly,
-    Partition,
-    RationalMatrix,
-    jordan_type,
-    matrix_rank,
-    partitions_in_box,
-    schur_evaluate,
-    strip_cyclotomic_factors,
-)
-from .equivariant import localization_rank_check
-from .errors import (
-    BoxViolation,
-    ConditionViolated,
-    IndexOutOfRange,
-    InternalInvariantViolation,
-    InvalidDegree,
-    InvalidDimensions,
-    NotNilpotent,
-    NotPolynomial,
-)
-from .filtration import (
-    INCONCLUSIVE,
-    NOT_REGULAR,
-    BettiTable,
-    SchurBasisSelection,
-    b2_regularity_verdict,
-    filtration_betti,
-    hilb_betti,
-    poincare_of_hilb,
-    select_schur_basis,
-)
-from .gotzmann import (
-    PartitionTriple,
-    TorusAction,
-    build_torus_action,
-    degree_k_part,
-    enumerate_hilb_fixed_points,
-    hilb_minus_cell_dimension,
-    jordan_regularity_check,
-    monomial_basis,
-    monomial_label,
-    nilpotent_matrix_on_Rk,
-    tangent_weights,
-)
-from .grassmann import (
-    FixedSubspace,
-    GradedPresentation,
-    WeightSystem,
-    enumerate_fixed_subspaces,
-    equivariant_presentation,
-    graded_dimension,
-    graded_dimensions,
-    minus_cell_dimension,
-    ordinary_presentation,
-    poincare_from_cells,
-    poincare_from_regular_sequence,
-    specialize_v,
-    w_degree,
-)
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BettiTable",
-    "BoxViolation",
-    "ConditionViolated",
-    "FixedSubspace",
-    "GradedPresentation",
-    "INCONCLUSIVE",
-    "IndexOutOfRange",
-    "IntegerPolynomial",
-    "InternalInvariantViolation",
-    "InvalidDegree",
-    "InvalidDimensions",
-    "MultiPoly",
-    "NOT_REGULAR",
-    "NotNilpotent",
-    "NotPolynomial",
-    "Partition",
-    "PartitionTriple",
-    "RationalMatrix",
-    "SchurBasisSelection",
-    "TorusAction",
-    "WeightSystem",
-    "b2_regularity_verdict",
-    "build_torus_action",
-    "degree_k_part",
-    "enumerate_fixed_subspaces",
-    "enumerate_hilb_fixed_points",
-    "equivariant_presentation",
-    "filtration_betti",
-    "graded_dimension",
-    "graded_dimensions",
-    "hilb_betti",
-    "hilb_minus_cell_dimension",
-    "jordan_regularity_check",
-    "jordan_type",
-    "localization_rank_check",
-    "matrix_rank",
-    "minus_cell_dimension",
-    "monomial_basis",
-    "monomial_label",
-    "nilpotent_matrix_on_Rk",
-    "ordinary_presentation",
-    "partitions_in_box",
-    "poincare_from_cells",
-    "poincare_from_regular_sequence",
-    "poincare_of_hilb",
-    "schur_evaluate",
-    "select_schur_basis",
-    "specialize_v",
-    "strip_cyclotomic_factors",
-    "tangent_weights",
-    "w_degree",
-]
+# Every public name and the module that defines it, in the order of __all__.
+_OWNER = {
+    "BettiTable": "filtration",
+    "BoxViolation": "errors",
+    "ConditionViolated": "errors",
+    "FixedSubspace": "grassmann",
+    "GradedPresentation": "grassmann",
+    "INCONCLUSIVE": "filtration",
+    "IndexOutOfRange": "errors",
+    "IntegerPolynomial": "algebra",
+    "InternalInvariantViolation": "errors",
+    "InvalidDegree": "errors",
+    "InvalidDimensions": "errors",
+    "MultiPoly": "algebra",
+    "NOT_REGULAR": "filtration",
+    "NotNilpotent": "errors",
+    "NotPolynomial": "errors",
+    "Partition": "algebra",
+    "PartitionTriple": "gotzmann",
+    "RationalMatrix": "algebra",
+    "SchurBasisSelection": "filtration",
+    "TorusAction": "gotzmann",
+    "WeightSystem": "grassmann",
+    "b2_regularity_verdict": "filtration",
+    "build_torus_action": "gotzmann",
+    "degree_k_part": "gotzmann",
+    "enumerate_fixed_subspaces": "grassmann",
+    "enumerate_hilb_fixed_points": "gotzmann",
+    "equivariant_presentation": "grassmann",
+    "filtration_betti": "filtration",
+    "graded_dimension": "grassmann",
+    "graded_dimensions": "grassmann",
+    "hilb_betti": "filtration",
+    "hilb_minus_cell_dimension": "gotzmann",
+    "jordan_regularity_check": "gotzmann",
+    "jordan_type": "algebra",
+    "localization_rank_check": "equivariant",
+    "matrix_rank": "algebra",
+    "minus_cell_dimension": "grassmann",
+    "monomial_basis": "gotzmann",
+    "monomial_label": "gotzmann",
+    "nilpotent_matrix_on_Rk": "gotzmann",
+    "ordinary_presentation": "grassmann",
+    "partitions_in_box": "algebra",
+    "poincare_from_cells": "grassmann",
+    "poincare_from_regular_sequence": "grassmann",
+    "poincare_of_hilb": "filtration",
+    "schur_evaluate": "algebra",
+    "select_schur_basis": "filtration",
+    "specialize_v": "grassmann",
+    "strip_cyclotomic_factors": "algebra",
+    "tangent_weights": "gotzmann",
+    "w_degree": "grassmann",
+}
+
+_MODULES = frozenset(_OWNER.values())
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    owner = _OWNER.get(name)
+    if owner is None and name not in _MODULES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    # __import__, unlike importlib.import_module, takes the path that
+    # -X importtime reports, so the start-up checks see this load too
+    qualified = "%s.%s" % (__name__, owner or name)
+    __import__(qualified)
+    module = sys.modules[qualified]
+    value = module if owner is None else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_MODULES})

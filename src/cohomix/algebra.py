@@ -7,13 +7,13 @@ small integer determinants at integer points, and RowSpace reduces
 sparse integer rows, each a dict of its nonzero entries built where the
 row is born.  fractions.Fraction enters at one edge only: matrix rows,
 for matrix_rank and RationalMatrix; matrix_rank scales its rows to
-integers once on the way in.  Nothing in this package touches floating
-point: a float point, matrix entry, or polynomial coefficient, value or
-scalar raises TypeError, and so does a Fraction Schur point, polynomial
-coefficient, value or scalar.
+integers once on the way in, and only the gate that builds a
+RationalMatrix row imports fractions.  Nothing in this package touches
+floating point: a float point, matrix entry, or polynomial coefficient,
+value or scalar raises TypeError, and so does a Fraction Schur point,
+polynomial coefficient, value or scalar.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
@@ -147,13 +147,18 @@ def partitions_in_box(max_parts, max_part, size):
             return out
 
 
-def _fraction(c):
-    # The one gate for a RationalMatrix entry: an int or a Fraction comes
-    # back as a Fraction; anything else, a float, a str or a Decimal
-    # included, raises TypeError.
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    raise TypeError("expected an int or Fraction, got %s" % type(c).__name__)
+def _fraction(row):
+    # The one gate for a RationalMatrix row: int and Fraction entries come
+    # back as a tuple of Fractions; anything else, a float, a str or a
+    # Decimal included, raises TypeError.  Only here is fractions imported,
+    # so what builds no RationalMatrix never loads it (nor decimal).
+    from fractions import Fraction
+
+    row = tuple(row)
+    for c in row:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("expected an int or Fraction, got %s" % type(c).__name__)
+    return tuple(map(Fraction, row))
 
 
 @lru_cache(maxsize=4096, typed=True)
@@ -368,7 +373,7 @@ class RationalMatrix:
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, rows):
-        entries = tuple(tuple(map(_fraction, row)) for row in rows)
+        entries = tuple(map(_fraction, rows))
         if not entries:
             raise ValueError("matrix needs at least one row")
         ncols = len(entries[0])

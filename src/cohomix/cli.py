@@ -9,37 +9,16 @@ invariant violation.
 """
 
 import argparse
-import json
 import sys
 
 from .algebra import IntegerPolynomial, _parse_int
-from .equivariant import localization_rank_check
 from .errors import InternalInvariantViolation
-from .filtration import (
-    b2_regularity_verdict,
-    hilb_betti,
-    poincare_of_hilb,
-    select_schur_basis,
-)
-from .gotzmann import (
-    PartitionTriple,
-    build_torus_action,
-    degree_k_part,
-    enumerate_hilb_fixed_points,
-    jordan_regularity_check,
-)
-from .grassmann import (
-    WeightSystem,
-    equivariant_presentation,
-    generator_degrees,
-    ordinary_presentation,
-    poincare_from_cells,
-    poincare_from_regular_sequence,
-)
 
 
 def _emit(doc, text_lines, fmt):
     if fmt == "json":
+        import json
+
         print(json.dumps(doc, indent=2))
     else:
         for line in text_lines:
@@ -47,9 +26,15 @@ def _emit(doc, text_lines, fmt):
 
 
 # Each handler returns (JSON document, text lines); main prints one of them.
+# It imports what it calls when it runs, so a command loads only its own
+# modules: grassmann for `grass`, gotzmann too for `hilb fixed-points`,
+# `hilb embed` and `b2 jordan`, filtration too for the other `hilb` and
+# `b2` commands, and equivariant for `eq localization` alone.
 
 
 def _cmd_grass_presentation(args):
+    from .grassmann import equivariant_presentation, ordinary_presentation
+
     pres = (
         equivariant_presentation(args.n, args.k)
         if args.equivariant
@@ -71,6 +56,13 @@ def _cmd_grass_presentation(args):
 
 
 def _cmd_grass_poincare(args):
+    from .grassmann import (
+        WeightSystem,
+        generator_degrees,
+        poincare_from_cells,
+        poincare_from_regular_sequence,
+    )
+
     # generator_degrees rejects invalid sizes, for both methods alike
     degrees = generator_degrees(args.n, args.k)
     if args.method == "cells":
@@ -83,13 +75,16 @@ def _cmd_grass_poincare(args):
 
 
 def _cmd_hilb_fixed_points(args):
-    triples = enumerate_hilb_fixed_points(args.k)
-    doc = {"k": args.k, "count": len(triples), "triples": [str(t) for t in triples]}
-    lines = ["count: %d" % len(triples)] + [str(t) for t in triples]
-    return doc, lines
+    from .gotzmann import enumerate_hilb_fixed_points
+
+    rendered = [str(t) for t in enumerate_hilb_fixed_points(args.k)]
+    doc = {"k": args.k, "count": len(rendered), "triples": rendered}
+    return doc, ["count: %d" % len(rendered)] + rendered
 
 
 def _cmd_hilb_embed(args):
+    from .gotzmann import PartitionTriple, degree_k_part
+
     triple = PartitionTriple.parse(args.triple)
     image = degree_k_part(triple, args.k)
     doc = {
@@ -102,6 +97,8 @@ def _cmd_hilb_embed(args):
 
 
 def _cmd_hilb_betti(args):
+    from .filtration import hilb_betti
+
     table = hilb_betti(args.k)
     doc = table.to_json_dict()
     lines = [
@@ -114,12 +111,16 @@ def _cmd_hilb_betti(args):
 def _fixed_set_images(k):
     # The torus action on Hilb_k(P^2) and the Gotzmann image of each of its
     # fixed points, in enumeration order.
+    from .gotzmann import build_torus_action, degree_k_part, enumerate_hilb_fixed_points
+
     triples = enumerate_hilb_fixed_points(k)
     action = build_torus_action(k)
     return action, [degree_k_part(t, k) for t in triples]
 
 
 def _cmd_hilb_schur_basis(args):
+    from .filtration import hilb_betti, select_schur_basis
+
     action, images = _fixed_set_images(args.k)
     betti = hilb_betti(args.k, action).betti
     selection = select_schur_basis(
@@ -146,6 +147,8 @@ def _cmd_hilb_schur_basis(args):
 
 
 def _cmd_hilb_poincare(args):
+    from .filtration import poincare_of_hilb
+
     poly = poincare_of_hilb(args.k)
     coeffs = poly.coefficient_list()
     doc = {"k": args.k, "variable": "t", "coefficients": coeffs}
@@ -153,6 +156,8 @@ def _cmd_hilb_poincare(args):
 
 
 def _cmd_b2_check(args):
+    from .filtration import b2_regularity_verdict
+
     coeffs = []
     for c in args.poincare.split(","):
         try:
@@ -167,12 +172,16 @@ def _cmd_b2_check(args):
 
 
 def _cmd_b2_jordan(args):
+    from .gotzmann import jordan_regularity_check
+
     jt, regular = jordan_regularity_check(args.k)
     doc = {"k": args.k, "jordan_type": str(jt), "regular": regular}
     return doc, ["%s regular=%s" % (jt, "true" if regular else "false")]
 
 
 def _cmd_eq_localization(args):
+    from .equivariant import localization_rank_check
+
     action, points = _fixed_set_images(args.k)
     rank, full = localization_rank_check(points, action.weight_system())
     doc = {"k": args.k, "points": len(points), "rank": rank, "full": full}

@@ -216,11 +216,12 @@ def degree_k_part(triple, k):
     image always has dimension C(k+2,2) - k; anything else trips
     InternalInvariantViolation.
     """
+    k = _degree(k)
     if triple.size != k:
         raise InvalidDegree(
             "triple has total size %d, expected k=%d" % (triple.size, k)
         )
-    n = comb(_degree(k) + 2, 2)
+    n = comb(k + 2, 2)
     outside = set(outside_positions(triple))
     return FixedSubspace(tuple(i for i in range(1, n + 1) if i not in outside), n)
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cohomix import cli, gotzmann
+from cohomix import cli, filtration, gotzmann
 from cohomix.cli import main
 
 from oracles import goettsche_betti
@@ -149,13 +149,14 @@ class TestHilb:
 
     def test_betti_never_selects_a_schur_basis(self, monkeypatch):
         calls = []
-        real = cli.select_schur_basis
+        real = filtration.select_schur_basis
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "select_schur_basis", counting)
+        # the handler imports it from filtration when it runs
+        monkeypatch.setattr(filtration, "select_schur_basis", counting)
         for fmt in ("text", "json"):
             assert main(["hilb", "betti", "--k", "3", "--format", fmt]) == 0
         assert len(calls) == 0

@@ -168,11 +168,14 @@ class TestMonomialBasis:
             for k in (2.0, Fraction(2)):
                 with pytest.raises(TypeError):
                     enter(k)
-        # degree_k_part checks the triple's size first
-        with pytest.raises(InvalidDegree, match="k must be at least 1"):
-            degree_k_part(PartitionTriple.parse(";;"), 0)
-        with pytest.raises(TypeError):
-            degree_k_part(PartitionTriple.parse("1;1;"), 2.0)
+        # degree_k_part reads k before it compares the triple's size, so
+        # a k that is no int raises TypeError whatever the triple
+        for triple in (";;", "1;1;", "1;1;1"):
+            with pytest.raises(InvalidDegree, match="k must be at least 1, got 0"):
+                degree_k_part(PartitionTriple.parse(triple), 0)
+            for k in (2.0, 2.5, Fraction(5, 2), "3"):
+                with pytest.raises(TypeError):
+                    degree_k_part(PartitionTriple.parse(triple), k)
 
 
 class TestTorusAction:

@@ -157,11 +157,17 @@ def test_reader_sees_definitions_and_reads():
     assert names_read(source, attributes_only=True) == {"g", "i"}
 
 
+# Module-level functions that the import system calls (PEP 562), as it
+# calls the dunder methods that the member rule skips: read by definition.
+IMPORT_HOOKS = {"__getattr__", "__dir__"}
+
+
 def unread_definitions(sources, readers):
     """{module: names} of the module-level functions and classes of the
     `sources` ({module: source}) that no source in `readers` reads, for
-    the modules that have any."""
-    read = set().union(*map(names_read, readers))
+    the modules that have any; a module's `__getattr__` and `__dir__`
+    count as read."""
+    read = set().union(IMPORT_HOOKS, *map(names_read, readers))
     return {
         name: unread
         for name, source in sources.items()
@@ -183,6 +189,21 @@ def test_reader_sees_reads_outside_the_package_but_not_exports():
     readers = [*sources.values(), demo, bench]
     assert unread_definitions(sources, readers) == {"m.py": ["a", "D"]}
     assert unread_definitions(sources, [*readers, test]) == {}
+
+
+def test_reader_counts_import_hooks_but_not_other_functions():
+    # the package's lazy __getattr__ and __dir__ have no reader in any
+    # source, yet count as read; an ordinary function beside them that
+    # nothing reads is still reported
+    sources = {
+        "__init__.py": (
+            "def __getattr__(name): return _load(name)\n"
+            "def __dir__(): return []\n"
+            "def _load(name): pass\n"
+            "def _unused(): pass\n"
+        ),
+    }
+    assert unread_definitions(sources, sources.values()) == {"__init__.py": ["_unused"]}
 
 
 def test_every_function_and_class_has_a_reader():
