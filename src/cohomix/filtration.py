@@ -35,7 +35,7 @@ from .algebra import (
     strip_cyclotomic_factors,
 )
 from .errors import BoxViolation, InvalidDegree
-from .gotzmann import build_torus_action, chart_tables
+from .gotzmann import _degree, build_torus_action, chart_tables
 from .grassmann import FixedSubspace
 
 NOT_REGULAR = "NOT_REGULAR"
@@ -183,8 +183,8 @@ def select_schur_basis(points, ws, p_max=None, expected_betti=None):
 def hilb_betti(k, action=None):
     """Cell-route Betti table of Hilb_k(P^2): b_p counts the fixed points
     whose attracting cell has dimension p under the torus action (default:
-    build_torus_action(k)), with no triple built.  k < 1, or an action for
-    another degree, raises InvalidDegree.
+    build_torus_action(k)), with no triple built.  k < 1 (read as gotzmann
+    reads k), or an action for another degree, raises InvalidDegree.
 
     gotzmann.chart_tables, which checks every Gotzmann image, gives H_c,s(q),
     the sum of q^count over chart c's diagrams of size s.  The cell
@@ -194,6 +194,7 @@ def hilb_betti(k, action=None):
     >>> hilb_betti(2)
     BettiTable(betti=(1, 2, 3, 2, 1), fixed_points=9)
     """
+    k = _degree(k)
     action = action or build_torus_action(k)
     if action.k != k:
         raise InvalidDegree("torus action built for k=%d, expected k=%d" % (action.k, k))

@@ -25,9 +25,6 @@ from .errors import (
 )
 from .grassmann import FixedSubspace, WeightSystem
 
-_CHART_NAMES = ("X_0", "X_1", "X_2")
-
-
 def _degree(k):
     # The one rule for k, the number of points of Hilb_k(P^2), at every
     # entry point: k read through operator.index, k >= 1.
@@ -55,7 +52,7 @@ def monomial_label(monomial):
     >>> [monomial_label(m) for m in monomial_basis(2)]
     ['X_2^2', 'X_1*X_2', 'X_1^2', 'X_0*X_2', 'X_0*X_1', 'X_0^2']
     """
-    factors = zip(_CHART_NAMES, monomial, strict=True)
+    factors = zip(("X_0", "X_1", "X_2"), map(index, monomial), strict=True)
     return "*".join(_power_str(name, e) for name, e in factors if e) or "1"
 
 
@@ -204,7 +201,7 @@ def outside_positions(triple):
     for chart, mu in enumerate(triple.parts):
         found.update(_chart_positions(chart, mu.parts, k))
     if len(found) != k:
-        message = "%s leaves %d degree-%d monomials outside its ideal, expected %d"
+        message = "%s: leaves %d degree-%d monomials outside its ideal, expected %d"
         raise InternalInvariantViolation(message % (triple, len(found), k, k))
     return tuple(sorted(found))
 
@@ -247,7 +244,7 @@ def _chart_tangent_weights(mu, phi_u, phi_w):
 
 def _not_generic(triple):
     return InternalInvariantViolation(
-        "zero tangent weight at %s; torus action is not generic" % (triple,)
+        "%s: zero tangent weight; the torus action is not generic" % (triple,)
     )
 
 
@@ -283,34 +280,14 @@ def tangent_weights(triple, action):
     return weights
 
 
-def _witness(k, placed):
-    # A fixed point of total size k with the given {chart: diagram}, its
-    # other boxes in one row at the first chart left free.
-    parts = [placed.get(chart, ()) for chart in range(3)]
-    rest = k - sum(mu.size for mu in placed.values())
-    parts[min({0, 1, 2} - placed.keys())] = (rest,) if rest else ()
-    return PartitionTriple(*parts)
-
-
-def _check_charts_disjoint(k, masks):
-    # masks[c][s] pairs each chart-c diagram of size s with its outside
-    # positions; chart b's union over sizes up to t grows with t, and
-    # meets each chart-a diagram (a < b) of size k - t.
-    for b in (1, 2):
-        union = 0
-        for t in range(k + 1):
-            for _, mask in masks[b][t]:
-                union |= mask
-            for a in range(b):
-                for mu, mask in masks[a][k - t]:
-                    if mask & union:
-                        nu = next(
-                            nu for row in masks[b][: t + 1] for nu, other in row if mask & other
-                        )
-                        raise InternalInvariantViolation(
-                            "%s: charts %s and %s put the same degree-%d monomial outside"
-                            % (_witness(k, {a: mu, b: nu}), _CHART_NAMES[a], _CHART_NAMES[b], k)
-                        )
+def _name_failing_fixed_point(action):
+    # chart_tables found a failed check: the first fixed point whose own
+    # check fails raises, naming itself
+    for triple in enumerate_hilb_fixed_points(action.k):
+        hilb_minus_cell_dimension(triple, action)
+    raise InternalInvariantViolation(
+        "a chart table check of %r fails at no fixed point" % (action,)
+    )
 
 
 def chart_tables(action):
@@ -325,43 +302,45 @@ def chart_tables(action):
     image has exactly k monomials outside when each chart's diagram puts
     |mu| distinct ones outside and no two charts share one.  Diagrams
     (chart a, mu) and (chart b, nu) share a triple exactly when
-    |mu| + |nu| <= k, so each (chart a, mu) is checked against the union
-    of chart b's positions over diagrams of size at most k - |mu|.  A
-    failed check or a zero weight (a bug: see TorusAction) raises
-    InternalInvariantViolation naming a triple that meets it.
+    |mu| + |nu| <= k, so charts a < b share none exactly when, for every
+    s, chart a's positions over diagrams of at most s boxes miss chart
+    b's over diagrams of at most k - s.  These checks only detect: on a
+    failed one, or a zero weight (a bug: see TorusAction), the per-triple
+    checks of tangent_weights and outside_positions report it, raising
+    InternalInvariantViolation at the first failing fixed point in
+    enumerate_hilb_fixed_points order.
 
     >>> [[h.coeffs for h in chart] for chart in chart_tables(build_torus_action(1))]
     [[(1,), (1,)], [(1,), (0, 1)], [(1,), (0, 0, 1)]]
     """
     k = action.k
     of_size = [partitions_in_box(s, s, s) for s in range(k + 1)]
-    tables, masks = [], []
+    tables, reach = [], []
     for chart, phis in enumerate(_chart_weights(action)):
         # counts[s][c]: the chart's diagrams of size s with count c;
-        # masks[chart][s] pairs each of them with its outside positions
-        # as a bit mask
-        counts, by_size = [[0] * (2 * s + 1) for s in range(k + 1)], [[] for _ in of_size]
+        # reach[chart][s]: the bit mask of their outside positions,
+        # united over sizes up to s
+        counts, union, unions = [[0] * (2 * s + 1) for s in range(k + 1)], 0, []
         for s, diagrams in enumerate(of_size):
             for mu in diagrams:
                 count = 0
                 for w in _chart_tangent_weights(mu, *phis):
                     if not w:
-                        raise _not_generic(_witness(k, {chart: mu}))
+                        _name_failing_fixed_point(action)
                     count += w < 0
                 mask = 0
                 for position in _chart_positions(chart, mu.parts, k):
                     mask |= 1 << position
-                distinct = mask.bit_count()
-                if distinct != s:
-                    raise InternalInvariantViolation(
-                        "%s: chart %s puts %d distinct degree-%d monomials outside, expected %d"
-                        % (_witness(k, {chart: mu}), _CHART_NAMES[chart], distinct, k, s)
-                    )
+                if mask.bit_count() != s:
+                    _name_failing_fixed_point(action)
                 counts[s][count] += 1
-                by_size[s].append((mu, mask))
+                union |= mask
+            unions.append(union)
         tables.append(tuple(map(IntegerPolynomial, counts)))
-        masks.append(by_size)
-    _check_charts_disjoint(k, masks)
+        reach.append(unions)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        if any(reach[a][s] & reach[b][k - s] for s in range(k + 1)):
+            _name_failing_fixed_point(action)
     return tuple(tables)
 
 

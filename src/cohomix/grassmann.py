@@ -43,7 +43,8 @@ class WeightSystem:
         return cls(tuple(n - 1 - 2 * i for i in range(n)))
 
     def at(self, indices):
-        """Weights at the given 1-based indices."""
+        """Weights at the given 1-based indices, read through operator.index."""
+        indices = tuple(map(index, indices))
         for i in indices:
             if not 1 <= i <= self.n:
                 raise IndexOutOfRange("index %d outside 1..%d" % (i, self.n))
@@ -160,10 +161,11 @@ def poincare_from_regular_sequence(degrees):
     so the product is taken by every q^(d_i + 1) - 1 and then divided by
     every q^(d_i) - 1 (_binomial_quotient), with no denominator product.
     Raises NotPolynomial at the first division with a remainder, i.e. when
-    the rational function fails to cancel to a polynomial.  For the
+    the rational function fails to cancel to a polynomial.  Each degree
+    is read through operator.index and must be positive.  For the
     cohomology of Gr(n-k, V) the degrees are the w_degree values.
     """
-    degrees = tuple(degrees)
+    degrees = tuple(map(index, degrees))
     for d in degrees:
         if d < 1:
             raise ValueError("degrees must be positive, got %d" % d)

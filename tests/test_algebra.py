@@ -32,6 +32,7 @@ from cohomix.gotzmann import (
     degree_k_part,
     enumerate_hilb_fixed_points,
     jordan_regularity_check,
+    monomial_label,
 )
 from cohomix.grassmann import (
     FixedSubspace,
@@ -43,6 +44,7 @@ from cohomix.grassmann import (
     graded_dimension,
     graded_dimensions,
     ordinary_presentation,
+    poincare_from_regular_sequence,
     specialize_v,
     w_degree,
 )
@@ -351,6 +353,14 @@ class TestSchurPartitionInput:
         lambda: TorusAction(Fraction(2), 3, (3, 2, 1)),
         lambda: TorusAction(2, 3, (3.0, 2, 1)),
         lambda: generator_variables(4, Fraction(2)),
+        lambda: poincare_from_regular_sequence((0.5,)),
+        lambda: poincare_from_regular_sequence((2.0, 3)),
+        lambda: poincare_from_regular_sequence((Fraction(2),)),
+        lambda: WeightSystem.principal(4).at((0.5,)),
+        lambda: WeightSystem.principal(4).at((Fraction(2),)),
+        lambda: WeightSystem.principal(4).at(("2",)),
+        lambda: monomial_label((2.5, 0, 0)),
+        lambda: monomial_label((Fraction(2), 0, 0)),
     ],
     ids=[
         "WeightSystem",
@@ -397,6 +407,14 @@ class TestSchurPartitionInput:
         "TorusAction-k",
         "TorusAction-exponent",
         "generator_variables-whole-Fraction",
+        "poincare_from_regular_sequence",
+        "poincare_from_regular_sequence-float-among-ints",
+        "poincare_from_regular_sequence-whole-Fraction",
+        "WeightSystem.at",
+        "WeightSystem.at-whole-Fraction",
+        "WeightSystem.at-str",
+        "monomial_label",
+        "monomial_label-whole-Fraction",
     ],
 )
 def test_non_integer_input_rejected_not_truncated(build):

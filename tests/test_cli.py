@@ -174,6 +174,22 @@ class TestHilb:
             assert captured.out == ""
             assert "internal invariant violation" in captured.err
 
+    def test_fault_in_the_last_triples_exit_3(self, capsys, monkeypatch):
+        # only chart X_0's k-box diagrams lose a position, so only the
+        # last triples in enumeration order fail
+        real = gotzmann._chart_positions
+
+        def dropping(chart, parts, k):
+            positions = real(chart, parts, k)
+            return positions[:-1] if chart == 0 and sum(parts) == k else positions
+
+        monkeypatch.setattr(gotzmann, "_chart_positions", dropping)
+        assert main(["hilb", "betti", "--k", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal invariant violation" in captured.err
+        assert "4;;:" in captured.err
+
     def test_overlapping_gotzmann_charts_exit_3(self, capsys, monkeypatch):
         # every chart keeps |mu| distinct outside positions, but X_1 reuses
         # X_0's, so a triple with boxes at both points has too few outside

@@ -1,5 +1,7 @@
 """Betti numbers through the fixed-point filtration, both routes."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -317,6 +319,17 @@ class TestFullSetRoute:
             with pytest.raises(InvalidDegree):
                 hilb_betti(4, build_torus_action(j))
 
+    def test_k_read_before_the_action_is_compared(self):
+        # k goes through gotzmann's rule before it meets the action's k, so
+        # a k that is no int raises TypeError where it enters
+        action = build_torus_action(2)
+        for enter in (hilb_betti, poincare_of_hilb):
+            for k in (2.5, 2.0, Fraction(2), "2"):
+                with pytest.raises(TypeError):
+                    enter(k, action)
+            with pytest.raises(InvalidDegree, match="k must be at least 1, got 0"):
+                enter(0, action)
+
     @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (1, 2)])
     def test_overlapping_charts_caught(self, monkeypatch, a, b):
         overlap_charts(monkeypatch, a, b)
@@ -375,6 +388,24 @@ class TestFullSetRoute:
             assert triple.size == k
             with pytest.raises(InternalInvariantViolation):
                 outside_positions(triple)
+
+    def test_fault_in_the_last_triples_named(self, monkeypatch):
+        # only chart X_0's k-box diagrams lose a position; their triples
+        # come last in enumeration order, so the walk that names the
+        # failing fixed point passes every other triple first
+        real = gotzmann._chart_positions
+
+        def dropping(chart, parts, k):
+            positions = real(chart, parts, k)
+            return positions[:-1] if chart == 0 and sum(parts) == k else positions
+
+        monkeypatch.setattr(gotzmann, "_chart_positions", dropping)
+        triples = enumerate_hilb_fixed_points(4)
+        assert [t.parts[0].size for t in triples[-6:]] == [3, 4, 4, 4, 4, 4]
+        assert str(triples[-5]) == "4;;"
+        with pytest.raises(InternalInvariantViolation) as caught:
+            hilb_betti(4)
+        assert str(caught.value).split(":")[0] == "4;;"
 
 
 class TestBettiTable:

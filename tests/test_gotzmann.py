@@ -523,6 +523,21 @@ class TestTangentWeights:
         with pytest.raises(InternalInvariantViolation):
             poincare_of_hilb(2, action)
 
+    def test_zero_weight_names_its_first_fixed_point(self, monkeypatch):
+        # coordinate weights (4, 2, 2) make phi_w zero at X_1 and X_2, so
+        # a box there with none below it has a zero tangent weight; the
+        # cell route names the first such fixed point in enumeration order
+        action, forged = forge_coordinate_weights(monkeypatch, 3, (4, 2, 2))
+        with pytest.raises(InternalInvariantViolation) as caught:
+            hilb_betti(3, action)
+        named = PartitionTriple.parse(str(caught.value).split(":")[0])
+        assert 0 in reference_tangent_weights(named, forged)
+        first = next(
+            t for t in enumerate_hilb_fixed_points(3)
+            if 0 in reference_tangent_weights(t, forged)
+        )
+        assert named == first
+
     def test_zero_weight_after_negative_raises(self, monkeypatch):
         # coordinate weights (4, 2, 2): the box at X_1 has weights (-2, 0),
         # so a count of negatives alone would answer 1
