@@ -625,12 +625,7 @@ def _cyclotomic_candidates(bound):
     """
     if bound < 1:
         return ()
-    sieve = bytearray([1]) * (bound + 2)
-    primes = []
-    for p in range(2, bound + 2):
-        if sieve[p]:
-            primes.append(p)
-            sieve[p * p :: p] = bytes(len(range(p * p, bound + 2, p)))
+    primes = [p for p in range(2, bound + 2) if _prime_divisors(p) == [p]]
     found = []
     stack = [(0, 1, 1)]  # (index of the least prime still allowed, d, phi(d))
     while stack:

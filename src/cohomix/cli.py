@@ -29,7 +29,8 @@ def _emit(doc, text_lines, fmt):
 # It imports what it calls when it runs, so a command loads only its own
 # modules: grassmann for `grass`, gotzmann too for `hilb fixed-points`,
 # `hilb embed` and `b2 jordan`, filtration too for the other `hilb` and
-# `b2` commands, and equivariant for `eq localization` alone.
+# `b2` commands, and equivariant in its place for `eq localization`, so
+# no command loads all five.
 
 
 def _cmd_grass_presentation(args):

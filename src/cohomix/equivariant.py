@@ -15,7 +15,7 @@ docstring of localization_rank_check, so no Schur value is computed;
 filtration.schur_rank_steps computes the same rank by elimination.
 """
 
-from .filtration import box_of
+from .grassmann import box_of
 
 
 def localization_rank_check(points, ws):

@@ -34,28 +34,12 @@ from .algebra import (
     schur_evaluate,
     strip_cyclotomic_factors,
 )
-from .errors import BoxViolation, InvalidDegree
+from .errors import InvalidDegree
 from .gotzmann import _degree, build_torus_action, chart_tables
-from .grassmann import FixedSubspace
+from .grassmann import box_of
 
 NOT_REGULAR = "NOT_REGULAR"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-
-def box_of(points):
-    """The points' common (parts, part size) box; any point that is not a
-    FixedSubspace raises TypeError."""
-    if not points:
-        raise BoxViolation("need at least one fixed point")
-    if not all(isinstance(pt, FixedSubspace) for pt in points):
-        raise TypeError("the box needs FixedSubspace points")
-    dims = {pt.dim for pt in points}
-    ns = {pt.n for pt in points}
-    if len(dims) != 1 or len(ns) != 1:
-        raise BoxViolation("points live in different Grassmannians")
-    n = ns.pop()
-    d = dims.pop()
-    return d, n - d
 
 
 class BettiTable:

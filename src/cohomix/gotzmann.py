@@ -242,12 +242,6 @@ def _chart_tangent_weights(mu, phi_u, phi_w):
             yield leg * phi_u - (arm + 1) * phi_w
 
 
-def _not_generic(triple):
-    return InternalInvariantViolation(
-        "%s: zero tangent weight; the torus action is not generic" % (triple,)
-    )
-
-
 def tangent_weights(triple, action):
     """The 2k torus weights on the tangent space of Hilb_k(P^2) at the
     fixed point.
@@ -276,7 +270,9 @@ def tangent_weights(triple, action):
         for w in _chart_tangent_weights(mu, *phis)
     )
     if 0 in weights:
-        raise _not_generic(triple)
+        raise InternalInvariantViolation(
+            "%s: zero tangent weight; the torus action is not generic" % (triple,)
+        )
     return weights
 
 

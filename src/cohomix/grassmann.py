@@ -17,7 +17,7 @@ from math import comb, gcd
 from operator import index, mul
 
 from .algebra import IntegerPolynomial, MultiPoly, RowSpace, _binomial_quotient
-from .errors import IndexOutOfRange, InvalidDegree, InvalidDimensions, NotPolynomial
+from .errors import BoxViolation, IndexOutOfRange, InvalidDegree, InvalidDimensions, NotPolynomial
 
 
 class WeightSystem:
@@ -89,6 +89,22 @@ class FixedSubspace:
 
     def __str__(self):
         return "(%s)" % ", ".join(str(i) for i in self.indices)
+
+
+def box_of(points):
+    """The points' common (parts, part size) box; any point that is not a
+    FixedSubspace raises TypeError."""
+    if not points:
+        raise BoxViolation("need at least one fixed point")
+    if not all(isinstance(pt, FixedSubspace) for pt in points):
+        raise TypeError("the box needs FixedSubspace points")
+    dims = {pt.dim for pt in points}
+    ns = {pt.n for pt in points}
+    if len(dims) != 1 or len(ns) != 1:
+        raise BoxViolation("points live in different Grassmannians")
+    n = ns.pop()
+    d = dims.pop()
+    return d, n - d
 
 
 def _shape(n, k):

@@ -1007,6 +1007,16 @@ class TestIntegerPolynomial:
         assert (zero * zero).is_zero()
         assert zero.interleave_zero().is_zero()
 
+    def test_subtraction(self):
+        p, q = IntegerPolynomial([1, 2, 3]), IntegerPolynomial([4, -5])
+        # operands of unequal length, either way round
+        assert (p - q).coeffs == (-3, 7, 3)
+        assert (q - p).coeffs == (3, -7, -3)
+        assert q - p == -(p - q)
+        # a cancelling top coefficient is trimmed, and p - p is zero
+        assert (p - IntegerPolynomial([0, 0, 3])).coeffs == (1, 2)
+        assert (p - p).coeffs == ()
+
     def test_equality_and_hash_by_coefficients(self):
         p = IntegerPolynomial([1, 2, 0, 0])
         assert p == IntegerPolynomial((1, 2)) and hash(p) == hash(IntegerPolynomial((1, 2)))

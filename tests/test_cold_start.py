@@ -113,6 +113,16 @@ def test_grass_command_loads_no_hilbert_scheme_module():
     assert not imported & unwanted
 
 
+def test_eq_localization_loads_no_betti_module():
+    code, out, err = fresh("-X", "importtime", "-m", "cohomix.cli", "eq", "localization", "--k", "3")
+    assert code == 0, err
+    assert out == "rank=22 full=true\n"
+    imported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
+    wanted = {"cohomix.algebra", "cohomix.grassmann", "cohomix.gotzmann", "cohomix.equivariant"}
+    assert wanted <= imported
+    assert not imported & {"cohomix.filtration", "fractions"}
+
+
 def test_every_public_name_resolves_and_star_binds_it():
     found = fresh_json(
         "import cohomix\n"

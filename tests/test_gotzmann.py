@@ -538,6 +538,23 @@ class TestTangentWeights:
         )
         assert named == first
 
+    def test_naming_on_a_healthy_action_names_no_fixed_point(self, monkeypatch):
+        # every fixed point's own check passes, so after walking all 22 the
+        # search raises, naming the action instead
+        real, walked = gotzmann.hilb_minus_cell_dimension, []
+        monkeypatch.setattr(
+            gotzmann,
+            "hilb_minus_cell_dimension",
+            lambda t, a: walked.append(t) or real(t, a),
+        )
+        with pytest.raises(InternalInvariantViolation) as caught:
+            gotzmann._name_failing_fixed_point(build_torus_action(3))
+        assert walked == enumerate_hilb_fixed_points(3) and len(walked) == 22
+        assert str(caught.value) == (
+            "a chart table check of TorusAction(k=3, g=4, exponents=(3, 2, 1))"
+            " fails at no fixed point"
+        )
+
     def test_zero_weight_after_negative_raises(self, monkeypatch):
         # coordinate weights (4, 2, 2): the box at X_1 has weights (-2, 0),
         # so a count of negatives alone would answer 1
