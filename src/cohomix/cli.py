@@ -27,10 +27,7 @@ def _emit(doc, text_lines, fmt):
 
 # Each handler returns (JSON document, text lines); main prints one of them.
 # It imports what it calls when it runs, so a command loads only its own
-# modules: grassmann for `grass`, gotzmann too for `hilb fixed-points`,
-# `hilb embed` and `b2 jordan`, filtration too for the other `hilb` and
-# `b2` commands, and equivariant in its place for `eq localization`, so
-# no command loads all five.
+# modules.
 
 
 def _cmd_grass_presentation(args):
@@ -133,14 +130,14 @@ def _cmd_hilb_schur_basis(args):
         "basis": {str(p): [str(mu) for mu in mus] for p, mus in selection.items()},
         "deficiencies": {
             str(p): {"achieved": a, "expected": e}
-            for p, (a, e) in sorted(selection.deficiencies.items())
+            for p, (a, e) in selection.deficiencies.items()
         },
     }
     lines = []
     for p, mus in selection.items():
         rendered = " ".join("(%s)" % mu for mu in mus) if mus else "-"
         lines.append("p=%d: %s" % (p, rendered))
-    for p, (a, e) in sorted(selection.deficiencies.items()):
+    for p, (a, e) in selection.deficiencies.items():
         lines.append(
             "deficiency at p=%d: pure Schur rows give %d of %d" % (p, a, e)
         )

@@ -123,7 +123,7 @@ def schur_rank_steps(points, ws, p_max=None):
                     grew.append(mu)
                     if space.rank == full:
                         break
-        yield grew
+        yield tuple(grew)
 
 
 class SchurBasisSelection(dict):
@@ -132,10 +132,6 @@ class SchurBasisSelection(dict):
     against an expected Betti sequence when one was supplied."""
 
     __slots__ = ("deficiencies",)
-
-    def __init__(self, by_degree, deficiencies):
-        super().__init__((p, tuple(by_degree[p])) for p in sorted(by_degree))
-        self.deficiencies = dict(deficiencies)
 
 
 def select_schur_basis(points, ws, p_max=None, expected_betti=None):
@@ -150,18 +146,17 @@ def select_schur_basis(points, ws, p_max=None, expected_betti=None):
     restricted fixed set the jump can be smaller than the true Betti
     number; pass expected_betti to have the shortfall reported in
     `deficiencies` as {p: (achieved, expected)} rather than papered over.
-    Points that are not FixedSubspace raise TypeError, and no points
-    BoxViolation, both from box_of.
+    Only the sizes that both the scan and expected_betti reach are
+    compared.  Points that are not FixedSubspace raise TypeError, and no
+    points BoxViolation, both from box_of.
     """
-    by_degree = {}
-    deficiencies = {}
-    for p, chosen in enumerate(schur_rank_steps(points, ws, p_max)):
-        by_degree[p] = chosen
-        if expected_betti is not None and p < len(expected_betti):
-            expected = expected_betti[p]
-            if len(chosen) < expected:
-                deficiencies[p] = (len(chosen), expected)
-    return SchurBasisSelection(by_degree, deficiencies)
+    selection = SchurBasisSelection(enumerate(schur_rank_steps(points, ws, p_max)))
+    selection.deficiencies = {
+        p: (len(chosen), expected)
+        for (p, chosen), expected in zip(selection.items(), expected_betti or ())
+        if len(chosen) < expected
+    }
+    return selection
 
 
 def hilb_betti(k, action=None):

@@ -361,8 +361,7 @@ def nilpotent_matrix_on_Rk(k, basis_order=None):
     if basis_order is None:
         basis_order = monomial_basis(k)
     order = [tuple(m) for m in basis_order]
-    expected = sorted(monomial_basis(k))
-    if sorted(order) != expected:
+    if sorted(order) != list(monomial_basis(k)):
         raise InvalidDegree("basis order is not a permutation of the degree-%d monomials" % k)
     position = {m: i for i, m in enumerate(order)}
     n = len(order)

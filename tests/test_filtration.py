@@ -459,12 +459,24 @@ class TestSelectSchurBasis:
         sel = select_schur_basis(enumerate_fixed_subspaces(4, 2), ws, p_max=3)
         assert len(sel) == 4
         assert list(sel) == [0, 1, 2, 3]
-        # a dict sorted by size when built, whatever order the sizes came
-        # in, with the chosen partitions as tuples
-        built = filtration.SchurBasisSelection({2: [], 0: [Partition(())]}, {})
-        assert isinstance(built, dict)
-        assert list(built.items()) == [(0, (Partition(()),)), (2, ())]
-        assert built.deficiencies == {}
+        assert isinstance(sel, dict)
+        assert all(isinstance(mus, tuple) for mus in sel.values())
+
+    def test_expected_betti_compares_only_the_sizes_both_reach(self):
+        # Hilb_3: the levels have 1, 1, 2, 3, 4, 5, 5 rows against
+        # b = 1, 2, 5, 6, 5, 2, 1
+        points, ws = hilb_points(3)
+        betti = hilb_betti(3).betti
+        full = select_schur_basis(points, ws, p_max=6, expected_betti=betti)
+        assert full.deficiencies == {1: (1, 2), 2: (2, 5), 3: (3, 6), 4: (4, 5)}
+        # in increasing p, the order `hilb schur-basis` prints them in
+        assert list(full.deficiencies) == [1, 2, 3, 4]
+        shorter = select_schur_basis(points, ws, p_max=6, expected_betti=betti[:3])
+        assert shorter.deficiencies == {1: (1, 2), 2: (2, 5)}
+        longer = select_schur_basis(points, ws, p_max=6, expected_betti=betti + (9, 9))
+        assert longer.deficiencies == full.deficiencies
+        for none in (None, ()):
+            assert select_schur_basis(points, ws, p_max=6, expected_betti=none).deficiencies == {}
 
     def test_no_silent_substitution(self):
         # every selected partition at level p really has size p
